@@ -18,7 +18,6 @@ from .errors import (
     EmptyBatch,
     EmptyDataset,
     FormatVersionMismatch,
-    GraphCycle,
     IntegrationDiverged,
     LengthMismatch,
     RejectionExhausted,

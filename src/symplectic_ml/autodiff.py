@@ -8,8 +8,13 @@ created with ``requires_grad=True``.
 
 Every op accepts plain ndarrays or scalars in place of tensors and wraps
 them as constant (non-gradient) nodes.  Graphs are single-use: build the
-expression, call ``backward`` once, read the leaf gradients.  Ops on tensors that do not require gradients skip closure
-creation entirely, so inference-time code pays only the array arithmetic.
+expression, call ``backward`` once, read the leaf gradients.  ``backward``
+consumes the graph as it walks it, dropping each node's closure and parent
+links once the node has passed its gradient on, so reference counting frees
+the intermediate arrays during the reverse pass; a second call on the same
+graph is not supported.  Ops on tensors that do not require gradients skip
+closure creation entirely, so inference-time code pays only the array
+arithmetic.
 
 Gradients of gradients: ops here are sufficient to express the input-gradient
 of a dense network in closed form (a chain of matrix products and activation
@@ -20,7 +25,7 @@ exact parameter gradients of losses that contain input-gradients.
 
 import numpy as np
 
-from .errors import GraphCycle, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 class Tensor:
@@ -44,39 +49,28 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self):
-        """Back-propagate from this scalar through the recorded graph."""
+        """Back-propagate from this scalar through the recorded graph.
+
+        Consumes the graph: each node's closure and parent links are dropped
+        once it has run, so intermediates are freed during the walk.
+        """
         if self.data.size != 1:
             raise ShapeMismatch(
                 f"backward() needs a scalar root, got shape {self.data.shape}"
             )
-        topo = []
-        visited = set()
-        on_path = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                on_path.discard(node)
-                topo.append(node)
-                continue
-            if node in visited:
-                continue
-            visited.add(node)
-            on_path.add(node)
-            stack.append((node, True))
-            for child in node._prev:
-                if child in on_path:
-                    raise GraphCycle("computation graph contains a cycle")
-                if child not in visited:
-                    stack.append((child, False))
+        topo = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+            node._prev = ()
 
     def __add__(self, other):
         return add(self, _wrap(other))
@@ -101,6 +95,26 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _topo_order(root):
+    """Nodes reachable from ``root``, each after all of its parents."""
+    topo = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if node in visited:
+            continue
+        visited.add(node)
+        stack.append((node, True))
+        for child in node._prev:
+            if child not in visited:
+                stack.append((child, False))
+    return topo
 
 
 def _wrap(x):

@@ -262,15 +262,10 @@ def _cmd_eval_energy(args):
 
 def _lyapunov_task(task):
     """One grid point: sample an IC, estimate the maximal exponent."""
-    (alpha, beta, energy, seed, index, dt, steps, renorm, ckpt_path) = task
+    (alpha, beta, energy, seed, index, dt, steps, renorm, flow) = task
     pot = PotentialParams(alpha=alpha, beta=beta)
     rng = np.random.default_rng([seed, index])
     state0 = datapipe.sample_initial_condition(energy, pot, rng)
-    if ckpt_path:
-        model, _ = checkpoint.load_checkpoint(ckpt_path)
-        flow = model
-    else:
-        flow = HH_FIELD
     result = analysis.lyapunov_spectrum(flow, state0, pot, dt, steps, renorm)
     return alpha, beta, result.maximal
 
@@ -283,8 +278,9 @@ def _cmd_lyapunov(args):
     else:
         alphas = _parse_list(args.alphas or "1.0")
     energy = _parse_number(args.energy)
+    flow = checkpoint.load_checkpoint(args.checkpoint)[0] if args.checkpoint else HH_FIELD
     tasks = [
-        (a, a, energy, seed, i, args.dt, args.steps, args.renorm, args.checkpoint)
+        (a, a, energy, seed, i, args.dt, args.steps, args.renorm, flow)
         for i, a in enumerate(alphas)
     ]
     if args.jobs > 1:

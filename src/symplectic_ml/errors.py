@@ -9,10 +9,6 @@ class ShapeMismatch(SymplecticMlError):
     """An array argument has the wrong shape for the requested operation."""
 
 
-class GraphCycle(SymplecticMlError):
-    """The computation graph contains a cycle and cannot be back-propagated."""
-
-
 class BadFactor(SymplecticMlError):
     """Coarse-graining factor is not a positive integer."""
 

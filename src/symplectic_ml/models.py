@@ -299,21 +299,27 @@ def _srnn_loss_graph(model, theta, windows, channels, dt,
                      escape_radius=ESCAPE_RADIUS):
     """Batched rollout loss graph.  ``windows`` is (B, L, 4).
 
-    Windows whose rollout leaves the escape radius (checked by a non-taped
-    preflight of the same arithmetic) are excluded from the graph and
-    contribute a constant penalty instead: the divergence penalty plus the
-    squared distance at the last finite step.  Returns (loss, n_diverged).
+    Windows whose rollout leaves the escape radius are excluded from the
+    graph and contribute a constant penalty instead: the divergence penalty
+    plus the squared distance at the last finite step.  The rollout runs
+    once; only when some window diverged is the taped rollout rerun over the
+    others, since a non-finite row would poison the gradient.  Returns
+    (loss, n_diverged).
     """
     b, length, _ = windows.shape
     if b == 0:
         raise EmptyBatch("rollout loss over an empty batch")
     n_steps = length - 1
-    preflight = _TapedSeparable(model, Tensor(theta.data))
-    q = Tensor(windows[:, 0, :2])
-    p = Tensor(windows[:, 0, 2:])
-    chan = None if channels is None else Tensor(np.asarray(channels, dtype=np.float64))
+    taped = _TapedSeparable(model, theta)
+    chan = None if channels is None else np.asarray(channels, dtype=np.float64)
+
+    def rollout(rows):
+        q, p = Tensor(windows[rows, 0, :2]), Tensor(windows[rows, 0, 2:])
+        return _taped_rollout(taped, q, p, None if chan is None else Tensor(chan[rows]),
+                              dt, n_steps)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        qs, ps = _taped_rollout(preflight, q, p, chan, dt, n_steps)
+        qs, ps = rollout(slice(None))
     pred = np.stack(
         [np.concatenate([qt.data, pt.data], axis=1) for qt, pt in zip(qs, ps)],
         axis=1,
@@ -338,12 +344,8 @@ def _srnn_loss_graph(model, theta, windows, channels, dt,
         diff = pred[idx, 1:] - windows[idx, 1:]
         return Tensor(float(np.sum(diff * diff)) / b + penalty / b), n_diverged
 
-    taped = _TapedSeparable(model, theta)
-    q = Tensor(windows[idx, 0, :2])
-    p = Tensor(windows[idx, 0, 2:])
-    chan = None if channels is None else Tensor(
-        np.asarray(channels, dtype=np.float64)[idx])
-    qs, ps = _taped_rollout(taped, q, p, chan, dt, n_steps)
+    if n_diverged:
+        qs, ps = rollout(idx)
     total = None
     for t in range(1, n_steps + 1):
         term = ad.add(

@@ -273,7 +273,6 @@ def train(config, dataset):
             "final_train_loss": train_losses[-1],
             "final_val_loss": val_losses[-1],
             "epochs": config.epochs,
-            "wall_time_s": wall,
         },
     )
     return TrainReport(

@@ -1,11 +1,14 @@
 """Tape engine: forward values, reverse-mode gradients, and graph hygiene."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplectic_ml import GraphCycle, ShapeMismatch, Tensor, grad_params_through
+from symplectic_ml import ShapeMismatch, Tensor, grad_params_through
 from symplectic_ml import autodiff as ad
 
 from helpers import input_grad_check
@@ -136,13 +139,41 @@ def test_backward_rejects_nonscalar_root():
         ad.square(x).backward()
 
 
-def test_cycle_detection():
-    a = Tensor(np.ones(1), requires_grad=True)
-    b = ad.square(a)
-    c = ad.sum_all(b)
-    a._prev = (c,)  # deliberately corrupt the graph
-    with pytest.raises(GraphCycle):
-        c.backward()
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    theta = Tensor(np.linspace(-0.5, 0.5, 13), requires_grad=True)
+    x = np.linspace(-1.0, 1.0, 8).reshape(4, 2)
+    gc.disable()
+    try:
+        hidden = ad.tanh(ad.linear(x, ad.segment(theta, 0, 6, (3, 2)),
+                                   ad.segment(theta, 6, 9, (3,))))
+        out = ad.linear(hidden, ad.segment(theta, 9, 12, (1, 3)),
+                        ad.segment(theta, 12, 13, (1,)))
+        loss = ad.sum_sq_diff(out, np.zeros((4, 1)))
+        # Tensor has no weakref slot; its activation array lives exactly as
+        # long as the node and the closures that read it
+        node = weakref.ref(hidden.data)
+        del hidden, out
+        grad = grad_params_through(loss, theta)
+        del loss
+        assert node() is None
+    finally:
+        gc.enable()
+    assert np.any(grad != 0.0)
+
+
+def test_backward_consumes_the_graph():
+    x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    loss = ad.sum_all(ad.square(ad.tanh(x)))
+    loss.backward()
+    assert loss._prev == () and loss._backward is None
+
+
+def test_first_accumulation_adds_positive_zero():
+    # zeros + g and g + 0.0 agree bit for bit, a negative-zero gradient included
+    x = Tensor(np.array([1.0, 0.0]), requires_grad=True)
+    grad = grad_params_through(ad.sum_all(ad.scale(x, -0.0)), x)
+    assert np.array_equal(grad, [0.0, 0.0])
+    assert not np.any(np.signbit(grad))
 
 
 def test_deep_chain_backward_is_iterative():

@@ -227,6 +227,13 @@ def test_train_encoder_checkpoint_roundtrips(encoder_ckpt):
     assert doc["model_kind"] == "lstm-encoder"
 
 
+def test_train_checkpoint_is_byte_reproducible(ws, data_dir):
+    overrides = ["epochs=2", "batch_size=64", "hidden=[8]", "window_len=5"]
+    a = _train(data_dir, ws / "asrnn-a.json", "asrnn", overrides)
+    b = _train(data_dir, ws / "asrnn-b.json", "asrnn", overrides)
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_train_writes_history_csv(ws, data_dir):
     history = ws / "history.csv"
     rc = cli.main(
@@ -407,6 +414,26 @@ def test_lyapunov_worker_count_does_not_change_results(ws):
     a, b = ws / "lyap-j1.csv", ws / "lyap-j2.csv"
     assert cli.main(base + ["--out", str(a), "--jobs", "1"]) == 0
     assert cli.main(base + ["--out", str(b), "--jobs", "2"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_lyapunov_loads_the_checkpoint_once(ws, asrnn_ckpt, monkeypatch):
+    loads = []
+    real = cli.checkpoint.load_checkpoint
+
+    def counting(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli.checkpoint, "load_checkpoint", counting)
+    base = ["lyapunov", "--seed", "4", "--alphas", "0.3,0.7", "--energy", "1/12",
+            "--dt", "0.05", "--steps", "40", "--renorm", "0.5",
+            "--checkpoint", str(asrnn_ckpt)]
+    a, b = ws / "lyap-ckpt-j1.csv", ws / "lyap-ckpt-j2.csv"
+    assert cli.main(base + ["--out", str(a), "--jobs", "1"]) == 0
+    assert len(loads) == 1
+    assert cli.main(base + ["--out", str(b), "--jobs", "2"]) == 0
+    assert len(loads) == 2
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -390,6 +390,70 @@ def test_mixed_batch_keeps_surviving_window_gradient():
     assert np.any(grad != 0.0)
 
 
+def _finite_and_diverged_batches():
+    good, _ = _true_window(5)
+    other, _ = _true_window(5, q=(0.05, 0.1), p=(-0.1, 0.2))
+    bad = np.zeros((5, 4))
+    bad[0] = [11.0, 0.0, 0.0, 0.0]  # seeded outside the allowed region
+    return {"finite": np.stack([good, other]), "diverged": np.stack([good, bad, other])}
+
+
+def _count_rollout_rows(monkeypatch):
+    rows = []
+    real = models._taped_rollout
+
+    def counting(taped, q0, p0, chan, dt, n_steps):
+        rows.append(q0.data.shape[0])
+        return real(taped, q0, p0, chan, dt, n_steps)
+
+    monkeypatch.setattr(models, "_taped_rollout", counting)
+    return rows
+
+
+@pytest.mark.parametrize("batch,expected", [
+    ("finite", [2]),
+    ("diverged", [3, 2]),  # rerun over the two surviving windows only
+])
+def test_rollout_loss_reruns_the_tape_only_after_divergence(monkeypatch, batch, expected):
+    model = _separable(seed=33, scale=0.3)
+    windows = _finite_and_diverged_batches()[batch]
+    rows = _count_rollout_rows(monkeypatch)
+    theta = Tensor(model.params.copy(), requires_grad=True)
+    _, n_diverged = models._srnn_loss_graph(model, theta, windows, None, 0.1)
+    assert n_diverged == (batch == "diverged")
+    assert rows == expected
+    rows.clear()
+    models._srnn_loss_graph(model, Tensor(model.params), windows, None, 0.1)
+    assert rows == expected[:1]
+
+
+def test_taped_rollout_states_match_untaped_bit_for_bit():
+    model = _separable(seed=33, scale=0.3, v_sizes=(3, 4, 1), adaptable=True,
+                       param_channels=1)
+    windows = _finite_and_diverged_batches()["finite"]
+    q, p = Tensor(windows[:, 0, :2]), Tensor(windows[:, 0, 2:])
+    chan = Tensor(np.full((2, 1), 0.7))
+    theta = Tensor(model.params.copy(), requires_grad=True)
+    taped = models._taped_rollout(models._TapedSeparable(model, theta), q, p, chan, 0.1, 4)
+    plain = models._taped_rollout(models._TapedSeparable(model, Tensor(model.params)),
+                                  q, p, chan, 0.1, 4)
+    for a, b in zip(taped[0] + taped[1], plain[0] + plain[1]):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("batch", ["finite", "diverged"])
+def test_training_and_validation_losses_agree(batch):
+    model = _separable(seed=33, scale=0.3)
+    windows = _finite_and_diverged_batches()[batch]
+    theta = Tensor(model.params.copy(), requires_grad=True)
+    taped, n_taped = models._srnn_loss_graph(model, theta, windows, None, 0.1)
+    plain, n_plain = models._srnn_loss_graph(model, Tensor(model.params), windows,
+                                             None, 0.1)
+    assert n_taped == n_plain
+    # the tape sums step by step and numpy pairwise, so agreement is to round-off
+    assert taped.item() == pytest.approx(plain.item(), rel=1e-14, abs=0.0)
+
+
 def test_rollout_loss_rejects_empty_batch():
     model = _separable()
     with pytest.raises(EmptyBatch):
