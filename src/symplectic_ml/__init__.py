@@ -92,7 +92,6 @@ from .training import (
     clip_gradient,
     init_adam,
     save_history_csv,
-    sgd_step,
     split_dataset,
     train,
 )

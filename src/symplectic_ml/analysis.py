@@ -5,7 +5,9 @@ orthonormal frame through the flow-map Jacobian over fixed re-normalisation
 intervals, re-orthonormalise by QR, and average the log diagonal of R.  The
 Jacobian of each interval map is measured by central finite differences of
 the flow itself, so the same estimator runs unchanged on the analytic
-integrator and on learned models.
+integrator and on learned models.  Fields and separable models are stepped
+by the one leapfrog kernel of ``dynamics`` on the probe rows' columns,
+carrying the force from step to step within each interval.
 """
 
 from dataclasses import dataclass
@@ -16,13 +18,11 @@ from .dynamics import (
     ESCAPE_RADIUS,
     DerivativeField,
     PhaseState,
-    hh_grad_v,
-    kinetic_grad,
-    leapfrog_batch,
-    leapfrog_step,
+    advance,
+    field_columns,
 )
 from .errors import DegenerateR, LengthMismatch, ShapeMismatch, ZeroEnergy
-from .models import SeparableModel, separable_grad_k, separable_grad_v
+from .models import SeparableModel, separable_columns
 
 FD_EPS = 1e-7
 
@@ -102,39 +102,28 @@ class LyapunovResult:
         return float(self.exponents[0])
 
 
-def _batch_stepper(flow, params, dt):
-    """Normalise a flow argument into a (B, 4) -> (B, 4) single-step map."""
+def _advancer(flow, params, dt):
+    """Normalise a flow argument into ``advance(rows, n)``: (B, 4) rows after
+    ``n`` steps."""
     if isinstance(flow, DerivativeField):
-        if flow.grad_v is hh_grad_v and flow.grad_k is kinetic_grad:
-            a, b = params.alpha, params.beta
-            return lambda x: leapfrog_batch(x, a, b, dt)
+        columns = field_columns(flow, params)
+    elif isinstance(flow, SeparableModel):
+        columns = separable_columns(flow, params)
+    elif callable(flow):
+        def repeat(rows, n):
+            for _ in range(n):
+                rows = flow(rows)
+            return rows
 
-        def step_rows(x):
-            out = np.empty_like(x)
-            for i in range(x.shape[0]):
-                s = leapfrog_step(
-                    PhaseState(q=x[i, :2], p=x[i, 2:]), dt, flow, params,
-                    escape_radius=np.inf,
-                )
-                out[i] = s.vec()
-            return out
+        return repeat
+    else:
+        raise TypeError(f"cannot interpret {type(flow).__name__} as a flow")
+    return lambda rows, n: np.stack(advance(rows.T, dt, n, *columns), axis=1)
 
-        return step_rows
-    if isinstance(flow, SeparableModel):
-        model = flow
-        half = 0.5 * dt
 
-        def step_model(x):
-            q, p = x[:, :2], x[:, 2:]
-            p1 = p - half * separable_grad_v(model, q, params)
-            q2 = q + dt * separable_grad_k(model, p1)
-            p2 = p1 - half * separable_grad_v(model, q2, params)
-            return np.concatenate([q2, p2], axis=1)
-
-        return step_model
-    if callable(flow):
-        return flow
-    raise TypeError(f"cannot interpret {type(flow).__name__} as a flow")
+def renorm_steps(dt, renorm_interval):
+    """Integrator steps per re-normalisation interval (at least one)."""
+    return max(1, int(round(renorm_interval / dt)))
 
 
 def _seed_rows(states):
@@ -158,9 +147,9 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     states0 = np.atleast_2d(np.asarray(states0, dtype=np.float64))
     if states0.ndim != 2 or states0.shape[1] != 4:
         raise ShapeMismatch(f"states must be (S, 4), got {states0.shape}")
-    step = _batch_stepper(flow, params, dt)
-    renorm_steps = max(1, int(round(renorm_interval / dt)))
-    n_intervals = n_steps // renorm_steps
+    advance_rows = _advancer(flow, params, dt)
+    interval_steps = renorm_steps(dt, renorm_interval)
+    n_intervals = n_steps // interval_steps
     if n_intervals < 1:
         raise ValueError("n_steps must cover at least one renorm interval")
     s, d = states0.shape
@@ -169,8 +158,7 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     sums = np.zeros((s, d))
     rows = _seed_rows(states0)
     for _ in range(n_intervals):
-        for _ in range(renorm_steps):
-            rows = step(rows)
+        rows = advance_rows(rows, interval_steps)
         if not np.all(np.isfinite(rows)):
             raise DegenerateR("flow produced non-finite probe rows")
         jac = np.empty((s, d, d))
@@ -188,7 +176,7 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
         sums += np.log(diag * signs)
         frames = q
         rows = _seed_rows(rows[0::block])
-    spectra = sums / (n_intervals * renorm_steps * dt)
+    spectra = sums / (n_intervals * interval_steps * dt)
     return -np.sort(-spectra, axis=1)
 
 

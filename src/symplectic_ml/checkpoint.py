@@ -1,22 +1,32 @@
 """Versioned model checkpoints.
 
-A checkpoint is a JSON document: format version, model kind, architecture
+A checkpoint is one JSON file: format version, model kind, architecture
 spec, activation, init scheme, seed, the flat parameter vector as decimal
-floats, and optional training config and metrics.  Python's shortest-repr
-float serialization makes the parameter round-trip bit-exact.
+floats with its SHA-256 checksum, and optional training config and metrics.
+Python's shortest-repr float serialization makes the parameter round-trip
+bit-exact.  The checksum covers the parameters' little-endian float64
+bytes, the scheme of a dataset's ``states.bin`` checksum, and loading
+rejects a document whose parameters do not match it.
 """
 
+import hashlib
 import json
 
 import numpy as np
 
+from .datapipe import f8_bytes
 from .errors import CorruptRecord, FormatVersionMismatch, ShapeMismatch
 from .lstm import EncoderModel
 from .models import BaselineModel, HnnModel, SeparableModel
 from .nets import DenseNetSpec, param_count
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 INIT_SCHEME = "scaled-uniform"
+
+
+def params_sha256(params):
+    """Hex SHA-256 of a parameter vector's little-endian float64 bytes."""
+    return hashlib.sha256(f8_bytes([params])).hexdigest()
 
 
 def model_kind(model):
@@ -70,6 +80,7 @@ def build_checkpoint(model, seed=None, training_config=None, metrics=None):
         "activation": _activation(model),
         "init_scheme": INIT_SCHEME,
         "seed": seed,
+        "params_sha256": params_sha256(model.params),
         "params": [float(x) for x in model.params],
         "training_config": training_config,
         "metrics": metrics,
@@ -92,6 +103,10 @@ def model_from_checkpoint(doc):
         kind = doc["model_kind"]
         spec = doc["spec"]
         params = np.array(doc["params"], dtype=np.float64)
+        if "params_sha256" not in doc:
+            raise CorruptRecord("checkpoint has no params_sha256 checksum")
+        if doc["params_sha256"] != params_sha256(params):
+            raise CorruptRecord("parameters do not match their params_sha256 checksum")
         activation = doc.get("activation", "tanh")
         if kind in ("hnn", "ahnn"):
             return HnnModel(

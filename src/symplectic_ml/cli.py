@@ -14,6 +14,7 @@ supported; results are independent of the worker count.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -52,13 +53,39 @@ def _resolve_seed(args):
 
 
 def _parse_number(text):
-    """A float, allowing exact fractions like 1/12."""
+    """A finite float, allowing exact fractions like 1/12."""
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"cannot parse number {text!r}")
+    if not math.isfinite(value):
+        raise _UsageError(f"number must be finite, got {text!r}")
+    return value
+
+
+def _parse_energy(text):
+    energy = _parse_number(text)
+    if energy < 0:
+        raise _UsageError(f"--energy must be >= 0, got {text!r}")
+    return energy
+
+
+def _checked(parse, ok, requirement):
+    """An argparse type: ``parse``, then reject values failing ``ok``."""
+
+    def convert(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid float value"
+    return convert
+
+
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
+_finite = _checked(float, math.isfinite, "finite")
+_count = _checked(int, lambda n: n >= 1, ">= 1")
 
 
 def _parse_list(text):
@@ -101,18 +128,32 @@ def _meta(seed, config_obj):
 
 
 def _read_observed(path):
-    """(T, 2) of (q_x, p_x) from a CSV, skipping comments and headers."""
+    """(T, 2) of (q_x, p_x) from a CSV.
+
+    Blank lines and ``#`` comments are skipped, and one header line may come
+    before the first numeric row.  Any other row must start with two finite
+    numbers; one that does not raises, naming the file and line.
+    """
     rows = []
+    header_seen = False
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
             try:
-                rows.append([float(parts[0]), float(parts[1])])
+                row = [float(parts[0]), float(parts[1])]
             except (ValueError, IndexError):
-                continue
+                row = None
+            if row is None and not rows and not header_seen:
+                header_seen = True
+            elif row is not None and all(math.isfinite(x) for x in row):
+                rows.append(row)
+            else:
+                raise SymplecticMlError(
+                    f"{path}, line {lineno}: expected two finite numbers q_x,p_x, "
+                    f"got {line!r}")
     if not rows:
         raise SymplecticMlError(f"no numeric rows in {path}")
     return np.array(rows)
@@ -120,7 +161,10 @@ def _read_observed(path):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise _UsageError(f"{path} is not valid JSON: {err}")
 
 
 def _sample_state(energy, pot, seed):
@@ -135,12 +179,10 @@ def _pot_from_args(args):
 
 
 def _truth_trajectory(state0, pot, dt, n_steps, fine_factor=100):
-    """High-accuracy reference: integrate finely, then take every
-    ``fine_factor``-th sample so the grid matches the requested dt."""
-    from .dynamics import coarse_grain
-
-    fine = integrate(state0, dt / fine_factor, n_steps * fine_factor, HH_FIELD, pot)
-    return coarse_grain(fine, fine_factor)
+    """High-accuracy reference: integrate at ``dt / fine_factor``, keeping
+    every ``fine_factor``-th state so the grid matches the requested dt."""
+    return integrate(state0, dt / fine_factor, n_steps * fine_factor, HH_FIELD, pot,
+                     stride=fine_factor)
 
 
 def _cmd_generate(args):
@@ -205,7 +247,7 @@ def _state_from_args(args, pot, seed):
         return PhaseState(q=np.array(vals[:2]), p=np.array(vals[2:]))
     if args.energy is None:
         raise _UsageError("need --energy or --ic")
-    return _sample_state(_parse_number(args.energy), pot, seed)
+    return _sample_state(_parse_energy(args.energy), pot, seed)
 
 
 def _rollout_from_checkpoint(path, state0, pot, dt, n_steps):
@@ -273,11 +315,19 @@ def _lyapunov_task(task):
 def _cmd_lyapunov(args):
     seed = _resolve_seed(args)
     if args.grid:
-        lo, hi, step = (float(x) for x in args.grid.split(":"))
+        bounds = [_parse_number(x) for x in args.grid.split(":")]
+        if len(bounds) != 3 or not (bounds[2] > 0 and bounds[1] >= bounds[0]):
+            raise _UsageError(f"--grid needs lo:hi:step with step > 0 and hi >= lo, "
+                              f"got {args.grid!r}")
+        lo, hi, step = bounds
         alphas = list(np.arange(lo, hi + 0.5 * step, step))
     else:
         alphas = _parse_list(args.alphas or "1.0")
-    energy = _parse_number(args.energy)
+    energy = _parse_energy(args.energy)
+    interval = analysis.renorm_steps(args.dt, args.renorm)
+    if args.steps < interval:
+        raise _UsageError(
+            f"--steps {args.steps} is shorter than one renorm interval ({interval} steps)")
     flow = checkpoint.load_checkpoint(args.checkpoint)[0] if args.checkpoint else HH_FIELD
     tasks = [
         (a, a, energy, seed, i, args.dt, args.steps, args.renorm, flow)
@@ -401,12 +451,12 @@ def build_parser():
         common(p)
         p.add_argument("--checkpoint",
                        **({"required": True} if need_checkpoint else {}))
-        p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--alpha", type=_finite, required=True)
+        p.add_argument("--beta", type=_finite, default=None)
         p.add_argument("--energy", help="initial energy (fractions ok)")
         p.add_argument("--ic", help="explicit q_x,q_y,p_x,p_y")
-        p.add_argument("--dt", type=float, default=0.1)
-        p.add_argument("--steps", type=int, default=1000)
+        p.add_argument("--dt", type=_positive, default=0.1)
+        p.add_argument("--steps", type=_count, default=1000)
 
     p = sub.add_parser("predict", help="roll a model (or the analytic system) forward")
     rollout_args(p, need_checkpoint=False)
@@ -421,11 +471,11 @@ def build_parser():
     p.add_argument("--grid", help="alpha grid lo:hi:step")
     p.add_argument("--alphas", help="comma list of alphas")
     p.add_argument("--energy", required=True)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=100000)
-    p.add_argument("--renorm", type=float, default=1.0)
+    p.add_argument("--dt", type=_positive, default=0.01)
+    p.add_argument("--steps", type=_count, default=100000)
+    p.add_argument("--renorm", type=_positive, default=1.0)
     p.add_argument("--checkpoint", help="rollout-model checkpoint (default: analytic)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(func=_cmd_lyapunov)
 
     p = sub.add_parser("poincare", help="surface-of-section points of a rollout")
@@ -436,7 +486,7 @@ def build_parser():
     common(p)
     p.add_argument("--encoder", required=True)
     p.add_argument("--observed", required=True, help="CSV of q_x,p_x rows")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=_count, default=1)
     p.set_defaults(func=_cmd_infer_params)
 
     p = sub.add_parser("predict-partial",
@@ -445,9 +495,9 @@ def build_parser():
     p.add_argument("--encoder", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--observed", required=True)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--dt", type=_positive, default=0.1)
+    p.add_argument("--horizon", type=_count, default=1000)
+    p.add_argument("--stride", type=_count, default=1)
     p.set_defaults(func=_cmd_predict_partial)
 
     return parser

@@ -24,6 +24,7 @@ from .dynamics import (
     PhaseState,
     PotentialParams,
     Trajectory,
+    hh_grad_v_columns,
     hh_potential,
     integrate_batch,
 )
@@ -266,9 +267,6 @@ class DerivativePairs:
     def n(self):
         return self.states.shape[0]
 
-    def take(self, idx):
-        return DerivativePairs(self.states[idx], self.derivs[idx], self.channels[idx])
-
 
 @dataclass
 class RolloutWindows:
@@ -282,9 +280,6 @@ class RolloutWindows:
     def n(self):
         return self.windows.shape[0]
 
-    def take(self, idx):
-        return RolloutWindows(self.windows[idx], self.channels[idx], self.dt)
-
 
 @dataclass
 class EncoderWindows:
@@ -297,9 +292,6 @@ class EncoderWindows:
     @property
     def n(self):
         return self.inputs.shape[0]
-
-    def take(self, idx):
-        return EncoderWindows(self.inputs[idx], self.targets[idx], self.dt)
 
 
 def _channel_row(record, k):
@@ -331,8 +323,7 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
         for traj, rec in zip(dataset.trajectories, dataset.records):
             d = traj.data
             qx, qy, px, py = d[:, 0], d[:, 1], d[:, 2], d[:, 3]
-            gx = qx + 2.0 * rec.alpha * qx * qy
-            gy = qy + rec.alpha * qx * qx - rec.beta * qy * qy
+            gx, gy = hh_grad_v_columns(rec.alpha, rec.beta)(qx, qy)
             states.append(d)
             derivs.append(np.stack([px, py, -gx, -gy], axis=1))
             channels.append(np.tile(_channel_row(rec, k), (len(traj), 1)))
@@ -378,12 +369,17 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
     raise ValueError(f"unknown windowing kind {kind!r}")
 
 
+def f8_bytes(arrays):
+    """The arrays' little-endian float64 bytes, concatenated in C order: what
+    ``states.bin`` holds and what every stored checksum covers."""
+    return b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+
+
 def save_dataset(dataset, path):
     """Write manifest.json and states.bin into directory ``path``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    blocks = [t.data.astype("<f8") for t in dataset.trajectories]
-    blob = b"".join(b.tobytes() for b in blocks)
+    blob = f8_bytes(t.data for t in dataset.trajectories)
     records = []
     offset = 0
     for traj, rec in zip(dataset.trajectories, dataset.records):

@@ -1,5 +1,5 @@
 """Ground-truth dynamics: a two-degree-of-freedom oscillator with cubic
-coupling, its conserved energy, and a symplectic leapfrog integrator.
+coupling, its conserved energy, and the one symplectic leapfrog kernel.
 
 The Hamiltonian is separable, H = K(p) + V(q), with unit masses and unit
 linear frequencies:
@@ -12,10 +12,17 @@ below an escape energy (1/6 at alpha = beta = 1).
 
 Phase-space layout used everywhere in the package: a state vector is
 ``(q_x, q_y, p_x, p_y)`` and batches stack such rows.
+
+Every leapfrog in the package, analytic or learned, runs the one kernel
+:func:`kick_drift_kick` on the component columns, as Python floats for one
+orbit or as (B,) arrays for a batch.  It carries the force: it returns grad V
+at the new position, where the next step starts, so each step evaluates
+grad V once.
 """
 
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,10 +86,17 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class DerivativeField:
-    """Separable force field: potential gradient in q, kinetic gradient in p."""
+    """Separable force field: potential gradient in q, kinetic gradient in p.
+
+    ``grad_v(q, params)`` and ``grad_k(p)`` take component-first arrays: (2,)
+    for one state, (2, B) when a field without ``columns`` steps B states.
+    ``columns(params)``, if set, gives the column form that the kernel calls,
+    ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``, each returning a pair.
+    """
 
     grad_v: Callable[[np.ndarray, PotentialParams], np.ndarray]
     grad_k: Callable[[np.ndarray], np.ndarray]
+    columns: Optional[Callable] = None
 
 
 def hh_potential(q, params):
@@ -100,14 +114,20 @@ def hh_energy(state, params):
     return 0.5 * (p[0] * p[0] + p[1] * p[1]) + hh_potential(state.q, params)
 
 
+def hh_grad_v_columns(alpha, beta):
+    """Gradient of the potential as ``grad_v(q_x, q_y) -> (g_x, g_y)``;
+    couplings scalar or one per entry."""
+    two_alpha = 2.0 * alpha
+
+    def grad_v(qx, qy):
+        return qx + two_alpha * qx * qy, qy + alpha * qx * qx - beta * qy * qy
+
+    return grad_v
+
+
 def hh_grad_v(q, params):
     """Gradient of the potential with respect to ``q``."""
-    return np.array(
-        [
-            q[0] + 2.0 * params.alpha * q[0] * q[1],
-            q[1] + params.alpha * q[0] * q[0] - params.beta * q[1] * q[1],
-        ]
-    )
+    return np.array(hh_grad_v_columns(params.alpha, params.beta)(q[0], q[1]))
 
 
 def kinetic_grad(p):
@@ -115,7 +135,16 @@ def kinetic_grad(p):
     return np.asarray(p, dtype=np.float64)
 
 
-HH_FIELD = DerivativeField(grad_v=hh_grad_v, grad_k=kinetic_grad)
+def kinetic_grad_columns(px, py):
+    """Column form of :func:`kinetic_grad`."""
+    return px, py
+
+
+def _hh_columns(params):
+    return hh_grad_v_columns(params.alpha, params.beta), kinetic_grad_columns
+
+
+HH_FIELD = DerivativeField(grad_v=hh_grad_v, grad_k=kinetic_grad, columns=_hh_columns)
 
 
 class Trajectory:
@@ -170,44 +199,84 @@ def hh_energy_batch(states, params):
     )
 
 
-def _check_bounded(q, escape_radius):
-    if not np.all(np.isfinite(q)) or np.max(np.abs(q)) > escape_radius:
-        raise IntegrationDiverged(
-            f"position left the bounded regime (|q| > {escape_radius})"
-        )
+def field_columns(field, params):
+    """The column form ``(grad_v, grad_k)`` of a field under ``params``; a
+    field without one is called on its stacked components."""
+    if field.columns is not None:
+        return field.columns(params)
+    return (lambda qx, qy: tuple(field.grad_v(np.array([qx, qy]), params)),
+            lambda px, py: tuple(field.grad_k(np.array([px, py]))))
+
+
+def kick_drift_kick(qx, qy, px, py, fx, fy, dt, grad_v, grad_k):
+    """One leapfrog step of size ``dt`` on component columns; ``(fx, fy)`` is
+    grad V at ``(qx, qy)``.  Returns the new state and grad V there.  Second
+    order, symplectic, and time-reversible for separable fields."""
+    half = 0.5 * dt
+    px = px - half * fx
+    py = py - half * fy
+    vx, vy = grad_k(px, py)
+    qx = qx + dt * vx
+    qy = qy + dt * vy
+    fx, fy = grad_v(qx, qy)
+    return qx, qy, px - half * fx, py - half * fy, fx, fy
+
+
+def advance(cols, dt, n_steps, grad_v, grad_k):
+    """``n_steps`` kernel steps of the columns ``(q_x, q_y, p_x, p_y)``; the
+    force is evaluated once to start and then carried."""
+    qx, qy, px, py = cols
+    fx, fy = grad_v(qx, qy)
+    for _ in range(n_steps):
+        qx, qy, px, py, fx, fy = kick_drift_kick(qx, qy, px, py, fx, fy, dt,
+                                                 grad_v, grad_k)
+    return qx, qy, px, py
+
+
+def _orbit(state0, dt, n_steps, field, params, escape_radius, stride):
+    """Every ``stride``-th state of one orbit, stepped in Python floats."""
+    grad_v, grad_k = field_columns(field, params)
+    bound = min(escape_radius, sys.float_info.max)  # also rejects inf and NaN
+    qx, qy, px, py = (float(x) for x in state0.vec())
+    rows = [(qx, qy, px, py)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, fy = grad_v(qx, qy)
+        for i in range(1, n_steps + 1):
+            qx, qy, px, py, fx, fy = kick_drift_kick(qx, qy, px, py, fx, fy, dt,
+                                                     grad_v, grad_k)
+            if not (abs(qx) <= bound and abs(qy) <= bound):
+                raise IntegrationDiverged(
+                    f"diverged at step {i}: position left the bounded regime "
+                    f"(|q| > {escape_radius})", step=i)
+            if not (abs(px) <= sys.float_info.max and abs(py) <= sys.float_info.max):
+                raise IntegrationDiverged(
+                    f"diverged at step {i}: momentum became non-finite", step=i)
+            if i % stride == 0:
+                rows.append((qx, qy, px, py))
+    return rows
+
+
+def integrate(state0, dt, n_steps, field, params, escape_radius=ESCAPE_RADIUS,
+              stride=1):
+    """Integrate ``n_steps`` leapfrog steps of one orbit.
+
+    Returns every ``stride``-th state (``n_steps // stride + 1`` samples at
+    spacing ``dt * stride``); ``stride`` must divide ``n_steps``.  Raises
+    IntegrationDiverged, with the step index, once a position is non-finite
+    or outside the escape radius in sup-norm, or a momentum is non-finite.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if not isinstance(stride, (int, np.integer)) or stride < 1 or n_steps % stride:
+        raise BadFactor(f"stride {stride!r} must be a positive divisor of {n_steps}")
+    rows = _orbit(state0, dt, n_steps, field, params, escape_radius, stride)
+    return Trajectory(dt=dt * stride, data=np.array(rows), params=params)
 
 
 def leapfrog_step(state, dt, field, params, escape_radius=ESCAPE_RADIUS):
-    """One kick-drift-kick leapfrog step of size ``dt``.
-
-    Second order, symplectic, and time-reversible for separable fields.
-    Raises IntegrationDiverged if the new position is non-finite or outside
-    the escape radius in sup-norm.
-    """
-    half = 0.5 * dt
-    p1 = state.p - half * field.grad_v(state.q, params)
-    q2 = state.q + dt * field.grad_k(p1)
-    _check_bounded(q2, escape_radius)
-    p2 = p1 - half * field.grad_v(q2, params)
-    if not np.all(np.isfinite(p2)):
-        raise IntegrationDiverged("momentum became non-finite")
-    return PhaseState(q=q2, p=p2)
-
-
-def integrate(state0, dt, n_steps, field, params, escape_radius=ESCAPE_RADIUS):
-    """Integrate ``n_steps`` leapfrog steps; returns all n_steps + 1 states."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    data = np.empty((n_steps + 1, 4))
-    data[0] = state0.vec()
-    state = state0
-    for i in range(n_steps):
-        try:
-            state = leapfrog_step(state, dt, field, params, escape_radius)
-        except IntegrationDiverged as err:
-            raise IntegrationDiverged(f"diverged at step {i + 1}: {err}", step=i + 1)
-        data[i + 1] = state.vec()
-    return Trajectory(dt=dt, data=data, params=params)
+    """One leapfrog step of one state; diverges as :func:`integrate` does."""
+    last = _orbit(state, dt, 1, field, params, escape_radius, 1)[-1]
+    return PhaseState(q=np.array(last[:2]), p=np.array(last[2:]))
 
 
 def coarse_grain(traj, factor):
@@ -219,32 +288,11 @@ def coarse_grain(traj, factor):
     )
 
 
-def _grad_v_cols(qx, qy, alpha, beta):
-    gx = qx + 2.0 * alpha * qx * qy
-    gy = qy + alpha * qx * qx - beta * qy * qy
-    return gx, gy
-
-
 def leapfrog_batch(states, alpha, beta, dt):
-    """One leapfrog step on an (B, 4) batch; parameters scalar or (B,).
-
-    No divergence checks: callers sample and validate at their own cadence.
-    Bit-identical per row to :func:`leapfrog_step` with the analytic field.
-    """
-    qx, qy, px, py = states[:, 0], states[:, 1], states[:, 2], states[:, 3]
-    half = 0.5 * dt
-    gx, gy = _grad_v_cols(qx, qy, alpha, beta)
-    p1x = px - half * gx
-    p1y = py - half * gy
-    q2x = qx + dt * p1x
-    q2y = qy + dt * p1y
-    gx, gy = _grad_v_cols(q2x, q2y, alpha, beta)
-    out = np.empty_like(states)
-    out[:, 0] = q2x
-    out[:, 1] = q2y
-    out[:, 2] = p1x - half * gx
-    out[:, 3] = p1y - half * gy
-    return out
+    """One leapfrog step of the analytic field on an (B, 4) batch; parameters
+    scalar or (B,).  No divergence checks."""
+    cols = advance(states.T, dt, 1, hh_grad_v_columns(alpha, beta), kinetic_grad_columns)
+    return np.stack(cols, axis=1)
 
 
 def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1,
@@ -265,12 +313,14 @@ def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1,
     coarse = np.empty((b, n_coarse + 1, 4))
     coarse[:, 0] = states0
     escaped = np.full(b, -1, dtype=np.int64)
-    cur = states0.copy()
+    grad_v = hh_grad_v_columns(alpha, beta)
+    cols = states0.T
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_coarse + 1):
-            for _ in range(stride):
-                cur = leapfrog_batch(cur, alpha, beta, dt)
-            coarse[:, k] = cur
+            # advance returns new arrays, which freezing below may write to
+            cols = advance(cols, dt, stride, grad_v, kinetic_grad_columns)
+            cur = coarse[:, k]
+            cur[:] = np.stack(cols, axis=1)
             q = cur[:, :2]
             bad = ~np.all(np.isfinite(cur), axis=1) | (
                 np.max(np.abs(np.where(np.isfinite(q), q, np.inf)), axis=1)
@@ -279,6 +329,8 @@ def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1,
             newly = bad & (escaped < 0)
             escaped[newly] = k
             if np.any(bad):
-                # freeze escaped rows so overflow cannot poison the batch
-                cur[bad] = 0.0
+                # freeze escaped rows so overflow cannot poison the batch; the
+                # next advance evaluates the force at the frozen position
+                for col in cols:
+                    col[bad] = 0.0
     return coarse, escaped

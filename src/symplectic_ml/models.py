@@ -5,13 +5,16 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
 * ``HnnModel`` — a scalar energy surrogate H(q, p).  Time derivatives come
   from its input gradient: dq/dt = dH/dp, dp/dt = -dH/dq.
 * ``SeparableModel`` — two scalar networks K(p) and V(q) rolled out with the
-  same leapfrog scheme as the ground truth; training matches whole rollout
+  same leapfrog kernel as the ground truth; training matches whole rollout
   windows, so only time series are needed, never derivative labels.
 * ``BaselineModel`` — a plain derivative regressor (q, p) -> (dq/dt, dp/dt),
   rolled out with a classic fourth-order Runge-Kutta step.
 
 Adaptable variants append the potential parameters to the network input —
 for the separable model only to V's input, so K stays parameter-blind.
+
+Inference (derivatives, energies, rollouts) runs the untaped numpy networks
+of ``nets``; only the training and validation loss graphs use the tape.
 """
 
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ from .dynamics import (
     DerivativeField,
     Trajectory,
     integrate,
+    kinetic_grad_columns,
 )
 from .errors import (
     EmptyBatch,
@@ -72,17 +76,10 @@ def _with_channels(x, pot_params, param_channels):
     return np.concatenate([x, np.broadcast_to(chan, (x.shape[0], param_channels))], axis=1)
 
 
-def _hnn_grad_batch(model, states, pot_params):
-    """Input gradient of H over a (B, 4) batch -> (B, 4 + channels)."""
-    x = _with_channels(states, pot_params, model.param_channels)
-    layers = [(Tensor(w), Tensor(b)) for w, b in nets.unflatten_params(model.spec, model.params)]
-    _, g = nets.net_value_and_input_gradient(model.spec, layers, Tensor(x))
-    return g.data
-
-
 def hnn_derivatives(model, state, pot_params):
     """(dq/dt, dp/dt) of one state under the learned Hamiltonian."""
-    g = _hnn_grad_batch(model, state.vec()[None, :], pot_params)[0]
+    x = _with_channels(state.vec()[None, :], pot_params, model.param_channels)
+    g = nets.grad_inputs(model.spec, model.params, x)[0]
     return g[2:4].copy(), -g[0:2]
 
 
@@ -170,12 +167,7 @@ class SeparableModel:
 def separable_grad_v(model, q, pot_params):
     """dV/dq over a (B, 2) block of positions."""
     x = _with_channels(np.asarray(q, dtype=np.float64), pot_params, model.param_channels)
-    layers = [
-        (Tensor(w), Tensor(b))
-        for w, b in nets.unflatten_params(model.potential_spec, model.potential_params)
-    ]
-    _, g = nets.net_value_and_input_gradient(model.potential_spec, layers, Tensor(x))
-    return g.data[:, :2]
+    return nets.grad_inputs(model.potential_spec, model.potential_params, x)[:, :2]
 
 
 def separable_grad_k(model, p):
@@ -183,12 +175,29 @@ def separable_grad_k(model, p):
     p = np.asarray(p, dtype=np.float64)
     if model.fixed_kinetic:
         return p.copy()
-    layers = [
-        (Tensor(w), Tensor(b))
-        for w, b in nets.unflatten_params(model.kinetic_spec, model.kinetic_params)
-    ]
-    _, g = nets.net_value_and_input_gradient(model.kinetic_spec, layers, Tensor(p))
-    return g.data
+    return nets.grad_inputs(model.kinetic_spec, model.kinetic_params, p)
+
+
+def _gradient_columns(spec, params, pot_params=None, param_channels=0):
+    """Column form of a scalar net's gradient in its first two inputs, with
+    the layers unflattened once, not on every step."""
+    layers = nets.unflatten_params(spec, params)
+
+    def grad(a, b):
+        x = _with_channels(np.column_stack((a, b)), pot_params, param_channels)
+        g = nets.numpy_input_gradient(spec, layers, x)
+        return (g[0, 0], g[0, 1]) if np.ndim(a) == 0 else (g[:, 0], g[:, 1])
+
+    return grad
+
+
+def separable_columns(model, pot_params):
+    """Column form ``(grad_v, grad_k)`` of the learned field for the kernel."""
+    grad_v = _gradient_columns(model.potential_spec, model.potential_params,
+                               pot_params, model.param_channels)
+    if model.fixed_kinetic:
+        return grad_v, kinetic_grad_columns
+    return grad_v, _gradient_columns(model.kinetic_spec, model.kinetic_params)
 
 
 def separable_field(model):
@@ -196,14 +205,14 @@ def separable_field(model):
     return DerivativeField(
         grad_v=lambda q, pp: separable_grad_v(model, q[None, :], pp)[0],
         grad_k=lambda p: separable_grad_k(model, p[None, :])[0],
+        columns=lambda pp: separable_columns(model, pp),
     )
 
 
 def asrnn_rollout(model, state0, pot_params, dt, n_steps,
                   escape_radius=ESCAPE_RADIUS):
-    """Leapfrog rollout under the learned K and V; same scheme as the
-    ground-truth integrator, so for analytic stand-ins the sequences match
-    exactly."""
+    """Leapfrog rollout under the learned K and V; the ground truth's kernel,
+    so for analytic stand-ins the sequences match exactly."""
     return integrate(state0, dt, n_steps, separable_field(model), pot_params,
                      escape_radius)
 
@@ -416,9 +425,11 @@ def baseline_rollout(model, state0, pot_params, dt, n_steps,
     data = np.empty((n_steps + 1, 4))
     data[0] = state0.vec()
     cur = data[0][None, :]
+    layers = nets.unflatten_params(model.spec, model.params)
 
     def f(x):
-        return baseline_derivatives(model, x, pot_params)
+        return nets.numpy_forward(
+            model.spec, layers, _with_channels(x, pot_params, model.param_channels))
 
     for i in range(1, n_steps + 1):
         k1 = f(cur)

@@ -1,14 +1,17 @@
-"""Dense feed-forward networks over the tape engine.
+"""Dense feed-forward networks: a taped path for training, one numpy path
+for inference.
 
 Canonical flat parameter order, used by every model and checkpoint in this
 package: for each layer from input to output, all entries of the weight
 matrix (shape ``(fan_out, fan_in)``, row-major), then the bias vector.
 
 Input gradients are computed in closed form — the reverse sweep of the chain
-rule written as successive matrix products with activation derivatives —
-built out of taped primitives.  The resulting gradient is itself a graph
-node, so losses containing input gradients back-propagate exactly into the
-parameters with a single reverse pass.
+rule written as successive matrix products with activation derivatives.
+For training they are built out of taped primitives, so the gradient is
+itself a graph node and losses containing input gradients back-propagate
+exactly into the parameters with a single reverse pass.  Every inference
+path runs ``numpy_forward`` and ``numpy_input_gradient`` instead: the same
+expressions in the same order, so bit-identical to the tape.
 """
 
 from dataclasses import dataclass
@@ -157,6 +160,35 @@ def net_value_and_input_gradient(spec, layers, x, output_index=0):
     return out, net_input_gradient(spec, layers, x, acts, output_index)
 
 
+def _hidden(spec, layers, x):
+    acts = []
+    h = x
+    for w, b in layers[:-1]:
+        z = h @ w.T + b
+        h = np.tanh(z) if spec.activation == "tanh" else z
+        acts.append(h)
+    return acts
+
+
+def numpy_forward(spec, layers, x):
+    """Untaped forward pass of a (batch, n_inputs) array over ``[(W, b)]``."""
+    acts = _hidden(spec, layers, x)
+    w, b = layers[-1]
+    return (acts[-1] if acts else x) @ w.T + b
+
+
+def numpy_input_gradient(spec, layers, x, output_index=0):
+    """Untaped input gradient of one output component; (batch, n_inputs)."""
+    acts = _hidden(spec, layers, x)
+    g = np.zeros((x.shape[0], spec.n_outputs))
+    g[:, output_index] = 1.0
+    for (w, _), h in zip(reversed(layers[1:]), reversed(acts)):
+        g = g @ w
+        if spec.activation == "tanh":
+            g = g * (1.0 - h * h)
+    return g @ layers[0][0]
+
+
 def _as_batch(x, n):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -171,17 +203,15 @@ def _as_batch(x, n):
 def forward(spec, params, x):
     """Evaluate the network; accepts a single input row or a batch."""
     xb, squeeze = _as_batch(x, spec.n_inputs)
-    layers = [(Tensor(w), Tensor(b)) for w, b in unflatten_params(spec, params)]
-    out = net_apply(spec, layers, Tensor(xb)).data
+    out = numpy_forward(spec, unflatten_params(spec, params), xb)
     return out[0] if squeeze else out
 
 
 def grad_inputs(spec, params, x, output_index=0):
     """Input gradient of one output component; row or batch input."""
     xb, squeeze = _as_batch(x, spec.n_inputs)
-    layers = [(Tensor(w), Tensor(b)) for w, b in unflatten_params(spec, params)]
-    _, g = net_value_and_input_gradient(spec, layers, Tensor(xb), output_index)
-    return g.data[0] if squeeze else g.data
+    g = numpy_input_gradient(spec, unflatten_params(spec, params), xb, output_index)
+    return g[0] if squeeze else g
 
 
 def finite_diff_grad(f, x, eps=1e-6):
@@ -220,6 +250,8 @@ __all__ = [
     "net_apply_cached",
     "net_input_gradient",
     "net_value_and_input_gradient",
+    "numpy_forward",
+    "numpy_input_gradient",
     "forward",
     "grad_inputs",
     "grad_params_through",

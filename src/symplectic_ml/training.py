@@ -55,10 +55,6 @@ def adam_step(state, params, grad):
     return state, params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def sgd_step(params, grad, lr):
-    return params - lr * grad
-
-
 def clip_gradient(grad, max_norm=GRAD_CLIP_NORM):
     """Scale the gradient down to a global L2 norm of ``max_norm``."""
     norm = float(np.linalg.norm(grad))

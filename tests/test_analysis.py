@@ -34,6 +34,9 @@ from symplectic_ml import (
     separable_grad_v,
 )
 
+from symplectic_ml import nets
+from symplectic_ml.autodiff import Tensor
+
 from helpers import constant_trajectory
 
 FREE = PotentialParams.single(0.0)
@@ -297,6 +300,37 @@ def test_separable_model_flow_matches_explicit_stepper():
     assert np.all(np.isfinite(via_model))
     assert np.all(np.diff(via_model[0]) <= 0.0)
     np.testing.assert_allclose(via_model, via_callable, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("channels", [0, 1])
+def test_learned_flow_matches_taped_stepper_bit_for_bit(channels):
+    k_spec = DenseNetSpec((2, 8, 1))
+    v_spec = DenseNetSpec((2 + channels, 8, 8, 1))
+    n = nets.param_count(k_spec) + nets.param_count(v_spec)
+    model = SeparableModel(kinetic_spec=k_spec, potential_spec=v_spec,
+                           params=0.4 * np.random.default_rng(5).normal(size=n),
+                           adaptable=channels > 0, param_channels=channels)
+    pot = PotentialParams.single(0.6)
+    dt, half = 0.05, 0.025
+
+    def taped_gradient(spec, params, x):
+        layers = [(Tensor(w), Tensor(b)) for w, b in nets.unflatten_params(spec, params)]
+        return nets.net_value_and_input_gradient(spec, layers, Tensor(x))[1].data
+
+    def grad_v(q):
+        x = np.concatenate([q, np.full((q.shape[0], channels), 0.6)], axis=1)
+        return taped_gradient(v_spec, model.potential_params, x)[:, :2]
+
+    def step(rows):
+        q, p = rows[:, :2], rows[:, 2:]
+        p1 = p - half * grad_v(q)
+        q2 = q + dt * taped_gradient(k_spec, model.kinetic_params, p1)
+        return np.concatenate([q2, p1 - half * grad_v(q2)], axis=1)
+
+    states = np.array([[0.1, -0.05, 0.2, 0.15], [0.0, 0.1, -0.2, 0.1]])
+    via_model = lyapunov_spectra(model, states, pot, dt=dt, n_steps=60, renorm_interval=0.5)
+    via_callable = lyapunov_spectra(step, states, pot, dt=dt, n_steps=60, renorm_interval=0.5)
+    assert np.array_equal(via_model, via_callable)
 
 
 def test_spectra_batch_matches_individual_seeds():

@@ -1,4 +1,7 @@
-"""Checkpoint round-trips and structural validation."""
+"""Checkpoint round-trips, checksums and structural validation."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -99,6 +102,44 @@ def test_resave_is_byte_identical(tmp_path, expected_kind, factory, kw):
     save_checkpoint(loaded, second, seed=doc["seed"],
                     training_config=doc["training_config"], metrics=doc["metrics"])
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_two_saves_of_one_model_are_byte_identical(tmp_path):
+    model = _separable(adaptable=True)
+    save_checkpoint(model, tmp_path / "a.json", seed=3)
+    save_checkpoint(model, tmp_path / "b.json", seed=3)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_params_checksum_covers_little_endian_bytes():
+    model = _hnn()
+    doc = build_checkpoint(model)
+    digest = hashlib.sha256(model.params.astype("<f8").tobytes()).hexdigest()
+    assert doc["params_sha256"] == digest
+
+
+def test_changed_parameter_digit_is_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(_separable(), path)
+    text = path.read_text()
+    doc = json.loads(text)
+    old = repr(doc["params"][5])
+    i = text.index(old)
+    j = i + len(old) - 1  # the last significant digit
+    new_digit = "1" if text[j] != "1" else "2"
+    path.write_text(text[:j] + new_digit + text[j + 1:])
+    assert json.loads(path.read_text())["params"][5] != doc["params"][5]
+    with pytest.raises(CorruptRecord, match="params_sha256"):
+        load_checkpoint(path)
+
+
+def test_missing_params_checksum_is_rejected(tmp_path):
+    doc = build_checkpoint(_hnn())
+    del doc["params_sha256"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptRecord, match="params_sha256"):
+        load_checkpoint(path)
 
 
 def test_fixed_kinetic_document_has_no_kinetic_layers():

@@ -196,6 +196,17 @@ def test_generate_rejects_zero_denominator_energy(ws, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_invalid_json_config_is_a_usage_error(ws, data_dir, tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text("{oops")
+    extra = ["--model", "asrnn", "--dataset", str(data_dir)] if command == "train" else []
+    rc = cli.main([command, "--out", str(tmp_path / "x"), "--config", str(config), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "not valid JSON" in err
+
+
 def test_bad_environment_seed_is_a_usage_error(ws, monkeypatch, capsys):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
     rc = cli.main(["generate", "--out", str(ws / "nope3"),
@@ -547,6 +558,31 @@ def test_predict_partial_reconstructs_and_rolls_forward(
     assert arr[0, 3] == pytest.approx(observed[-1, 1])
 
 
+def test_read_observed_allows_one_header_and_comments(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_text("# observed run\nq_x,p_x\n\n0.1,0.2\n# note\n0.3,-0.4,extra\n")
+    assert np.array_equal(cli._read_observed(path), [[0.1, 0.2], [0.3, -0.4]])
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    (["q_x,p_x", "0.1,0.2", "foo,1", "0.3,0.4"], 3),
+    (["q_x,p_x", "0.1,0.2", "nan,0.3"], 3),
+    (["0.1,0.2", "inf,0.3"], 2),
+    (["q_x,p_x", "0.1,0.2", "0.5"], 3),
+    (["q_x,p_x", "units", "0.1,0.2"], 2),
+])
+def test_bad_observation_rows_name_their_line(ws, encoder_ckpt, tmp_path, capsys,
+                                              lines, bad_line):
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["infer-params", "--out", str(ws / "x.csv"),
+                   "--encoder", str(encoder_ckpt), "--observed", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}, line {bad_line}:" in err
+    assert "Traceback" not in err
+
+
 def test_predict_partial_requires_encoder_checkpoint(
     ws, asrnn_ckpt, observed_csv, capsys
 ):
@@ -571,6 +607,36 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_required_argument_is_usage_error(ws, capsys):
     assert cli.main(["predict", "--alpha", "1.0"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+BAD_NUMBERS = {
+    "dt": ["predict", "--alpha", "1", "--energy", "1/12", "--dt", "-0.1"],
+    "dt-not-finite": ["predict", "--alpha", "1", "--energy", "1/12", "--dt", "nan"],
+    "steps": ["predict", "--alpha", "1", "--energy", "1/12", "--steps", "0"],
+    "horizon": ["predict-partial", "--encoder", "e.json", "--checkpoint", "c.json",
+                "--observed", "o.csv", "--horizon", "0"],
+    "renorm": ["lyapunov", "--energy", "1/8", "--renorm", "-1"],
+    "lyapunov-steps": ["lyapunov", "--energy", "1/8", "--steps", "50", "--dt", "0.01"],
+    "jobs": ["lyapunov", "--energy", "1/8", "--jobs", "0"],
+    "alpha": ["predict", "--alpha", "nan", "--energy", "1/12"],
+    "energy": ["predict", "--alpha", "1", "--energy", "-1"],
+    "alphas": ["lyapunov", "--energy", "1/8", "--alphas", "0.5,inf"],
+    "grid-short": ["lyapunov", "--energy", "1/8", "--grid", "0:1"],
+    "grid-step": ["lyapunov", "--energy", "1/8", "--grid", "0:1:0"],
+    "grid-empty": ["lyapunov", "--energy", "1/8", "--grid", "1:0:0.1"],
+    "stride": ["infer-params", "--encoder", "e.json", "--observed", "o.csv",
+               "--stride", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_bad_numbers_are_usage_errors(ws, capsys, argv):
+    out = ws / "bad-number.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_version_flag_prints_version(capsys):

@@ -223,14 +223,6 @@ def test_derivative_pairs_two_channel_dataset():
     assert np.all(pairs.channels == [0.5, 1.5])
 
 
-def test_take_selects_rows():
-    dataset = small_dataset()
-    pairs = window_dataset(dataset, "derivative-pairs")
-    sub = pairs.take(np.array([3, 5]))
-    assert np.array_equal(sub.states, pairs.states[[3, 5]])
-    assert sub.n == 2
-
-
 # ---------------------------------------------------------------------------
 # windowing: rollout
 

@@ -161,6 +161,92 @@ def test_escape_raises_with_step_index():
     assert exc.value.step == 1
 
 
+def _reference_orbit(state, dt, n_steps, pot, radius=10.0):
+    """Kick-drift-kick on PhaseState arrays, grad V evaluated twice per step.
+    Returns the states and the step whose position left ``radius`` (or None)."""
+    half = 0.5 * dt
+    rows = [state.vec()]
+    for i in range(1, n_steps + 1):
+        p1 = state.p - half * hh_grad_v(state.q, pot)
+        q2 = state.q + dt * p1
+        if not np.all(np.isfinite(q2)) or np.max(np.abs(q2)) > radius:
+            return np.array(rows), i
+        state = PhaseState(q=q2, p=p1 - half * hh_grad_v(q2, pot))
+        rows.append(state.vec())
+    return np.array(rows), None
+
+
+def test_integrate_matches_per_step_reference_bitwise():
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        state = PhaseState(q=rng.uniform(-0.4, 0.4, 2), p=rng.uniform(-0.4, 0.4, 2))
+        pot = PotentialParams(alpha=rng.uniform(0, 1), beta=rng.uniform(0, 1))
+        ref, escape = _reference_orbit(state, 0.03, 500, pot)
+        assert escape is None
+        assert np.array_equal(integrate(state, 0.03, 500, HH_FIELD, pot).data, ref)
+
+
+def test_integrate_reports_the_reference_escape_step():
+    # above the escape energy (1/6 at alpha = beta = 1) the orbit leaves
+    state = PhaseState(q=[0.0, 0.2], p=[0.3, 0.8])
+    ref, escape = _reference_orbit(state, 0.05, 400, UNIT)
+    assert escape is not None and escape > 5
+    with pytest.raises(IntegrationDiverged) as exc:
+        integrate(state, 0.05, 400, HH_FIELD, UNIT)
+    assert exc.value.step == escape
+    stopped = integrate(state, 0.05, escape - 1, HH_FIELD, UNIT)
+    assert np.array_equal(stopped.data, ref)
+
+
+def test_integrate_stride_keeps_every_stride_th_state():
+    state = PhaseState(q=[0.1, -0.2], p=[0.25, 0.1])
+    full = integrate(state, 0.01, 300, HH_FIELD, UNIT)
+    sub = integrate(state, 0.01, 300, HH_FIELD, UNIT, stride=100)
+    assert np.array_equal(sub.data, full.data[::100])
+    assert sub.dt == 0.01 * 100
+    with pytest.raises(BadFactor):
+        integrate(state, 0.01, 300, HH_FIELD, UNIT, stride=7)
+
+
+def _reference_batch_row(row, alpha, beta, dt, n_steps, stride, radius=10.0):
+    """One row of integrate_batch, stepped alone: record every stride-th
+    state; a recorded state that is non-finite or outside ``radius`` marks
+    the escape and freezes the row at zero."""
+    pot = PotentialParams(alpha=alpha, beta=beta)
+    half = 0.5 * dt
+    q, p = row[:2].copy(), row[2:].copy()
+    out, escaped = [row.copy()], -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps // stride + 1):
+            for _ in range(stride):
+                p = p - half * hh_grad_v(q, pot)
+                q = q + dt * p
+                p = p - half * hh_grad_v(q, pot)
+            out.append(np.concatenate([q, p]))
+            if not np.all(np.isfinite(out[-1])) or np.max(np.abs(q)) > radius:
+                escaped = k if escaped < 0 else escaped
+                q, p = np.zeros(2), np.zeros(2)
+    return np.array(out), escaped
+
+
+def test_integrate_batch_matches_per_row_reference_with_frozen_rows():
+    states = np.array([
+        [0.1, -0.05, 0.2, 0.1],
+        [0.0, 0.0, 300.0, 0.0],   # leaves at the first record
+        [0.0, 0.2, 0.3, 0.8],     # leaves after some records
+        [-0.2, 0.1, 0.0, -0.3],
+    ])
+    alphas = np.array([0.5, 1.0, 1.0, 0.9])
+    betas = np.array([0.7, 1.0, 1.0, 0.4])
+    coarse, escaped = integrate_batch(states, alphas, betas, 0.05, 400, stride=5)
+    for i in range(4):
+        ref, ref_escaped = _reference_batch_row(states[i], alphas[i], betas[i], 0.05, 400, 5)
+        assert escaped[i] == ref_escaped
+        assert np.array_equal(coarse[i], ref, equal_nan=True)
+    assert escaped[0] == escaped[3] == -1 and escaped[1] == 1 and escaped[2] > 1
+    assert np.all(coarse[2, escaped[2] + 1:] == 0.0)
+
+
 def test_integrate_rejects_zero_steps():
     with pytest.raises(ValueError):
         integrate(PhaseState(q=[0.1, 0.0], p=[0.0, 0.0]), 0.1, 0, HH_FIELD, UNIT)

@@ -263,6 +263,41 @@ def test_rollout_matches_manual_leapfrog():
     assert np.array_equal(traj.data, np.array(rows))
 
 
+def _taped_gradient(spec, params, x):
+    """Input gradient through the tape, as the training graphs compute it."""
+    layers = [(Tensor(w), Tensor(b)) for w, b in nets.unflatten_params(spec, params)]
+    return nets.net_value_and_input_gradient(spec, layers, Tensor(x))[1].data
+
+
+@pytest.mark.parametrize("fixed_kinetic", [False, True])
+def test_rollout_carrying_the_force_matches_three_gradient_stepper(fixed_kinetic):
+    model = _separable(k_sizes=(2, 16, 16, 1), v_sizes=(3, 16, 16, 1), seed=14,
+                       scale=0.3, adaptable=True, param_channels=1,
+                       fixed_kinetic=fixed_kinetic)
+    pot = PotentialParams.single(0.7)
+    dt, n = 0.05, 40
+    q, p = np.array([0.1, -0.2]), np.array([0.15, 0.3])
+    traj = asrnn_rollout(model, PhaseState(q=q, p=p), pot, dt, n)
+
+    def grad_v(q):
+        x = np.array([[q[0], q[1], 0.7]])
+        return _taped_gradient(model.potential_spec, model.potential_params, x)[0, :2]
+
+    def grad_k(p):
+        if fixed_kinetic:
+            return p
+        return _taped_gradient(model.kinetic_spec, model.kinetic_params, p[None, :])[0]
+
+    half = 0.5 * dt
+    rows = [np.concatenate([q, p])]
+    for _ in range(n):
+        p_half = p - half * grad_v(q)
+        q = q + dt * grad_k(p_half)
+        p = p_half - half * grad_v(q)
+        rows.append(np.concatenate([q, p]))
+    assert np.array_equal(traj.data, np.array(rows))
+
+
 def test_separable_field_adapter_matches_batch_gradients():
     model = _separable(seed=3)
     field = separable_field(model)

@@ -20,6 +20,8 @@ from symplectic_ml.nets import (
     init_params,
     layer_shapes,
     net_value_and_input_gradient,
+    numpy_forward,
+    numpy_input_gradient,
     param_count,
     segment_layers,
     unflatten_params,
@@ -228,6 +230,25 @@ def test_value_and_gradient_share_consistent_forward():
     out, grad = net_value_and_input_gradient(spec, layers, Tensor(x))
     assert out.data[0, 0] == forward(spec, params, x[0])[0]
     assert np.array_equal(grad.data[0], grad_inputs(spec, params, x[0]))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("batch", [1, 9])
+@pytest.mark.parametrize("sizes", [(3, 16, 8, 1), (4, 8, 3), (5, 2)])
+def test_numpy_path_matches_tape_bit_for_bit(activation, batch, sizes):
+    spec = DenseNetSpec(sizes, activation)
+    params = init_params(spec, 17)
+    params[-sizes[-1]:] = np.linspace(-0.3, 0.4, sizes[-1])  # non-zero output bias
+    x = np.random.default_rng(batch).normal(size=(batch, sizes[0]))
+    layers = unflatten_params(spec, params)
+    taped = [(Tensor(w), Tensor(b)) for w, b in layers]
+    value = numpy_forward(spec, layers, x)
+    for k in range(spec.n_outputs):
+        ref_value, ref_grad = net_value_and_input_gradient(spec, taped, Tensor(x), k)
+        assert np.array_equal(value, ref_value.data)
+        assert np.array_equal(numpy_input_gradient(spec, layers, x, k), ref_grad.data)
+        assert np.array_equal(grad_inputs(spec, params, x, k), ref_grad.data)
+    assert np.array_equal(forward(spec, params, x), value)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from symplectic_ml.training import (
     clip_gradient,
     init_adam,
     save_history_csv,
-    sgd_step,
     split_dataset,
     train,
 )
@@ -87,12 +86,6 @@ def test_adam_second_moment_stays_nonnegative(data):
         assert np.all(state.v >= 0.0)
     # the very first update can never exceed the learning rate
     assert np.all(np.abs(first) <= 0.1 * (1.0 + 1e-12))
-
-
-def test_sgd_step_oracle():
-    assert np.array_equal(sgd_step(np.array([1.0]), np.array([2.0]), 0.1), [0.8])
-    params = np.array([3.0, -1.0])
-    assert np.array_equal(sgd_step(params, np.array([5.0, 5.0]), 0.0), params)
 
 
 def test_clip_gradient_rescales_to_max_norm():
