@@ -36,7 +36,6 @@ from .dynamics import (
     PhaseState,
     PotentialParams,
     Trajectory,
-    coarse_grain,
     hh_energy,
     hh_energy_batch,
     hh_grad_v,

@@ -21,6 +21,11 @@ of a dense network in closed form (a chain of matrix products and activation
 derivatives).  Building that closed form out of these primitives makes the
 input-gradient itself a differentiable node, so a single reverse pass yields
 exact parameter gradients of losses that contain input-gradients.
+
+Custom nodes: :func:`node` records a value computed outside the tape
+together with a closed-form backward that returns one gradient per parent.
+A composite with a textbook reverse pass (the LSTM encoder's unrolled
+window, backpropagation through time) is then one node instead of hundreds.
 """
 
 import numpy as np
@@ -72,27 +77,6 @@ class Tensor:
                 node._backward = None
             node._prev = ()
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -131,6 +115,29 @@ def _unbroadcast(g, shape):
     return g
 
 
+def node(data, parents, backward):
+    """A node of value ``data`` whose gradient ``backward`` computes.
+
+    ``backward(g)`` receives the node's output gradient and returns one
+    gradient per entry of ``parents``; each is accumulated into its parent
+    when that parent requires gradients.  Without such a parent the node is
+    a constant and ``backward`` is never kept.
+    """
+    parents = tuple(_wrap(p) for p in parents)
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._prev = tuple(p for p in parents if p.requires_grad)
+
+        def _bw():
+            for p, g in zip(parents, backward(out.grad)):
+                if p.requires_grad:
+                    p._accum(g)
+
+        out._backward = _bw
+    return out
+
+
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.data + b.data)
@@ -144,24 +151,6 @@ def add(a, b):
                 a._accum(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(g, b.data.shape))
-
-        out._backward = _bw
-    return out
-
-
-def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data - b.data)
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._prev = tuple(t for t in (a, b) if t.requires_grad)
-
-        def _bw():
-            g = out.grad
-            if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-g, b.data.shape))
 
         out._backward = _bw
     return out
@@ -299,21 +288,6 @@ def tanh(a):
 
         def _bw():
             a._accum(out.grad * (1.0 - out_data * out_data))
-
-        out._backward = _bw
-    return out
-
-
-def sigmoid(a):
-    a = _wrap(a)
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)))
-    if a.requires_grad:
-        out.requires_grad = True
-        out._prev = (a,)
-        out_data = out.data
-
-        def _bw():
-            a._accum(out.grad * out_data * (1.0 - out_data))
 
         out._backward = _bw
     return out

@@ -94,6 +94,8 @@ def save_checkpoint(model, path, seed=None, training_config=None, metrics=None):
 
 def model_from_checkpoint(doc):
     """Rebuild the model object described by a checkpoint document."""
+    if not isinstance(doc, dict):
+        raise CorruptRecord("checkpoint is not a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(
@@ -102,6 +104,8 @@ def model_from_checkpoint(doc):
     try:
         kind = doc["model_kind"]
         spec = doc["spec"]
+        if not isinstance(spec, dict):
+            raise CorruptRecord("checkpoint spec is not a JSON object")
         params = np.array(doc["params"], dtype=np.float64)
         if "params_sha256" not in doc:
             raise CorruptRecord("checkpoint has no params_sha256 checksum")
@@ -143,7 +147,7 @@ def model_from_checkpoint(doc):
                 params=params,
             )
         raise CorruptRecord(f"unknown model kind {kind!r}")
-    except (KeyError, TypeError, ValueError, ShapeMismatch) as err:
+    except (KeyError, TypeError, ValueError, OverflowError, ShapeMismatch) as err:
         if isinstance(err, (FormatVersionMismatch, CorruptRecord)):
             raise
         raise CorruptRecord(f"checkpoint is structurally invalid: {err}")

@@ -408,13 +408,16 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """Read a dataset directory back; verifies version and checksum."""
+    """Read a dataset directory back; verifies version, checksum and that the
+    records tile ``states.bin`` in order, one block each."""
     path = Path(path)
     try:
         with open(path / "manifest.json") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise CorruptRecord(f"cannot read manifest: {err}")
+    if not isinstance(manifest, dict):
+        raise CorruptRecord("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(
@@ -430,24 +433,39 @@ def load_dataset(path):
     if flat.size % 4 != 0:
         raise CorruptRecord("states.bin length is not a multiple of the row size")
     rows = flat.reshape(-1, 4)
-    total = manifest.get("totals", {}).get("states")
-    if total != rows.shape[0]:
+    totals = manifest.get("totals")
+    total = totals.get("states") if isinstance(totals, dict) else None
+    if type(total) is not int or total != rows.shape[0]:
         raise CorruptRecord(
-            f"manifest declares {total} states, file holds {rows.shape[0]}"
+            f"manifest declares {total!r} states, file holds {rows.shape[0]}"
         )
+    records_in = manifest.get("records")
+    if not isinstance(records_in, list) or not all(isinstance(r, dict) for r in records_in):
+        raise CorruptRecord("manifest records are not a list of objects")
     trajectories, records = [], []
+    end = 0
     try:
-        for rec in manifest["records"]:
-            block = rows[rec["offset"] : rec["offset"] + rec["length"]]
-            if block.shape[0] != rec["length"]:
+        for k, rec in enumerate(records_in):
+            offset, length = rec["offset"], rec["length"]
+            counts = type(offset) is int and type(length) is int
+            if not counts or offset != end or length < 1:
+                raise CorruptRecord(
+                    f"record {k} (offset {offset!r}, length {length!r}) does not "
+                    f"start where the previous one ends ({end}) with length >= 1"
+                )
+            end += length
+            if end > total:
                 raise CorruptRecord("record extends past the end of states.bin")
             pot = PotentialParams(alpha=rec["alpha"], beta=rec["beta"])
-            trajectories.append(Trajectory(dt=rec["dt"], data=block.copy(), params=pot))
+            trajectories.append(Trajectory(dt=rec["dt"], data=rows[offset:end].copy(),
+                                           params=pot))
             records.append(
                 TrajectoryRecord(alpha=rec["alpha"], beta=rec["beta"], energy=rec["energy"])
             )
+        if end != total:
+            raise CorruptRecord(f"records cover {end} of the {total} stored states")
         config = manifest.get("config")
         config = GenerationConfig.from_dict(config) if config else None
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CorruptRecord(f"manifest is structurally invalid: {err}")
     return Dataset(trajectories, records, config=config)

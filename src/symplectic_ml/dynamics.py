@@ -279,15 +279,6 @@ def leapfrog_step(state, dt, field, params, escape_radius=ESCAPE_RADIUS):
     return PhaseState(q=np.array(last[:2]), p=np.array(last[2:]))
 
 
-def coarse_grain(traj, factor):
-    """Keep every ``factor``-th sample (indices 0, factor, 2*factor, ...)."""
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise BadFactor(f"coarse-grain factor must be a positive integer, got {factor!r}")
-    return Trajectory(
-        dt=traj.dt * factor, data=traj.data[::factor].copy(), params=traj.params
-    )
-
-
 def leapfrog_batch(states, alpha, beta, dt):
     """One leapfrog step of the analytic field on an (B, 4) batch; parameters
     scalar or (B,).  No divergence checks."""

@@ -10,7 +10,7 @@ class ShapeMismatch(SymplecticMlError):
 
 
 class BadFactor(SymplecticMlError):
-    """Coarse-graining factor is not a positive integer."""
+    """A sampling stride is not a positive divisor of the step count."""
 
 
 class IntegrationDiverged(SymplecticMlError):

@@ -10,6 +10,12 @@ input weights U (hidden x input, row-major), recurrent weights V
 (hidden x hidden, row-major), bias; then the head weights
 (n_outputs x hidden) and head bias.  Hidden and cell states start at zero
 for every window.
+
+One numpy cell, :func:`lstm_step`, serves training, validation and
+inference.  For training, a whole unrolled window batch is one tape node on
+the flat parameters: its forward keeps each step's gates and its backward
+runs backpropagation through time in closed form (Werbos 1990; Hochreiter &
+Schmidhuber 1997), bit-identical to the same cell built op by op on the tape.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import nets
 from .autodiff import Tensor
 from .dynamics import PhaseState, PotentialParams
 from .errors import EmptyBatch, ShapeMismatch, TooShort, WindowLengthMismatch
@@ -80,54 +85,81 @@ def init_encoder_params(hidden_size, param_outputs, seed):
     return np.concatenate(flat)
 
 
-def _segment_encoder(theta, hidden_size, param_outputs):
-    """Slice a flat parameter Tensor into taped gate and head tensors."""
-    h = hidden_size
-    n_out = 2 + param_outputs
-    parts = {}
-    i = 0
+def encoder_parts(flat, hidden_size, param_outputs):
+    """Views of a flat parameter array: the gate arrays ``U{g}``, ``V{g}``,
+    ``b{g}`` and the head ``Wh``, ``bh``, in the flat order."""
+    h, n_out = hidden_size, 2 + param_outputs
+    shapes = {}
     for gate in GATES:
-        parts[f"U{gate}"] = ad.segment(theta, i, i + h * INPUT_SIZE, (h, INPUT_SIZE))
-        i += h * INPUT_SIZE
-        parts[f"V{gate}"] = ad.segment(theta, i, i + h * h, (h, h))
-        i += h * h
-        parts[f"b{gate}"] = ad.segment(theta, i, i + h, (h,))
-        i += h
-    parts["Wh"] = ad.segment(theta, i, i + n_out * h, (n_out, h))
-    i += n_out * h
-    parts["bh"] = ad.segment(theta, i, i + n_out, (n_out,))
+        shapes.update({f"U{gate}": (h, INPUT_SIZE), f"V{gate}": (h, h), f"b{gate}": (h,)})
+    shapes.update(Wh=(n_out, h), bh=(n_out,))
+    parts, i = {}, 0
+    for name, shape in shapes.items():
+        n = int(np.prod(shape))
+        parts[name], i = flat[i : i + n].reshape(shape), i + n
     return parts
 
 
+def _gate(parts, k, x, h):
+    z = (x @ parts[f"U{k}"].T + parts[f"b{k}"]) + h @ parts[f"V{k}"].T
+    return np.tanh(z) if k == "c" else 1.0 / (1.0 + np.exp(-z))
+
+
 def lstm_step(parts, x, h, c):
-    """One LSTM cell update on a (batch, input) Tensor; returns (h', c')."""
-    f = ad.sigmoid(ad.add(ad.linear(x, parts["Uf"], parts["bf"]),
-                          ad.linear(h, parts["Vf"])))
-    i = ad.sigmoid(ad.add(ad.linear(x, parts["Ui"], parts["bi"]),
-                          ad.linear(h, parts["Vi"])))
-    o = ad.sigmoid(ad.add(ad.linear(x, parts["Uo"], parts["bo"]),
-                          ad.linear(h, parts["Vo"])))
-    g = ad.tanh(ad.add(ad.linear(x, parts["Uc"], parts["bc"]),
-                       ad.linear(h, parts["Vc"])))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
+    """One LSTM cell update on (batch, input) arrays.  Returns ``(h', c',
+    gates)``, where ``gates = (f, i, o, g, tanh(c'))`` are the activations
+    backpropagation through time reuses."""
+    f, i, o, g = (_gate(parts, k, x, h) for k in GATES)
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (f, i, o, g, tc)
 
 
 def _encode_graph(model, theta, windows):
-    """Head outputs for a (B, window_len, 2) batch of observation windows."""
+    """Head outputs for a (B, window_len, 2) batch of observation windows:
+    one tape node on ``theta``, which keeps each step's gates only when
+    ``theta`` requires gradients."""
     b, length, width = windows.shape
     if length != model.window_len or width != INPUT_SIZE:
         raise WindowLengthMismatch(
             f"windows must be (B, {model.window_len}, {INPUT_SIZE}), got "
             f"{windows.shape}"
         )
-    parts = _segment_encoder(theta, model.hidden_size, model.param_outputs)
-    h = Tensor(np.zeros((b, model.hidden_size)))
-    c = Tensor(np.zeros((b, model.hidden_size)))
+    parts = encoder_parts(theta.data, model.hidden_size, model.param_outputs)
+    h = c = np.zeros((b, model.hidden_size))
+    steps = []
     for t in range(length):
-        h, c = lstm_step(parts, Tensor(windows[:, t, :]), h, c)
-    return ad.linear(h, parts["Wh"], parts["bh"])
+        x = windows[:, t, :]
+        h_new, c_new, gates = lstm_step(parts, x, h, c)
+        if theta.requires_grad:
+            steps.append((x, h, c, gates))
+        h, c = h_new, c_new
+    out = h @ parts["Wh"].T + parts["bh"]
+    return ad.node(out, (theta,), lambda g: (_bptt(parts, steps, h, g),))
+
+
+def _bptt(parts, steps, h_last, g_out):
+    """Backpropagation through time: the flat parameter gradient, given the
+    gradient ``g_out`` of the head outputs.
+
+    The expressions and their summation order are the taped cell's, so the
+    result is bit-identical to it: each parameter's gradient accumulates
+    from the last step back to the first, and the gates add to the hidden
+    state's gradient in the order o, f, i, c.
+    """
+    grads = {"Wh": g_out.T @ h_last, "bh": g_out.sum(axis=0)}
+    dh, dc_next = g_out @ parts["Wh"], 0.0
+    for x, h, c, (f, i, o, g, tc) in reversed(steps):
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dz = {"o": dh * tc * o * (1.0 - o), "f": dc * c * f * (1.0 - f),
+              "i": dc * g * i * (1.0 - i), "c": dc * i * (1.0 - g * g)}
+        dh = 0.0
+        for k, z in dz.items():
+            for name, gz in ((f"U{k}", z.T @ x), (f"b{k}", z.sum(axis=0)), (f"V{k}", z.T @ h)):
+                grads[name] = grads[name] + gz if name in grads else gz
+            dh = dh + z @ parts[f"V{k}"]
+        dc_next = dc * f
+    return np.concatenate([grads[name].ravel() for name in parts])
 
 
 def encode_window(model, window):

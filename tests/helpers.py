@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit: small builders and gradient-check utilities."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from symplectic_ml import (
     Dataset,
@@ -15,6 +16,15 @@ from symplectic_ml import (
     generate_dataset,
     grad_params_through,
     integrate,
+)
+
+
+# any JSON document a hand-edited or corrupted store could hold
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
 )
 
 

@@ -19,17 +19,6 @@ def test_add_and_mul_values():
     b = Tensor([10.0, 20.0])
     assert np.array_equal(ad.add(a, b).data, [[11.0, 22.0], [13.0, 24.0]])
     assert np.array_equal(ad.mul(a, b).data, [[10.0, 40.0], [30.0, 80.0]])
-    assert np.array_equal(ad.sub(a, b).data, [[-9.0, -18.0], [-7.0, -16.0]])
-
-
-def test_operator_sugar_matches_functions():
-    a = Tensor([1.0, -2.0])
-    b = Tensor([3.0, 5.0])
-    assert np.array_equal((a + b).data, ad.add(a, b).data)
-    assert np.array_equal((a - b).data, ad.sub(a, b).data)
-    assert np.array_equal((a * b).data, ad.mul(a, b).data)
-    assert np.array_equal((-a).data, [-1.0, 2.0])
-    assert np.array_equal((2.0 * a).data, [2.0, -4.0])
 
 
 def test_matmul_and_linear_values():
@@ -44,7 +33,6 @@ def test_matmul_and_linear_values():
 def test_elementwise_values():
     x = Tensor([0.0, 0.5, -1.0])
     assert np.allclose(ad.tanh(x).data, np.tanh([0.0, 0.5, -1.0]))
-    assert np.allclose(ad.sigmoid(x).data, 1.0 / (1.0 + np.exp([0.0, -0.5, 1.0])))
     assert np.array_equal(ad.square(x).data, [0.0, 0.25, 1.0])
     h = np.tanh([0.0, 0.5, -1.0])
     assert np.allclose(ad.one_minus_sq(Tensor(h)).data, 1.0 - h * h)
@@ -72,14 +60,12 @@ def test_add_scaled_is_fused_axpy():
     "name,build,n",
     [
         ("add", lambda x: ad.sum_sq_diff(ad.add(_m(x, 6, (2, 3)), np.ones(3)), _T6), 6),
-        ("sub", lambda x: ad.sum_sq_diff(ad.sub(_m(x, 6, (2, 3)), np.ones(3)), _T6), 6),
         ("mul", lambda x: ad.sum_sq_diff(ad.mul(_m(x, 6, (2, 3)), _C3), _T6), 6),
         ("scale", lambda x: ad.sum_sq_diff(ad.scale(_m(x, 6, (2, 3)), -1.7), _T6), 6),
         ("add_scaled", lambda x: ad.sum_sq_diff(ad.add_scaled(_m(x, 6, (2, 3)), _C23, 0.3), _T6), 6),
         ("matmul", lambda x: ad.sum_sq_diff(ad.matmul(_m(x, 6, (2, 3)), _W32), _T4), 6),
         ("linear", lambda x: ad.sum_sq_diff(ad.linear(_m(x, 6, (2, 3)), _W23, _B2), _T4), 6),
         ("tanh", lambda x: ad.sum_sq_diff(ad.tanh(_m(x, 6, (2, 3))), _T6), 6),
-        ("sigmoid", lambda x: ad.sum_sq_diff(ad.sigmoid(_m(x, 6, (2, 3))), _T6), 6),
         ("square", lambda x: ad.sum_sq_diff(ad.square(_m(x, 6, (2, 3))), _T6), 6),
         ("one_minus_sq", lambda x: ad.sum_sq_diff(ad.one_minus_sq(_m(x, 6, (2, 3))), _T6), 6),
         ("sum_all", lambda x: ad.square(ad.sum_all(_m(x, 6, (2, 3)))), 6),
@@ -210,11 +196,9 @@ def test_sum_sq_diff_value_against_manual():
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
-def test_tanh_and_sigmoid_ranges(values):
+def test_tanh_range(values):
     x = Tensor(np.array(values))
     assert np.all(np.abs(ad.tanh(x).data) < 1.0)
-    s = ad.sigmoid(x).data
-    assert np.all((s > 0.0) & (s < 1.0))
 
 
 @settings(max_examples=30, deadline=None)

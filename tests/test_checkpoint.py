@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplectic_ml.checkpoint import (
     build_checkpoint,
@@ -17,6 +21,8 @@ from symplectic_ml.errors import CorruptRecord, FormatVersionMismatch
 from symplectic_ml.lstm import EncoderModel, encoder_param_count, init_encoder_params
 from symplectic_ml.models import BaselineModel, HnnModel, SeparableModel
 from symplectic_ml.nets import DenseNetSpec, init_params, param_count
+
+from helpers import JSON_VALUES
 
 
 def _hnn(adaptable=False):
@@ -216,3 +222,35 @@ def test_invalid_json(tmp_path):
     path.write_text("{oops")
     with pytest.raises(CorruptRecord):
         load_checkpoint(path)
+
+
+def test_checkpoint_that_is_not_an_object_is_corrupt(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(CorruptRecord, match="not a JSON object"):
+        load_checkpoint(path)
+
+
+_DOCS = {kind: json.loads(json.dumps(build_checkpoint(factory(**kw), seed=1)))
+         for kind, factory, kw in ALL_MODELS}
+_FIELDS = sorted({(kind, key) for kind, doc in _DOCS.items() for key in doc}
+                 | {(kind, "spec", key) for kind, doc in _DOCS.items() for key in doc["spec"]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=JSON_VALUES)
+def test_any_checkpoint_field_loads_or_is_rejected(field, value):
+    kind, *path = field
+    doc = json.loads(json.dumps(_DOCS[kind]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as d:
+        target = Path(d) / "model.json"
+        target.write_text(json.dumps(doc))
+        try:
+            model, _ = load_checkpoint(target)
+            assert model_kind(model) in _DOCS
+        except (CorruptRecord, FormatVersionMismatch):
+            pass

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -264,6 +265,19 @@ def test_train_missing_dataset_is_a_runtime_error(ws, capsys):
                    "--dataset", str(ws / "no-such-dataset")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_on_a_corrupt_record_is_a_runtime_error(ws, data_dir, capsys):
+    bad = ws / "dataset-dt0"
+    shutil.copytree(data_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["records"][1]["dt"] = 0
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "hnn",
+                   "--dataset", str(bad)])
+    assert rc == 2
+    assert "error: CorruptRecord: manifest is structurally invalid: dt must be positive" in (
+        capsys.readouterr().err)
 
 
 def test_train_rejects_bad_config_value(ws, data_dir, capsys):

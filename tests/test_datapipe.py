@@ -1,9 +1,13 @@
 """Dataset generation, windowing, and the on-disk format."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symplectic_ml.datapipe import (
     CONSERVATION_TOL,
@@ -24,7 +28,7 @@ from symplectic_ml.errors import (
     TooShort,
 )
 
-from helpers import constant_trajectory, fabricated_dataset, small_dataset
+from helpers import JSON_VALUES, constant_trajectory, fabricated_dataset, small_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +444,131 @@ def test_structurally_invalid_manifest(tmp_path):
     (tmp_path / "d/manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptRecord):
         load_dataset(tmp_path / "d")
+
+
+def _edit_manifest(path, edit):
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("field, value", [("dt", 0), ("alpha", float("nan"))])
+def test_record_rejected_by_its_trajectory_is_corrupt(tmp_path, field, value):
+    save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update({field: value}))
+    with pytest.raises(CorruptRecord, match="structurally invalid"):
+        load_dataset(tmp_path / "d")
+
+
+def test_negative_record_offset_is_corrupt(tmp_path):
+    # record 1 of a 2 x 38-row store moved to offset -40 used to load rows
+    # 36..73 without complaint
+    save_dataset(fabricated_dataset([38, 38]), tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update(offset=-40))
+    with pytest.raises(CorruptRecord, match="record 1"):
+        load_dataset(tmp_path / "d")
+
+
+def test_overlapping_records_are_corrupt(tmp_path):
+    save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
+
+    def overlap(m):
+        m["records"][1]["offset"] = 5
+        m["records"][1]["length"] = 13
+
+    _edit_manifest(tmp_path / "d", overlap)
+    with pytest.raises(CorruptRecord, match="record 1"):
+        load_dataset(tmp_path / "d")
+
+
+def test_records_must_cover_every_stored_state(tmp_path):
+    save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m["records"].pop())
+    with pytest.raises(CorruptRecord, match="cover 10 of the 18"):
+        load_dataset(tmp_path / "d")
+
+
+def test_manifest_that_is_not_an_object_is_corrupt(tmp_path):
+    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    (tmp_path / "d/manifest.json").write_text("[]")
+    with pytest.raises(CorruptRecord, match="not a JSON object"):
+        load_dataset(tmp_path / "d")
+
+
+# ---------------------------------------------------------------------------
+# properties of the loader over a small saved dataset
+
+
+def _saved_store():
+    """states.bin bytes and manifest of a two-trajectory dataset with a config."""
+    with tempfile.TemporaryDirectory() as d:
+        save_dataset(small_dataset(n_per_cell=2, series_length=9, transient=2), d)
+        return (Path(d) / "states.bin").read_bytes(), json.loads(
+            (Path(d) / "manifest.json").read_text())
+
+
+_BLOB, _MANIFEST = _saved_store()
+
+
+def _load_edited(manifest=_MANIFEST, blob=_BLOB):
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "manifest.json").write_text(json.dumps(manifest))
+        (Path(d) / "states.bin").write_bytes(blob)
+        return load_dataset(d)
+
+
+def _manifest_with(path, value):
+    manifest = json.loads(json.dumps(_MANIFEST))
+    node = manifest
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return manifest
+
+
+def test_unedited_store_loads():
+    assert len(_load_edited()) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut=st.integers(0, len(_BLOB) - 1))
+def test_any_truncation_of_states_is_corrupt(cut):
+    with pytest.raises(CorruptRecord):
+        _load_edited(blob=_BLOB[:cut])
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.integers(0, len(_BLOB) - 1), flip=st.integers(1, 255))
+def test_any_changed_state_byte_is_corrupt(at, flip):
+    blob = bytearray(_BLOB)
+    blob[at] ^= flip
+    with pytest.raises(CorruptRecord):
+        _load_edited(blob=bytes(blob))
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=st.sampled_from([0, 1]), field=st.sampled_from(["offset", "length"]),
+       value=JSON_VALUES)
+def test_any_changed_offset_or_length_is_corrupt(record, field, value):
+    old = _MANIFEST["records"][record][field]
+    if type(value) is int and value == old:
+        value = old + 1
+    with pytest.raises(CorruptRecord):
+        _load_edited(_manifest_with(("records", record, field), value))
+
+
+_MANIFEST_FIELDS = (
+    [(key,) for key in _MANIFEST]
+    + [("totals", key) for key in _MANIFEST["totals"]]
+    + [("config", key) for key in _MANIFEST["config"]]
+    + [("records", 1, key) for key in _MANIFEST["records"][1]]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_MANIFEST_FIELDS), value=JSON_VALUES)
+def test_any_manifest_field_loads_or_is_rejected(path, value):
+    try:
+        assert isinstance(_load_edited(_manifest_with(path, value)), Dataset)
+    except (CorruptRecord, FormatVersionMismatch):
+        pass

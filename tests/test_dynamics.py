@@ -13,7 +13,6 @@ from symplectic_ml import (
     PotentialParams,
     ShapeMismatch,
     Trajectory,
-    coarse_grain,
     hh_energy,
     hh_energy_batch,
     hh_grad_v,
@@ -250,31 +249,6 @@ def test_integrate_batch_matches_per_row_reference_with_frozen_rows():
 def test_integrate_rejects_zero_steps():
     with pytest.raises(ValueError):
         integrate(PhaseState(q=[0.1, 0.0], p=[0.0, 0.0]), 0.1, 0, HH_FIELD, UNIT)
-
-
-def test_coarse_grain_keeps_every_factor_th_sample():
-    pot = PotentialParams.single(0.0)
-    traj = integrate(PhaseState(q=[0.5, 0.0], p=[0.0, 0.1]), 0.001, 3000, HH_FIELD, pot)
-    coarse = coarse_grain(traj, 100)
-    assert len(coarse) == 31
-    assert coarse.dt == pytest.approx(0.1)
-    assert np.array_equal(coarse.data, traj.data[::100])
-
-
-def test_coarse_grain_factor_one_is_identity():
-    pot = PotentialParams.single(0.0)
-    traj = integrate(PhaseState(q=[0.5, 0.0], p=[0.0, 0.1]), 0.01, 10, HH_FIELD, pot)
-    coarse = coarse_grain(traj, 1)
-    assert np.array_equal(coarse.data, traj.data)
-    assert coarse.dt == traj.dt
-
-
-@pytest.mark.parametrize("factor", [0, -3, 2.5, "2"])
-def test_coarse_grain_rejects_bad_factor(factor):
-    pot = PotentialParams.single(0.0)
-    traj = integrate(PhaseState(q=[0.5, 0.0], p=[0.0, 0.1]), 0.01, 10, HH_FIELD, pot)
-    with pytest.raises(BadFactor):
-        coarse_grain(traj, factor)
 
 
 def test_phase_state_validation():

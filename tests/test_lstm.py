@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symplectic_ml import autodiff as ad
 from symplectic_ml import lstm
-from symplectic_ml.autodiff import Tensor
+from symplectic_ml.autodiff import Tensor, _topo_order
 from symplectic_ml.dynamics import PotentialParams
 from symplectic_ml.errors import (
     EmptyBatch,
@@ -47,7 +48,7 @@ def _flat_params(hidden, param_outputs, head_bias=None, gate_biases=None):
 
 
 def _parts(flat, hidden, param_outputs):
-    return lstm._segment_encoder(Tensor(flat), hidden, param_outputs)
+    return lstm.encoder_parts(flat, hidden, param_outputs)
 
 
 def _encoder(hidden=4, window=10, param_outputs=1, seed=0):
@@ -126,22 +127,22 @@ def test_init_params_deterministic_with_zero_biases():
 def test_zero_parameter_step_halves_cell_state():
     hidden = 3
     parts = _parts(_flat_params(hidden, 1), hidden, 1)
-    x = Tensor(np.array([[0.7, -1.3]]))
-    h0 = Tensor(np.zeros((1, hidden)))
-    c0 = Tensor(np.array([[1.0, -2.0, 0.5]]))
-    h1, c1 = lstm_step(parts, x, h0, c0)
+    x = np.array([[0.7, -1.3]])
+    h0 = np.zeros((1, hidden))
+    c0 = np.array([[1.0, -2.0, 0.5]])
+    h1, c1, _ = lstm_step(parts, x, h0, c0)
     # every gate sits at 1/2, the candidate at zero
-    assert np.array_equal(c1.data, 0.5 * c0.data)
-    assert np.array_equal(h1.data, 0.5 * np.tanh(0.5 * c0.data))
+    assert np.array_equal(c1, 0.5 * c0)
+    assert np.array_equal(h1, 0.5 * np.tanh(0.5 * c0))
 
 
 def test_zero_parameter_step_from_zero_state_stays_zero():
     hidden = 2
     parts = _parts(_flat_params(hidden, 1), hidden, 1)
-    h1, c1 = lstm_step(parts, Tensor(np.array([[3.0, -4.0]])),
-                       Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden))))
-    assert np.array_equal(c1.data, np.zeros((1, hidden)))
-    assert np.array_equal(h1.data, np.zeros((1, hidden)))
+    h1, c1, _ = lstm_step(parts, np.array([[3.0, -4.0]]),
+                          np.zeros((1, hidden)), np.zeros((1, hidden)))
+    assert np.array_equal(c1, np.zeros((1, hidden)))
+    assert np.array_equal(h1, np.zeros((1, hidden)))
 
 
 def test_candidate_bias_reveals_input_gate():
@@ -152,36 +153,34 @@ def test_candidate_bias_reveals_input_gate():
     offset = 3 * per_gate + 2 * hidden + hidden * hidden  # candidate gate bias
     flat[offset : offset + hidden] = 20.0
     parts = _parts(flat, hidden, 1)
-    h1, c1 = lstm_step(parts, Tensor(np.zeros((1, 2))),
-                       Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden))))
-    assert np.array_equal(c1.data, np.full((1, hidden), 0.5 * np.tanh(20.0)))
+    h1, c1, _ = lstm_step(parts, np.zeros((1, 2)),
+                          np.zeros((1, hidden)), np.zeros((1, hidden)))
+    assert np.array_equal(c1, np.full((1, hidden), 0.5 * np.tanh(20.0)))
 
 
 def test_saturated_biases_drive_hidden_state_to_tanh_one():
     hidden = 3
     flat = _flat_params(hidden, 1, gate_biases=np.full(hidden, 20.0))
     parts = _parts(flat, hidden, 1)
-    h1, c1 = lstm_step(parts, Tensor(np.zeros((1, 2))),
-                       Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden))))
-    assert np.max(np.abs(h1.data - TANH_ONE)) <= 1e-6
-    assert np.max(np.abs(c1.data - 1.0)) <= 1e-6
+    h1, c1, _ = lstm_step(parts, np.zeros((1, 2)),
+                          np.zeros((1, hidden)), np.zeros((1, hidden)))
+    assert np.max(np.abs(h1 - TANH_ONE)) <= 1e-6
+    assert np.max(np.abs(c1 - 1.0)) <= 1e-6
 
 
 def test_cell_parameter_gradients_match_finite_differences():
+    # one cell step plus the head: every parameter but the recurrent weights
+    # V (which meet the zero initial state) moves the loss
     hidden = 3
-    theta0 = init_encoder_params(hidden, 1, 2)
-    x = np.array([[0.4, -0.9]])
+    model = EncoderModel(hidden_size=hidden, window_len=1, param_outputs=1,
+                         params=init_encoder_params(hidden, 1, 2))
+    windows = np.array([[[0.4, -0.9]]])
+    targets = np.array([[0.3, -0.1, 0.6]])
 
     def build(theta):
-        parts = lstm._segment_encoder(theta, hidden, 1)
-        h1, _ = lstm_step(parts, Tensor(x), Tensor(np.zeros((1, hidden))),
-                          Tensor(np.zeros((1, hidden))))
-        import symplectic_ml.autodiff as ad
-        return ad.sum_sq_diff(h1, np.zeros((1, hidden)))
+        return lstm._encoder_loss_graph(model, theta, windows, targets)
 
-    # head parameters never enter this graph; their gradient is zero on both
-    # the taped and the finite-difference side
-    assert param_grad_check(build, theta0) <= 1e-5
+    assert param_grad_check(build, model.params.copy()) <= 1e-5
 
 
 @given(
@@ -195,11 +194,11 @@ def test_cell_state_growth_is_bounded(seed, c_scale):
     flat = rng.normal(scale=1.5, size=encoder_param_count(hidden, 1))
     parts = _parts(flat, hidden, 1)
     c0 = c_scale * rng.normal(size=(2, hidden))
-    h1, c1 = lstm_step(parts, Tensor(rng.normal(size=(2, 2))),
-                       Tensor(rng.normal(size=(2, hidden))), Tensor(c0))
+    h1, c1, _ = lstm_step(parts, rng.normal(size=(2, 2)),
+                          rng.normal(size=(2, hidden)), c0)
     # forget and input gates are strict contractions: |c'| <= |c| + 1
-    assert np.all(np.abs(c1.data) <= np.abs(c0) + 1.0)
-    assert np.all(np.abs(h1.data) < 1.0)
+    assert np.all(np.abs(c1) <= np.abs(c0) + 1.0)
+    assert np.all(np.abs(h1) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +272,93 @@ def test_unrolled_gradients_match_finite_differences():
         return lstm._encoder_loss_graph(model, theta, windows, targets)
 
     assert param_grad_check(build, model.params.copy()) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the encoder node against the taped cell
+
+
+def _taped_sigmoid(a):
+    return ad.node(s := 1.0 / (1.0 + np.exp(-a.data)), (a,), lambda g: (g * s * (1.0 - s),))
+
+
+def _taped_encode(theta, windows, hidden, param_outputs):
+    """Head outputs built op by op on the tape: one taped cell per step."""
+    n_out = 2 + param_outputs
+    layout = [(f"{m}{k}", shape) for k in "fioc"
+              for m, shape in zip("UVb", ((hidden, 2), (hidden, hidden), (hidden,)))]
+    p, i = {}, 0
+    for name, shape in layout + [("Wh", (n_out, hidden)), ("bh", (n_out,))]:
+        size = int(np.prod(shape))
+        p[name] = ad.segment(theta, i, i + size, shape)
+        i += size
+    h = Tensor(np.zeros((windows.shape[0], hidden)))
+    c = Tensor(np.zeros((windows.shape[0], hidden)))
+    for t in range(windows.shape[1]):
+        x = Tensor(windows[:, t, :])
+
+        def gate(k, act):
+            return act(ad.add(ad.linear(x, p[f"U{k}"], p[f"b{k}"]), ad.linear(h, p[f"V{k}"])))
+
+        f, i_gate, o, g = (gate("f", _taped_sigmoid), gate("i", _taped_sigmoid),
+                           gate("o", _taped_sigmoid), gate("c", ad.tanh))
+        c = ad.add(ad.mul(f, c), ad.mul(i_gate, g))
+        h = ad.mul(o, ad.tanh(c))
+    return ad.linear(h, p["Wh"], p["bh"])
+
+
+def _loss_and_grad(build, flat):
+    theta = Tensor(flat, requires_grad=True)
+    loss = build(theta)
+    return loss.item(), ad.grad_params_through(loss, theta)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 128])
+@pytest.mark.parametrize("hidden", [3, 9])
+@pytest.mark.parametrize("param_outputs", [1, 2])
+@pytest.mark.parametrize("window", [1, 30])
+def test_encoder_node_matches_taped_cell_bit_for_bit(batch, hidden, param_outputs, window):
+    model = EncoderModel(hidden_size=hidden, window_len=window, param_outputs=param_outputs,
+                         params=init_encoder_params(hidden, param_outputs, 31))
+    rng = np.random.default_rng(batch * 1000 + hidden * 10 + window)
+    model.params = model.params + rng.normal(scale=0.3, size=model.params.size)
+    observed = rng.normal(scale=0.4, size=(batch + window - 1, 2))
+    windows = np.stack([observed[s : s + window] for s in range(batch)])
+    targets = rng.normal(size=(batch, model.n_outputs))
+
+    def reference(theta):
+        out = _taped_encode(theta, windows, hidden, param_outputs)
+        return ad.scale(ad.sum_sq_diff(out, targets), 1.0 / batch)
+
+    loss, grad = _loss_and_grad(
+        lambda theta: lstm._encoder_loss_graph(model, theta, windows, targets), model.params)
+    ref_loss, ref_grad = _loss_and_grad(reference, model.params)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
+
+    # inference: the same forward on the same rows, with no node kept
+    ref_out = _taped_encode(Tensor(model.params), windows, hidden, param_outputs).data
+    assert infer_param_ensemble(model, observed).samples.tobytes() == ref_out[:, 2:].tobytes()
+    ref_last = _taped_encode(Tensor(model.params), windows[-1:], hidden, param_outputs).data
+    q_y, p_y, params = encode_window(model, windows[-1])
+    assert np.concatenate([[q_y, p_y], params]).tobytes() == ref_last[0].tobytes()
+
+
+def test_encoder_batch_loss_is_at_most_three_tape_nodes():
+    model = _encoder(hidden=9, window=30, seed=4)
+    rng = np.random.default_rng(12)
+    theta = Tensor(model.params, requires_grad=True)
+    loss = lstm._encoder_loss_graph(model, theta, rng.normal(size=(128, 30, 2)),
+                                    rng.normal(size=(128, 3)))
+    taped = [n for n in _topo_order(loss) if n is not theta]
+    assert len(taped) <= 3
+    assert all(n._backward is not None for n in taped)
+
+
+def test_inference_keeps_no_node():
+    model = _encoder(hidden=3, window=5)
+    out = lstm._encode_graph(model, Tensor(model.params), np.zeros((2, 5, 2)))
+    assert out._backward is None and out._prev == ()
 
 
 # ---------------------------------------------------------------------------
