@@ -14,7 +14,9 @@ little-endian float64, row order ``q_x, q_y, p_x, p_y``).
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,18 @@ MAX_DIVERGENCE_RETRIES = 5
 CONSERVATION_TOL = 1e-4
 
 
+def check_field(name, value, kind, ok, what):
+    """``value`` if it is a ``kind`` (never a bool) for which ``ok`` holds;
+    otherwise a ValueError naming the config field."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def finite_positive(x):
+    return math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Grid of (parameters, energy) cells and integration settings.
@@ -65,28 +79,29 @@ class GenerationConfig:
     param_channels: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "param_values",
-            tuple((float(a), float(b)) for a, b in self.param_values),
-        )
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        if not self.param_values:
-            raise ValueError("param_values must be non-empty")
-        if not self.energies or any(e <= 0 for e in self.energies):
-            raise ValueError("energies must be positive")
-        if self.n_per_cell < 1:
-            raise ValueError("n_per_cell must be >= 1")
-        if self.fine_dt <= 0:
-            raise ValueError("fine_dt must be positive")
-        if self.coarse_factor < 1:
-            raise ValueError("coarse_factor must be >= 1")
-        if self.series_length < 2:
-            raise ValueError("series_length must be >= 2")
-        if not 0 <= self.transient < self.series_length:
-            raise ValueError("transient must lie in [0, series_length)")
-        if self.param_channels not in (1, 2):
-            raise ValueError("param_channels must be 1 or 2")
+        pairs = self.param_values
+        if not (isinstance(pairs, (list, tuple)) and pairs and all(
+                isinstance(v, (list, tuple)) and len(v) == 2 for v in pairs)):
+            raise ValueError("param_values must be a non-empty list of (alpha, beta) pairs")
+        object.__setattr__(self, "param_values", tuple(
+            tuple(float(check_field("param_values", x, Real, math.isfinite,
+                                    "finite numbers")) for x in v)
+            for v in pairs))
+        if not (isinstance(self.energies, (list, tuple)) and self.energies):
+            raise ValueError("energies must be a non-empty list")
+        object.__setattr__(self, "energies", tuple(
+            float(check_field("energies", e, Real, finite_positive, "finite and > 0"))
+            for e in self.energies))
+        for name in ("n_per_cell", "coarse_factor"):
+            check_field(name, getattr(self, name), Integral, lambda n: n >= 1, "an integer >= 1")
+        check_field("fine_dt", self.fine_dt, Real, finite_positive, "finite and > 0")
+        check_field("series_length", self.series_length, Integral, lambda n: n >= 2,
+                    "an integer >= 2")
+        check_field("transient", self.transient, Integral,
+                    lambda n: 0 <= n < self.series_length, "an integer in [0, series_length)")
+        check_field("seed", self.seed, Integral, lambda n: n >= 0, "an integer >= 0")
+        check_field("param_channels", self.param_channels, Integral, lambda n: n in (1, 2),
+                    "1 or 2")
         if self.param_channels == 1 and any(a != b for a, b in self.param_values):
             raise ValueError("single-parameter datasets need alpha == beta")
 

@@ -13,8 +13,15 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
 Adaptable variants append the potential parameters to the network input —
 for the separable model only to V's input, so K stays parameter-blind.
 
-Inference (derivatives, energies, rollouts) runs the untaped numpy networks
-of ``nets``; only the training and validation loss graphs use the tape.
+Inference (derivatives, energies, rollouts) runs the numpy networks of
+``nets``.  Each training loss is one closed-form tape node on the flat
+parameter vector.  The rollout loss steps ``dynamics.kick_drift_kick``,
+keeping each network call's activations, and its backward is the discrete
+adjoint of the leapfrog — itself a reverse kick-drift-kick on the costates
+(Sanz-Serna, SIAM Review 58, 2016) — with each call pulled back through
+``nets.input_gradient_vjp``.  Chen et al. (ICLR 2020) train the same model
+by backpropagation through the unrolled leapfrog, which this reproduces bit
+for bit.
 """
 
 from dataclasses import dataclass
@@ -29,6 +36,7 @@ from .dynamics import (
     DerivativeField,
     Trajectory,
     integrate,
+    kick_drift_kick,
     kinetic_grad_columns,
 )
 from .errors import (
@@ -106,15 +114,27 @@ def hnn_loss(model, states, qdot, pdot, channels=None):
 
 
 def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
+    """The derivative-matching loss as one tape node on ``theta``; its
+    backward is the second-order VJP of the network's input gradient."""
     x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
-    layers = nets.segment_layers(spec, theta) if theta.requires_grad else [
-        (Tensor(w), Tensor(b)) for w, b in nets.unflatten_params(spec, theta.data)
-    ]
-    _, g = nets.net_value_and_input_gradient(spec, layers, Tensor(x))
-    gq = ad.slice_cols(g, 0, 2)
-    gp = ad.slice_cols(g, 2, 4)
-    loss = ad.add(ad.sum_sq_diff(gp, qdot), ad.sum_sq_diff(gq, -np.asarray(pdot)))
-    return ad.scale(loss, 1.0 / states.shape[0])
+    layers = nets.unflatten_params(spec, theta.data)
+    acts = nets.hidden_activations(spec, layers, x)
+    g, chain = nets.input_gradient(spec, layers, x, acts)
+    neg_pdot = -np.asarray(pdot)
+    d_q = g[:, 2:4] - qdot
+    d_p = g[:, 0:2] - neg_pdot
+    c = 1.0 / states.shape[0]
+
+    def backward(g_out):
+        scale = g_out * c * 2.0
+        u = np.zeros_like(g)
+        u[:, 0:2] = scale * d_p
+        u[:, 2:4] = scale * d_q
+        grads = nets.new_gradients(layers)
+        nets.input_gradient_vjp(spec, layers, x, acts, chain, u, grads, need_x=False)
+        return (nets.flatten_params(grads),)
+
+    return ad.node(((d_q * d_q).sum() + (d_p * d_p).sum()) * c, (theta,), backward)
 
 
 @dataclass
@@ -178,26 +198,46 @@ def separable_grad_k(model, p):
     return nets.grad_inputs(model.kinetic_spec, model.kinetic_params, p)
 
 
-def _gradient_columns(spec, params, pot_params=None, param_channels=0):
-    """Column form of a scalar net's gradient in its first two inputs, with
-    the layers unflattened once, not on every step."""
-    layers = nets.unflatten_params(spec, params)
+def _gradient_columns(spec, layers, channels=None, record=None, calls=None):
+    """Column form of a scalar net's gradient in its first two inputs.
+
+    ``channels`` — a (k,) vector for every row, or a (B, k) block — fills the
+    remaining inputs.  With a ``record``, each call appends its input,
+    activations and chain to the record's list ``calls``, in arrays the
+    record supplies, for the rollout's adjoint.
+    """
+    empty = np.empty if record is None else record.empty
 
     def grad(a, b):
-        x = _with_channels(np.column_stack((a, b)), pot_params, param_channels)
-        g = nets.numpy_input_gradient(spec, layers, x)
+        x = np.column_stack((a, b))
+        if channels is not None:
+            x = np.concatenate(
+                [x, np.broadcast_to(channels, (x.shape[0], channels.shape[-1]))], axis=1)
+        acts = nets.hidden_activations(spec, layers, x, empty)
+        g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty)
+        if calls is not None:
+            calls.append((x, acts, chain))
         return (g[0, 0], g[0, 1]) if np.ndim(a) == 0 else (g[:, 0], g[:, 1])
 
     return grad
 
 
+def _separable_layers(model, flat):
+    """``(K layers or None, V layers)`` of a flat separable parameter vector."""
+    nk = model.kinetic_count()
+    k_layers = (None if model.fixed_kinetic
+                else nets.unflatten_params(model.kinetic_spec, flat[:nk]))
+    return k_layers, nets.unflatten_params(model.potential_spec, flat[nk:])
+
+
 def separable_columns(model, pot_params):
     """Column form ``(grad_v, grad_k)`` of the learned field for the kernel."""
-    grad_v = _gradient_columns(model.potential_spec, model.potential_params,
-                               pot_params, model.param_channels)
+    k_layers, v_layers = _separable_layers(model, model.params)
+    chan = pot_params.channels(model.param_channels) if model.param_channels else None
+    grad_v = _gradient_columns(model.potential_spec, v_layers, chan)
     if model.fixed_kinetic:
         return grad_v, kinetic_grad_columns
-    return grad_v, _gradient_columns(model.kinetic_spec, model.kinetic_params)
+    return grad_v, _gradient_columns(model.kinetic_spec, k_layers)
 
 
 def separable_field(model):
@@ -229,58 +269,154 @@ def conserved_quantity(model, traj, pot_params):
     return k + v
 
 
-class _TapedSeparable:
-    """Taped K/V gradients for training rollouts, sharing one flat theta."""
+class ArrayPool:
+    """Arrays recycled from one training step to the next.
 
-    def __init__(self, model, theta):
-        self.model = model
-        nk = model.kinetic_count()
-        if theta.requires_grad:
-            flat_k = ad.segment(theta, 0, nk, (nk,)) if nk else None
-            flat_v = ad.segment(theta, nk, theta.data.size, (theta.data.size - nk,))
-            self.k_layers = (
-                None if model.fixed_kinetic
-                else nets.segment_layers(model.kinetic_spec, flat_k)
-            )
-            self.v_layers = nets.segment_layers(model.potential_spec, flat_v)
-        else:
-            self.k_layers = (
-                None if model.fixed_kinetic
-                else [(Tensor(w), Tensor(b)) for w, b in
-                      nets.unflatten_params(model.kinetic_spec, theta.data[:nk])]
-            )
-            self.v_layers = [(Tensor(w), Tensor(b)) for w, b in
-                             nets.unflatten_params(model.potential_spec,
-                                                   theta.data[nk:])]
+    A rollout node keeps about 50 MB of activations at the acceptance size.
+    Freed all at once after each backward, that memory goes back to the
+    system and the next step faults every page in again, which cost more
+    than the node saved.  Borrowed from a pool through a lease, the arrays
+    are allocated once per run.
+    """
 
-    def grad_v(self, q, chan):
-        x = q if chan is None else ad.concat_cols([q, chan])
-        _, g = nets.net_value_and_input_gradient(
-            self.model.potential_spec, self.v_layers, x)
-        return ad.slice_cols(g, 0, 2) if chan is not None else g
+    def __init__(self):
+        self._free, self._taken = {}, set()
 
-    def grad_k(self, p):
-        if self.model.fixed_kinetic:
-            return p
-        _, g = nets.net_value_and_input_gradient(
-            self.model.kinetic_spec, self.k_layers, p)
-        return g
+    def take(self, shape):
+        self._taken.add(shape)
+        stack = self._free.get(shape)
+        return stack.pop() if stack else np.empty(shape)
+
+    def give_back(self, arrays):
+        for a in arrays:
+            self._free.setdefault(a.shape, []).append(a)
+
+    def prune(self):
+        """Drop the kept arrays of shapes not taken since the last prune."""
+        self._free = {s: v for s, v in self._free.items() if s in self._taken}
+        self._taken = set()
 
 
-def _taped_rollout(taped, q0, p0, chan, dt, n_steps):
-    """Leapfrog rollout on the tape; returns lists of q and p Tensors."""
-    half = 0.5 * dt
-    qs, ps = [q0], [p0]
-    q, p = q0, p0
-    gv = taped.grad_v(q, chan)
+class _Lease:
+    """Arrays borrowed from ``pool`` (plain new arrays without one), all
+    handed back by ``release``, after which they must not be read."""
+
+    def __init__(self, pool=None):
+        self.pool, self._lent = pool, []
+
+    def empty(self, shape):
+        a = np.empty(shape) if self.pool is None else self.pool.take(shape)
+        self._lent.append(a)
+        return a
+
+    def release(self):
+        if self.pool is not None:
+            self.pool.give_back(self._lent)
+        self._lent = []
+
+
+class _CallRecord(_Lease):
+    """The V and K gradient calls of one training rollout in time order;
+    their arrays are borrowed through this lease."""
+
+    def __init__(self, pool=None):
+        super().__init__(pool)
+        self.v_calls, self.k_calls = [], []
+
+    def release(self):
+        self.v_calls, self.k_calls = [], []
+        super().release()
+        if self.pool is not None:
+            self.pool.prune()
+
+
+def _window_rollout(model, layers, starts, channels, dt, n_steps, record=None):
+    """Kernel rollout of (B, 4) start rows; the (B, n_steps + 1, 4) states.
+
+    A ``_CallRecord`` receives each V and K gradient call for
+    :func:`_rollout_adjoint`.
+    """
+    k_layers, v_layers = layers
+    v_calls, k_calls = (None, None) if record is None else (record.v_calls, record.k_calls)
+    grad_v = _gradient_columns(model.potential_spec, v_layers, channels, record, v_calls)
+    grad_k = (kinetic_grad_columns if model.fixed_kinetic
+              else _gradient_columns(model.kinetic_spec, k_layers, None, record, k_calls))
+    qx, qy, px, py = starts.T
+    fx, fy = grad_v(qx, qy)
+    cols = [(qx, qy, px, py)]
     for _ in range(n_steps):
-        p_half = ad.add_scaled(p, gv, -half)
-        q = ad.add_scaled(q, taped.grad_k(p_half), dt)
-        gv = taped.grad_v(q, chan)
-        p = ad.add_scaled(p_half, gv, -half)
-        qs.append(q)
-        ps.append(p)
-    return qs, ps
+        qx, qy, px, py, fx, fy = kick_drift_kick(qx, qy, px, py, fx, fy, dt,
+                                                 grad_v, grad_k)
+        cols.append((qx, qy, px, py))
+    return np.stack([np.stack(c, axis=1) for c in cols], axis=1)
+
+
+def _rollout_adjoint(model, layers, record, resid, scale, dt):
+    """Flat parameter gradient of the window loss by the discrete adjoint of
+    the leapfrog: a reverse kick-drift-kick on the costates of (q, p).
+
+    ``resid`` is the (B, n + 1, 4) rollout minus its targets and ``scale``
+    the loss's derivative per unit of residual.  Each V and K call's costate
+    is pulled back through ``nets.input_gradient_vjp``; its H·u output feeds
+    the costate of the position or momentum the call read.  The sums keep
+    the order of the op-by-op tape, so the gradient is bit-identical to it:
+    the position costate adds the target's term, the next position's and
+    then V's; the calls accumulate newest first when each gradient depends
+    on the state, and oldest first otherwise.
+    """
+    k_layers, v_layers = layers
+    v_calls, k_calls = record.v_calls, record.k_calls
+    v_spec, k_spec = model.potential_spec, model.kinetic_spec
+    v_grads = nets.new_gradients(v_layers)
+    k_grads = None if model.fixed_kinetic else nets.new_gradients(k_layers)
+    coupled = v_spec.activation == "tanh" and len(v_layers) > 1
+    deferred = []
+
+    def pull(spec, net_layers, call, u, grads, need_x=True):
+        if not coupled:
+            deferred.append((spec, net_layers, call, u, grads))
+            return None
+        scratch = _Lease(record.pool)
+        x, acts, chain = call
+        hu = nets.input_gradient_vjp(spec, net_layers, x, acts, chain, u, grads, need_x,
+                                     scratch.empty)
+        scratch.release()
+        return hu
+
+    def padded(g):  # V's gradient output costate, zero in the channel columns
+        if v_spec.n_inputs == 2:
+            return g
+        u = np.zeros((g.shape[0], v_spec.n_inputs))
+        u[:, :2] = g
+        return u
+
+    half = 0.5 * dt
+    lam_q = lam_h = None  # costates of the next position and next half-kick
+    for t in range(len(v_calls) - 1, 0, -1):
+        g_p = scale * resid[:, t, 2:]
+        if lam_h is not None:
+            g_p = g_p + lam_h
+        g_f = -half * g_p
+        if lam_h is not None:
+            g_f = g_f + -half * lam_h
+        hu = pull(v_spec, v_layers, v_calls[t], padded(g_f), v_grads)
+        g_q = scale * resid[:, t, :2]
+        if lam_q is not None:
+            g_q = g_q + lam_q
+        if hu is not None:
+            g_q = g_q + hu[:, :2]
+        g_k = dt * g_q
+        if model.fixed_kinetic:
+            lam_h = g_p + g_k
+        else:
+            hk = pull(k_spec, k_layers, k_calls[t - 1], g_k, k_grads)
+            lam_h = g_p if hk is None else g_p + hk
+        lam_q = g_q
+    pull(v_spec, v_layers, v_calls[0], padded(-half * lam_h), v_grads, need_x=False)
+    for spec, net_layers, (x, acts, chain), u, grads in reversed(deferred):
+        nets.input_gradient_vjp(spec, net_layers, x, acts, chain, u, grads, need_x=False)
+    flat = nets.flatten_params(v_grads)
+    return flat if k_grads is None else np.concatenate([nets.flatten_params(k_grads), flat])
 
 
 def srnn_loss(model, window, pot_params, dt):
@@ -305,34 +441,36 @@ DIVERGENCE_PENALTY = 1e6
 
 
 def _srnn_loss_graph(model, theta, windows, channels, dt,
-                     escape_radius=ESCAPE_RADIUS):
-    """Batched rollout loss graph.  ``windows`` is (B, L, 4).
+                     escape_radius=ESCAPE_RADIUS, pool=None):
+    """Batched rollout loss as one tape node on ``theta``.  ``windows`` is
+    (B, L, 4).
 
-    Windows whose rollout leaves the escape radius are excluded from the
-    graph and contribute a constant penalty instead: the divergence penalty
-    plus the squared distance at the last finite step.  The rollout runs
-    once; only when some window diverged is the taped rollout rerun over the
-    others, since a non-finite row would poison the gradient.  Returns
-    (loss, n_diverged).
+    Windows whose rollout leaves the escape radius are excluded and
+    contribute a constant penalty instead: the divergence penalty plus the
+    squared distance at the last finite step.  The rollout runs once; only
+    when some window diverged is it rerun over the others, so that the loss
+    and gradient of the finite rows are those of a batch without them.  The
+    loss sums each step's squared position and momentum errors in time
+    order; training and validation read the same value.  The node's
+    backward is :func:`_rollout_adjoint`; ``pool``, an :class:`ArrayPool`,
+    lends the arrays that keep the activations between forward and
+    backward.  Returns (loss, n_diverged).
     """
     b, length, _ = windows.shape
     if b == 0:
         raise EmptyBatch("rollout loss over an empty batch")
     n_steps = length - 1
-    taped = _TapedSeparable(model, theta)
+    layers = _separable_layers(model, theta.data)
     chan = None if channels is None else np.asarray(channels, dtype=np.float64)
 
     def rollout(rows):
-        q, p = Tensor(windows[rows, 0, :2]), Tensor(windows[rows, 0, 2:])
-        return _taped_rollout(taped, q, p, None if chan is None else Tensor(chan[rows]),
-                              dt, n_steps)
+        record = _CallRecord(pool) if theta.requires_grad else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = _window_rollout(model, layers, windows[rows, 0],
+                                   None if chan is None else chan[rows], dt, n_steps, record)
+        return pred, record
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        qs, ps = rollout(slice(None))
-    pred = np.stack(
-        [np.concatenate([qt.data, pt.data], axis=1) for qt, pt in zip(qs, ps)],
-        axis=1,
-    )
+    pred, record = rollout(slice(None))
     finite = np.all(np.isfinite(pred), axis=2)
     inside = finite & (
         np.max(np.abs(np.where(finite[:, :, None], pred[:, :, :2], 0.0)), axis=2)
@@ -349,23 +487,27 @@ def _srnn_loss_graph(model, theta, windows, channels, dt,
     n_diverged = int(b - idx.size)
     if idx.size == 0:
         return Tensor(penalty / b), n_diverged
-    if not theta.requires_grad:
-        diff = pred[idx, 1:] - windows[idx, 1:]
-        return Tensor(float(np.sum(diff * diff)) / b + penalty / b), n_diverged
-
     if n_diverged:
-        qs, ps = rollout(idx)
+        if record is not None:
+            record.release()
+        pred, record = rollout(idx)
+    resid = pred - windows[idx]
     total = None
     for t in range(1, n_steps + 1):
-        term = ad.add(
-            ad.sum_sq_diff(qs[t], windows[idx, t, :2]),
-            ad.sum_sq_diff(ps[t], windows[idx, t, 2:]),
-        )
-        total = term if total is None else ad.add(total, term)
-    loss = ad.scale(total, 1.0 / b)
+        d_q, d_p = resid[:, t, :2], resid[:, t, 2:]
+        term = (d_q * d_q).sum() + (d_p * d_p).sum()
+        total = term if total is None else total + term
+    c = 1.0 / b
+    value = total * c
     if penalty:
-        loss = ad.add(loss, Tensor(penalty / b))
-    return loss, n_diverged
+        value = value + penalty / b
+
+    def backward(g_out):
+        grad = _rollout_adjoint(model, layers, record, resid, g_out * c * 2.0, dt)
+        record.release()
+        return (grad,)
+
+    return ad.node(value, (theta,), backward), n_diverged
 
 
 @dataclass
@@ -409,12 +551,22 @@ def baseline_loss(model, states, derivs, channels=None):
 
 
 def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
+    """Mean squared derivative error as one tape node on ``theta``."""
     x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
-    layers = nets.segment_layers(spec, theta) if theta.requires_grad else [
-        (Tensor(w), Tensor(b)) for w, b in nets.unflatten_params(spec, theta.data)
-    ]
-    out = nets.net_apply(spec, layers, Tensor(x))
-    return ad.scale(ad.sum_sq_diff(out, derivs), 1.0 / (states.shape[0] * 4))
+    layers = nets.unflatten_params(spec, theta.data)
+    acts = nets.hidden_activations(spec, layers, x)
+    out = nets.numpy_forward(spec, layers, x, acts)
+    if out.shape != np.shape(derivs):
+        raise ShapeMismatch(f"targets must be {out.shape}, got {np.shape(derivs)}")
+    diff = out - derivs
+    c = 1.0 / (states.shape[0] * 4)
+
+    def backward(g_out):
+        grads = nets.new_gradients(layers)
+        nets.forward_vjp(spec, layers, x, acts, g_out * c * 2.0 * diff, grads)
+        return (nets.flatten_params(grads),)
+
+    return ad.node((diff * diff).sum() * c, (theta,), backward)
 
 
 def baseline_rollout(model, state0, pot_params, dt, n_steps,

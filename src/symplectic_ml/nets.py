@@ -1,25 +1,29 @@
-"""Dense feed-forward networks: a taped path for training, one numpy path
-for inference.
+"""Dense feed-forward networks in numpy, with closed-form reverse sweeps.
 
 Canonical flat parameter order, used by every model and checkpoint in this
 package: for each layer from input to output, all entries of the weight
 matrix (shape ``(fan_out, fan_in)``, row-major), then the bias vector.
 
-Input gradients are computed in closed form — the reverse sweep of the chain
-rule written as successive matrix products with activation derivatives.
-For training they are built out of taped primitives, so the gradient is
-itself a graph node and losses containing input gradients back-propagate
-exactly into the parameters with a single reverse pass.  Every inference
-path runs ``numpy_forward`` and ``numpy_input_gradient`` instead: the same
-expressions in the same order, so bit-identical to the tape.
+One forward pass serves inference and training: :func:`hidden_activations`
+keeps each hidden layer's output, :func:`numpy_forward` adds the output
+layer, and :func:`input_gradient` gives the gradient of one output in the
+inputs in closed form — the reverse sweep of the chain rule written as
+successive matrix products with activation derivatives.
+
+Training losses are closed-form tape nodes built on two reverse sweeps:
+:func:`forward_vjp`, the vector-Jacobian product of the output, and
+:func:`input_gradient_vjp`, the second-order one of ``u · ∇ₓf``, which also
+gives the Hessian-vector product H·u (Pearlmutter, Neural Computation 1994).
+Both add into per-layer accumulators with the expressions, and in the
+order, of the same network built op by op on the tape, so the gradients are
+bit-identical to it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, grad_params_through
+from .autodiff import grad_params_through
 from .errors import ShapeMismatch
 
 ACTIVATIONS = ("tanh", "identity")
@@ -96,97 +100,133 @@ def flatten_params(layers):
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
 
 
-def segment_layers(spec, theta):
-    """Slice a flat parameter Tensor into taped [(W, b)] pairs."""
-    if theta.data.shape != (param_count(spec),):
-        raise ShapeMismatch(
-            f"expected {param_count(spec)} parameters, got shape {theta.data.shape}"
-        )
-    layers = []
-    i = 0
-    for (fan_out, fan_in), _ in layer_shapes(spec):
-        w = ad.segment(theta, i, i + fan_out * fan_in, (fan_out, fan_in))
-        i += fan_out * fan_in
-        b = ad.segment(theta, i, i + fan_out, (fan_out,))
-        i += fan_out
-        layers.append((w, b))
-    return layers
+def new_gradients(layers):
+    """Zeroed per-layer ``[dW, db]`` accumulators for the VJPs below;
+    ``flatten_params`` flattens them.  Adding a first term to zero gives
+    the term itself, a negative zero turned positive as on the tape."""
+    return [[np.zeros_like(w), np.zeros_like(b)] for w, b in layers]
 
 
-def net_apply(spec, layers, x):
-    """Forward pass on a (batch, n_inputs) Tensor; returns the output Tensor."""
-    out, _ = net_apply_cached(spec, layers, x)
-    return out
-
-
-def net_apply_cached(spec, layers, x):
-    """Forward pass returning (output, hidden activations) for reuse."""
-    if x.data.ndim != 2 or x.data.shape[1] != spec.n_inputs:
-        raise ShapeMismatch(
-            f"input must be (batch, {spec.n_inputs}), got {x.data.shape}"
-        )
+def hidden_activations(spec, layers, x, empty=np.empty):
+    """Each hidden layer's output for a (batch, n_inputs) array, input side
+    first; ``empty(shape)`` supplies the arrays they are written into."""
+    if x.ndim != 2 or x.shape[1] != spec.n_inputs:
+        raise ShapeMismatch(f"input must be (batch, {spec.n_inputs}), got {x.shape}")
     acts = []
     h = x
     for w, b in layers[:-1]:
-        z = ad.linear(h, w, b)
-        h = ad.tanh(z) if spec.activation == "tanh" else z
-        acts.append(h)
-    w, b = layers[-1]
-    return ad.linear(h, w, b), acts
-
-
-def net_input_gradient(spec, layers, x, acts, output_index=0):
-    """Gradient of one output component with respect to the inputs.
-
-    Reverse sweep in closed form: seed a one-hot row on the output, pull it
-    back through each layer as ``g @ W`` times the activation derivative.
-    Returns a (batch, n_inputs) Tensor that is itself differentiable with
-    respect to the layer parameters.
-    """
-    batch = x.data.shape[0]
-    seed = np.zeros((batch, spec.n_outputs))
-    seed[:, output_index] = 1.0
-    g = Tensor(seed)
-    for (w, _), h in zip(reversed(layers[1:]), reversed(acts)):
-        g = ad.matmul(g, w)
+        h = np.matmul(h, w.T, out=empty((x.shape[0], w.shape[0])))
+        h += b
         if spec.activation == "tanh":
-            g = ad.mul(g, ad.one_minus_sq(h))
-    return ad.matmul(g, layers[0][0])
-
-
-def net_value_and_input_gradient(spec, layers, x, output_index=0):
-    """Forward output together with the input gradient, sharing one pass."""
-    out, acts = net_apply_cached(spec, layers, x)
-    return out, net_input_gradient(spec, layers, x, acts, output_index)
-
-
-def _hidden(spec, layers, x):
-    acts = []
-    h = x
-    for w, b in layers[:-1]:
-        z = h @ w.T + b
-        h = np.tanh(z) if spec.activation == "tanh" else z
+            np.tanh(h, out=h)
         acts.append(h)
     return acts
 
 
-def numpy_forward(spec, layers, x):
-    """Untaped forward pass of a (batch, n_inputs) array over ``[(W, b)]``."""
-    acts = _hidden(spec, layers, x)
+def numpy_forward(spec, layers, x, acts=None):
+    """Output for a (batch, n_inputs) array over ``[(W, b)]``; ``acts`` from
+    :func:`hidden_activations` are reused when given."""
+    if acts is None:
+        acts = hidden_activations(spec, layers, x)
     w, b = layers[-1]
     return (acts[-1] if acts else x) @ w.T + b
 
 
-def numpy_input_gradient(spec, layers, x, output_index=0):
-    """Untaped input gradient of one output component; (batch, n_inputs)."""
-    acts = _hidden(spec, layers, x)
+def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty):
+    """Gradient of one output component in the inputs, (batch, n_inputs),
+    and the chain that :func:`input_gradient_vjp` reads.
+
+    A one-hot row on the output is pulled back through each layer as
+    ``g @ W`` times the activation derivative ``1 - h*h``.  The chain holds
+    each layer's left operand in that product and, per hidden layer, the
+    product and the derivative it was multiplied by; ``empty(shape)``
+    supplies their arrays.
+    """
+    n = len(layers)
+    lefts, products, derivs = [None] * n, [None] * (n - 1), [None] * (n - 1)
     g = np.zeros((x.shape[0], spec.n_outputs))
     g[:, output_index] = 1.0
-    for (w, _), h in zip(reversed(layers[1:]), reversed(acts)):
-        g = g @ w
+    lefts[n - 1] = g
+    for i in range(n - 2, -1, -1):
+        w = layers[i + 1][0]
+        if i < n - 2:
+            g = np.matmul(g, w, out=empty(acts[i].shape))
+        elif spec.activation == "tanh":
+            g = w[output_index]  # the one-hot row times w, bit for bit
+        else:
+            g = np.broadcast_to(w[output_index], acts[i].shape).copy()
         if spec.activation == "tanh":
-            g = g * (1.0 - h * h)
-    return g @ layers[0][0]
+            m = np.multiply(acts[i], acts[i], out=empty(acts[i].shape))
+            products[i], derivs[i] = g, np.subtract(1.0, m, out=m)
+            g = np.multiply(g, m, out=empty(acts[i].shape))
+        lefts[i] = g
+    return g @ layers[0][0], (lefts, products, derivs)
+
+
+def numpy_input_gradient(spec, layers, x, output_index=0):
+    """Input gradient of one output component; (batch, n_inputs)."""
+    return input_gradient(spec, layers, x, hidden_activations(spec, layers, x),
+                          output_index)[0]
+
+
+def forward_vjp(spec, layers, x, acts, g_out, grads, need_x=False):
+    """Pull the output costate ``g_out`` back through the net: adds the
+    parameter gradient into ``grads`` and returns the input costate, or
+    None without ``need_x``."""
+    return _sweep(spec, layers, x, acts, len(layers) - 1, g_out, grads, need_x, np.empty)
+
+
+def input_gradient_vjp(spec, layers, x, acts, chain, u, grads, need_x=True,
+                       empty=np.empty):
+    """Second-order VJP: pull back the costate ``u`` of :func:`input_gradient`.
+
+    Adds the parameter gradient of ``u · ∇ₓf`` into ``grads`` — per layer,
+    the product's term first, then the forward layer's — and returns the
+    Hessian-vector product H·u, (batch, n_inputs).  It returns None when the
+    input gradient does not depend on the input (no hidden layer, or the
+    identity activation) or without ``need_x``.  ``empty(shape)`` supplies
+    the temporaries, none of which is returned.
+    """
+    lefts, products, derivs = chain
+    n = len(layers)
+    tanh = spec.activation == "tanh"
+    pulled = [None] * (n - 1)  # costates of the hidden outputs through 1 - h*h
+    g = u
+    for i in range(n):
+        w = layers[i][0]
+        if i < n - 1:
+            g_left = np.matmul(g, w.T, out=empty((g.shape[0], w.shape[0])))
+        grads[i][0] += np.matmul(lefts[i].T, g, out=empty(w.shape))
+        if i == n - 1:
+            break
+        if tanh:
+            pulled[i] = np.multiply(g_left, products[i], out=empty(g_left.shape))
+            pulled[i] *= -2.0
+            pulled[i] *= acts[i]
+            g_left *= derivs[i]
+        g = g_left
+    if not (tanh and n > 1):
+        return None
+    return _sweep(spec, layers, x, acts, n - 2, pulled[-1], grads, need_x, empty,
+                  pulled, derivs)
+
+
+def _sweep(spec, layers, x, acts, top, g, grads, need_x, empty, pulled=None, derivs=None):
+    """Reverse sweep of the forward pass from layer ``top`` down, ``g`` the
+    costate of that layer's output; ``pulled`` adds the costates that reach
+    the hidden outputs from elsewhere."""
+    for i in range(top, -1, -1):
+        w = layers[i][0]
+        if i < len(acts) and spec.activation == "tanh":
+            m = derivs[i] if derivs is not None else 1.0 - acts[i] * acts[i]
+            g = np.multiply(g, m, out=g if i < top else empty(g.shape))
+        grads[i][0] += np.matmul(g.T, acts[i - 1] if i else x, out=empty(w.shape))
+        grads[i][1] += g.sum(axis=0)
+        if i == 0:
+            return g @ w if need_x else None
+        g = np.matmul(g, w, out=empty((g.shape[0], w.shape[1])))
+        if pulled is not None:
+            g += pulled[i - 1]
 
 
 def _as_batch(x, n):
@@ -245,13 +285,13 @@ __all__ = [
     "init_params",
     "unflatten_params",
     "flatten_params",
-    "segment_layers",
-    "net_apply",
-    "net_apply_cached",
-    "net_input_gradient",
-    "net_value_and_input_gradient",
+    "new_gradients",
+    "hidden_activations",
     "numpy_forward",
+    "input_gradient",
     "numpy_input_gradient",
+    "forward_vjp",
+    "input_gradient_vjp",
     "forward",
     "grad_inputs",
     "grad_params_through",

@@ -8,15 +8,17 @@ derives from the config seed, so a rerun reproduces losses and parameters
 bit for bit.
 """
 
+import math
 import time
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import lstm, models, nets
 from .autodiff import Tensor
-from .datapipe import window_dataset
+from .datapipe import check_field, finite_positive, window_dataset
 from .errors import DivergedTraining, EmptyBatch
 from .nets import DenseNetSpec
 
@@ -85,6 +87,8 @@ class TrainConfig:
     ``hidden`` sizes the dense nets; the encoder uses ``encoder_hidden``
     LSTM units instead.  ``adaptable`` appends parameter channels to the
     relevant network input (for the separable model, only the potential's).
+    Every field is checked for type and range on construction; a bad one
+    raises ValueError naming it.
     """
 
     model_kind: str
@@ -107,9 +111,30 @@ class TrainConfig:
     def __post_init__(self):
         if self.model_kind not in ("baseline", "hnn", "asrnn", "encoder"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        for name in ("epochs", "batch_size", "encoder_hidden", "encoder_window",
+                     "encoder_stride"):
+            check_field(name, getattr(self, name), Integral, lambda n: n >= 1,
+                        "an integer >= 1")
+        check_field("window_len", self.window_len, Integral, lambda n: n >= 2,
+                    "an integer >= 2")
+        check_field("seed", self.seed, Integral, lambda n: n >= 0, "an integer >= 0")
+        check_field("param_channels", self.param_channels, Integral, lambda n: n in (1, 2),
+                    "1 or 2")
+        for name in ("adaptable", "fixed_kinetic"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("lr", "grad_clip"):
+            check_field(name, getattr(self, name), Real, finite_positive, "finite and > 0")
+        check_field("lr_decay", self.lr_decay, Real, lambda x: 0 < x <= 1, "in (0, 1]")
+        check_field("val_fraction", self.val_fraction, Real, lambda x: 0 <= x < 1,
+                    "in [0, 1)")
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ValueError(f"hidden must be a list of layer widths, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(
+            int(check_field("hidden", h, Real,
+                            lambda x: math.isfinite(x) and x >= 1 and x == int(x),
+                            "a list of integers >= 1"))
+            for h in self.hidden))
 
     def to_dict(self):
         d = self.__dict__.copy()
@@ -176,10 +201,12 @@ def _build_problem(config, dataset):
             fixed_kinetic=config.fixed_kinetic,
         )
 
+        pool = models.ArrayPool()
+
         def loss_graph(theta, idx):
             loss, _ = models._srnn_loss_graph(
                 template, theta, wins.windows[idx],
-                None if chan is None else chan[idx], wins.dt)
+                None if chan is None else chan[idx], wins.dt, pool=pool)
             return loss
 
         def build_model(theta):

@@ -37,6 +37,7 @@ from symplectic_ml import (
 from symplectic_ml import nets
 from symplectic_ml.autodiff import Tensor
 
+import helpers as H
 from helpers import constant_trajectory
 
 FREE = PotentialParams.single(0.0)
@@ -315,7 +316,7 @@ def test_learned_flow_matches_taped_stepper_bit_for_bit(channels):
 
     def taped_gradient(spec, params, x):
         layers = [(Tensor(w), Tensor(b)) for w, b in nets.unflatten_params(spec, params)]
-        return nets.net_value_and_input_gradient(spec, layers, Tensor(x))[1].data
+        return H.taped_value_and_input_gradient(spec, layers, x)[1].data
 
     def grad_v(q):
         x = np.concatenate([q, np.full((q.shape[0], channels), 0.6)], axis=1)

@@ -1,22 +1,33 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import shutil
+import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symplectic_ml import (
     EncoderModel,
+    GenerationConfig,
     HH_FIELD,
     PhaseState,
     PotentialParams,
     SeparableModel,
+    TrainConfig,
     cli,
+    training,
     integrate,
     load_checkpoint,
     load_dataset,
 )
+
+from helpers import JSON_VALUES
 
 
 def _read_csv(path):
@@ -292,6 +303,71 @@ def test_train_rejects_unknown_config_key(ws, data_dir, capsys):
                    "--dataset", str(data_dir), "--set", "bogus=1"])
     assert rc == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "epochs=1.5", "batch_size=1e9", "lr=nan", "lr_decay=inf", "window_len=1",
+    "val_fraction=2", "hidden=[0]", "lr=-1", "grad_clip=-1",
+])
+def test_train_rejects_each_bad_field(ws, data_dir, capsys, override):
+    rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "asrnn",
+                   "--dataset", str(data_dir), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad training config: ")
+    assert override.partition("=")[0] in err
+
+
+_TRAIN_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
+_GENERATION_FIELDS = [f.name for f in dataclasses.fields(GenerationConfig)]
+_OVERRIDE_VALUES = st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=6))
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=st.sampled_from(["baseline", "hnn", "asrnn", "encoder"]),
+       field=st.sampled_from(_TRAIN_FIELDS), value=_OVERRIDE_VALUES)
+def test_any_train_config_value_exits_cleanly(ws, data_dir, model, field, value):
+    # a valid config trains for real, cut to one epoch of small networks,
+    # since a valid one may ask for any amount of work
+    real_train = training.train
+
+    def small_train(config, dataset):
+        return real_train(dataclasses.replace(
+            config, epochs=1, hidden=tuple(min(h, 4) for h in config.hidden),
+            encoder_hidden=min(config.encoder_hidden, 4)), dataset)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.training, "train", small_train)
+        rc, err = _run_quietly(["train", "--out", str(ws / "prop.json"), "--model", model,
+                                "--dataset", str(data_dir), "--set", f"{field}={value}"])
+    assert rc in (0, 1, 2)
+    assert (rc == 1) == err.startswith("usage error: bad training config: ")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(_GENERATION_FIELDS), value=_OVERRIDE_VALUES)
+def test_any_generation_config_value_is_accepted_or_a_usage_error(ws, data_dir, field, value):
+    dataset = load_dataset(data_dir)
+
+    def fake_generate(config):
+        assert isinstance(config, GenerationConfig)
+        return dataset
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.datapipe, "generate_dataset", fake_generate)
+        rc, err = _run_quietly(["generate", "--out", str(ws / "prop-data"), "--alphas", "0.5",
+                                "--energies", "1/12", "--set", f"{field}={value}"])
+    assert rc in (0, 1)
+    assert (rc == 1) == err.startswith("usage error: bad generation config: ")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,15 @@ def test_config_validation_matrix():
         dict(ok, transient=3000),
         dict(ok, param_channels=3),
         dict(ok, param_values=((1.0, 2.0),)),  # single family needs alpha == beta
+        dict(ok, param_values=((np.inf, np.inf),)),
+        dict(ok, param_values=((1.0,),)),
+        dict(ok, energies=(np.nan,)),
+        dict(ok, n_per_cell=1.5),
+        dict(ok, n_per_cell=True),
+        dict(ok, fine_dt=np.inf),
+        dict(ok, coarse_factor="100"),
+        dict(ok, series_length=40.0),
+        dict(ok, seed=-1),
     ):
         with pytest.raises(ValueError):
             GenerationConfig(**bad)

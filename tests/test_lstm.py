@@ -29,6 +29,7 @@ from symplectic_ml.lstm import (
 from symplectic_ml.models import SeparableModel, asrnn_rollout
 from symplectic_ml.nets import DenseNetSpec, param_count
 
+import helpers as H
 from helpers import param_grad_check
 
 TANH_ONE = 0.7615941559557649  # tanh(1)
@@ -290,7 +291,7 @@ def _taped_encode(theta, windows, hidden, param_outputs):
     p, i = {}, 0
     for name, shape in layout + [("Wh", (n_out, hidden)), ("bh", (n_out,))]:
         size = int(np.prod(shape))
-        p[name] = ad.segment(theta, i, i + size, shape)
+        p[name] = H.segment(theta, i, i + size, shape)
         i += size
     h = Tensor(np.zeros((windows.shape[0], hidden)))
     c = Tensor(np.zeros((windows.shape[0], hidden)))
@@ -298,13 +299,13 @@ def _taped_encode(theta, windows, hidden, param_outputs):
         x = Tensor(windows[:, t, :])
 
         def gate(k, act):
-            return act(ad.add(ad.linear(x, p[f"U{k}"], p[f"b{k}"]), ad.linear(h, p[f"V{k}"])))
+            return act(H.add(H.linear(x, p[f"U{k}"], p[f"b{k}"]), H.linear(h, p[f"V{k}"])))
 
         f, i_gate, o, g = (gate("f", _taped_sigmoid), gate("i", _taped_sigmoid),
-                           gate("o", _taped_sigmoid), gate("c", ad.tanh))
-        c = ad.add(ad.mul(f, c), ad.mul(i_gate, g))
-        h = ad.mul(o, ad.tanh(c))
-    return ad.linear(h, p["Wh"], p["bh"])
+                           gate("o", _taped_sigmoid), gate("c", H.tanh))
+        c = H.add(H.mul(f, c), H.mul(i_gate, g))
+        h = H.mul(o, H.tanh(c))
+    return H.linear(h, p["Wh"], p["bh"])
 
 
 def _loss_and_grad(build, flat):

@@ -39,6 +39,7 @@ from symplectic_ml.models import (
 )
 from symplectic_ml.nets import DenseNetSpec, flatten_params, init_params, param_count
 
+import helpers as H
 from helpers import param_grad_check
 
 POT = PotentialParams.single(1.0)
@@ -266,7 +267,7 @@ def test_rollout_matches_manual_leapfrog():
 def _taped_gradient(spec, params, x):
     """Input gradient through the tape, as the training graphs compute it."""
     layers = [(Tensor(w), Tensor(b)) for w, b in nets.unflatten_params(spec, params)]
-    return nets.net_value_and_input_gradient(spec, layers, Tensor(x))[1].data
+    return H.taped_value_and_input_gradient(spec, layers, x)[1].data
 
 
 @pytest.mark.parametrize("fixed_kinetic", [False, True])
@@ -435,13 +436,13 @@ def _finite_and_diverged_batches():
 
 def _count_rollout_rows(monkeypatch):
     rows = []
-    real = models._taped_rollout
+    real = models._window_rollout
 
-    def counting(taped, q0, p0, chan, dt, n_steps):
-        rows.append(q0.data.shape[0])
-        return real(taped, q0, p0, chan, dt, n_steps)
+    def counting(model, layers, starts, *args):
+        rows.append(starts.shape[0])
+        return real(model, layers, starts, *args)
 
-    monkeypatch.setattr(models, "_taped_rollout", counting)
+    monkeypatch.setattr(models, "_window_rollout", counting)
     return rows
 
 
@@ -458,8 +459,9 @@ def test_rollout_loss_reruns_the_tape_only_after_divergence(monkeypatch, batch, 
     assert n_diverged == (batch == "diverged")
     assert rows == expected
     rows.clear()
+    # validation computes the same loss, so it reruns over the same rows
     models._srnn_loss_graph(model, Tensor(model.params), windows, None, 0.1)
-    assert rows == expected[:1]
+    assert rows == expected
 
 
 def test_taped_rollout_states_match_untaped_bit_for_bit():
@@ -467,13 +469,14 @@ def test_taped_rollout_states_match_untaped_bit_for_bit():
                        param_channels=1)
     windows = _finite_and_diverged_batches()["finite"]
     q, p = Tensor(windows[:, 0, :2]), Tensor(windows[:, 0, 2:])
-    chan = Tensor(np.full((2, 1), 0.7))
+    chan = np.full((2, 1), 0.7)
     theta = Tensor(model.params.copy(), requires_grad=True)
-    taped = models._taped_rollout(models._TapedSeparable(model, theta), q, p, chan, 0.1, 4)
-    plain = models._taped_rollout(models._TapedSeparable(model, Tensor(model.params)),
-                                  q, p, chan, 0.1, 4)
-    for a, b in zip(taped[0] + taped[1], plain[0] + plain[1]):
-        assert np.array_equal(a.data, b.data)
+    qs, ps = H.taped_rollout(model, theta, q, p, Tensor(chan), 0.1, 4)
+    plain = models._window_rollout(model, models._separable_layers(model, model.params),
+                                   windows[:, 0], chan, 0.1, 4)
+    for t, (q_t, p_t) in enumerate(zip(qs, ps)):
+        assert np.array_equal(q_t.data, plain[:, t, :2])
+        assert np.array_equal(p_t.data, plain[:, t, 2:])
 
 
 @pytest.mark.parametrize("batch", ["finite", "diverged"])
@@ -485,8 +488,127 @@ def test_training_and_validation_losses_agree(batch):
     plain, n_plain = models._srnn_loss_graph(model, Tensor(model.params), windows,
                                              None, 0.1)
     assert n_taped == n_plain
-    # the tape sums step by step and numpy pairwise, so agreement is to round-off
-    assert taped.item() == pytest.approx(plain.item(), rel=1e-14, abs=0.0)
+    assert np.float64(taped.item()).tobytes() == np.float64(plain.item()).tobytes()
+
+
+def _diverging_start(fixed_kinetic, length):
+    """A start row whose rollout leaves the escape radius: mid-window under
+    the fixed kinetic energy, at the start otherwise."""
+    if fixed_kinetic and length > 2:
+        return [9.0, 9.0, 6.0, 6.0]
+    return [10.5, 0.0, 0.0, 0.0]
+
+
+# (hidden, activation, fixed_kinetic, channels, window length, batch, diverged)
+_SRNN_CASES = [
+    ((), "tanh", False, 1, 11, 3, 0),
+    ((6,), "tanh", False, 1, 11, 3, 0),
+    ((6, 6), "tanh", False, 1, 11, 3, 0),
+    ((4, 5, 6), "tanh", False, 1, 11, 3, 0),
+    ((), "identity", False, 1, 11, 3, 0),
+    ((6,), "identity", False, 1, 11, 3, 0),
+    ((4, 5, 6), "identity", True, 1, 11, 3, 0),
+    ((6, 6), "tanh", False, 0, 11, 3, 0),
+    ((6, 6), "tanh", False, 2, 11, 3, 0),
+    ((6, 6), "tanh", True, 0, 11, 3, 0),
+    ((6, 6), "tanh", True, 2, 2, 3, 0),
+    ((6, 6), "identity", True, 2, 2, 3, 0),
+    ((6, 6), "tanh", False, 1, 2, 3, 0),
+    ((6, 6), "tanh", False, 1, 11, 1, 0),
+    ((6, 6), "tanh", False, 1, 11, 1, 1),
+    ((6, 6), "tanh", False, 1, 11, 3, 1),
+    ((6, 6), "tanh", True, 1, 11, 3, 2),
+    ((6, 6), "identity", False, 0, 11, 3, 2),
+    ((6, 6), "tanh", False, 1, 11, 100, 0),
+    ((6, 6), "tanh", True, 2, 11, 100, 1),
+    ((6, 6), "tanh", False, 1, 11, 100, 30),
+    ((6,), "identity", True, 2, 2, 100, 30),
+    ((16, 16), "tanh", False, 1, 11, 128, 0),
+    ((16, 16), "tanh", False, 1, 11, 128, 1),
+    ((4, 5, 6), "tanh", True, 2, 11, 128, 50),
+    ((), "identity", False, 0, 2, 128, 50),
+]
+
+
+@pytest.mark.parametrize("hidden,activation,fixed,channels,length,batch,n_div", _SRNN_CASES)
+def test_rollout_loss_matches_tape_bit_for_bit(hidden, activation, fixed, channels, length,
+                                              batch, n_div):
+    model = _separable(k_sizes=(2, *hidden, 1), v_sizes=(2 + channels, *hidden, 1),
+                       seed=batch + length + len(hidden), scale=0.3, fixed_kinetic=fixed,
+                       adaptable=channels > 0, param_channels=channels)
+    model.kinetic_spec = DenseNetSpec(model.kinetic_spec.layer_sizes, activation)
+    model.potential_spec = DenseNetSpec(model.potential_spec.layer_sizes, activation)
+    rng = np.random.default_rng(batch * length)
+    windows = rng.uniform(-0.5, 0.5, size=(batch, length, 4))
+    windows[rng.permutation(batch)[:n_div], 0] = _diverging_start(fixed, length)
+    chan = rng.uniform(0.2, 1.0, size=(batch, channels)) if channels else None
+    theta = Tensor(model.params.copy(), requires_grad=True)
+    loss, n_diverged = models._srnn_loss_graph(model, theta, windows, chan, 0.1)
+    grad = ad.grad_params_through(loss, theta)
+    ref_theta = Tensor(model.params.copy(), requires_grad=True)
+    ref, ref_diverged = H.taped_srnn_loss(model, ref_theta, windows, chan, 0.1)
+    ref_grad = ad.grad_params_through(ref, ref_theta)
+    assert n_diverged == ref_diverged == n_div
+    assert np.float64(loss.item()).tobytes() == np.float64(ref.item()).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert n_div == batch or np.any(grad != 0.0)
+
+
+def test_pooled_steps_match_unpooled_bit_for_bit():
+    # one pool across steps that reuse its arrays, rerun after divergence
+    # and change the batch size; a reused array read too late would show
+    model = _separable(k_sizes=(2, 8, 8, 1), v_sizes=(3, 8, 8, 1), seed=40, scale=0.3,
+                       adaptable=True, param_channels=1)
+    rng = np.random.default_rng(41)
+    pool = models.ArrayPool()
+    for step, (batch, n_div) in enumerate([(6, 0), (6, 0), (6, 2), (4, 0), (6, 0)]):
+        windows = rng.uniform(-0.5, 0.5, size=(batch, 11, 4))
+        windows[:n_div, 0] = [10.5, 0.0, 0.0, 0.0]
+        chan = rng.uniform(0.2, 1.0, size=(batch, 1))
+        params = model.params + 0.01 * step
+        results = []
+        for kw in ({"pool": pool}, {}):
+            theta = Tensor(params.copy(), requires_grad=True)
+            loss, _ = models._srnn_loss_graph(model, theta, windows, chan, 0.1, **kw)
+            grad = ad.grad_params_through(loss, theta)
+            results.append((np.float64(loss.item()).tobytes(), grad.tobytes()))
+        assert results[0] == results[1], step
+
+
+def test_array_pool_keeps_only_shapes_in_use():
+    pool = models.ArrayPool()
+    a, b = pool.take((3, 2)), pool.take((5, 2))
+    pool.give_back([a, b])
+    pool.prune()
+    assert pool.take((3, 2)) is a
+    pool.give_back([a])
+    pool.prune()  # (5, 2) was not taken since the last prune
+    assert pool.take((5, 2)) is not b
+
+
+@pytest.mark.parametrize("kind", ["hnn", "baseline"])
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 6), (4, 5, 6)])
+def test_derivative_losses_match_tape_bit_for_bit(kind, activation, hidden):
+    node, taped = {"hnn": (models._hnn_loss_graph, H.taped_hnn_loss),
+                   "baseline": (models._baseline_loss_graph, H.taped_baseline_loss)}[kind]
+    for channels in (0, 1, 2):
+        for batch in (1, 3, 100, 128):
+            spec = DenseNetSpec((4 + channels, *hidden, 1 if kind == "hnn" else 4),
+                                activation)
+            rng = np.random.default_rng(batch + 7 * channels)
+            theta0 = 0.5 * rng.normal(size=param_count(spec))
+            states, derivs = rng.normal(size=(batch, 4)), rng.normal(size=(batch, 4))
+            chan = rng.uniform(0.2, 1.0, size=(batch, channels)) if channels else None
+            args = ((states, derivs[:, :2], derivs[:, 2:], chan) if kind == "hnn"
+                    else (states, derivs, chan))
+            results = []
+            for build in (node, taped):
+                theta = Tensor(theta0.copy(), requires_grad=True)
+                loss = build(spec, theta, channels, *args)
+                grad = ad.grad_params_through(loss, theta)
+                results.append((np.float64(loss.item()).tobytes(), grad.tobytes()))
+            assert results[0] == results[1], (channels, batch)
 
 
 def test_rollout_loss_rejects_empty_batch():

@@ -1,5 +1,6 @@
-"""Dense networks: shapes, initialisation, forward values, and the
-closed-form input gradient (including second-order use in losses)."""
+"""Dense networks: shapes, initialisation, forward values, the closed-form
+input gradient, and the reverse sweeps the training nodes are built on —
+bit-identical to the same networks built op by op on the tape."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from symplectic_ml import autodiff as ad
 from symplectic_ml import nets
-from symplectic_ml.autodiff import Tensor
+from symplectic_ml.autodiff import Tensor, grad_params_through
 from symplectic_ml.errors import ShapeMismatch
 from symplectic_ml.nets import (
     DenseNetSpec,
@@ -17,16 +18,17 @@ from symplectic_ml.nets import (
     flatten_params,
     forward,
     grad_inputs,
+    hidden_activations,
     init_params,
+    input_gradient,
     layer_shapes,
-    net_value_and_input_gradient,
     numpy_forward,
     numpy_input_gradient,
     param_count,
-    segment_layers,
     unflatten_params,
 )
 
+import helpers as H
 from helpers import param_grad_check
 
 TANH_HALF = 0.46211715726000974  # tanh(0.5)
@@ -108,12 +110,6 @@ def test_unflatten_rejects_wrong_length():
     spec = DenseNetSpec((3, 5, 2))
     with pytest.raises(ShapeMismatch):
         unflatten_params(spec, np.zeros(param_count(spec) + 1))
-
-
-def test_segment_layers_rejects_wrong_length():
-    spec = DenseNetSpec((3, 5, 2))
-    with pytest.raises(ShapeMismatch):
-        segment_layers(spec, Tensor(np.zeros(7), requires_grad=True))
 
 
 @given(sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=4))
@@ -206,30 +202,50 @@ def test_grad_inputs_batch_rows_match_single_rows():
                                    rtol=1e-13, atol=1e-15)
 
 
+def _input_gradient_loss(spec, theta, x, target):
+    """``sum((∇ₓf - target)**2)`` as one node, its backward the
+    second-order VJP."""
+    layers = unflatten_params(spec, theta.data)
+    acts = hidden_activations(spec, layers, x)
+    g, chain = input_gradient(spec, layers, x, acts)
+    diff = g - target
+
+    def backward(g_out):
+        grads = nets.new_gradients(layers)
+        nets.input_gradient_vjp(spec, layers, x, acts, chain, g_out * 2.0 * diff, grads,
+                                need_x=False)
+        return (nets.flatten_params(grads),)
+
+    return ad.node((diff * diff).sum(), (theta,), backward)
+
+
 def test_loss_on_input_gradient_backpropagates_into_params():
-    # Second-order check: the input gradient is itself a graph node, so a
-    # loss built from it must have correct parameter derivatives.
+    # Second-order check: a loss built from the input gradient must have
+    # correct parameter derivatives.
     spec = DenseNetSpec((4, 8, 1))
     theta0 = init_params(spec, 5)
-    x = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
+    x = np.random.default_rng(6).normal(size=(3, 4))
     target = np.random.default_rng(7).normal(size=(3, 4))
-
-    def build(theta):
-        layers = segment_layers(spec, theta)
-        _, grad = net_value_and_input_gradient(spec, layers, x)
-        return ad.sum_sq_diff(grad, Tensor(target))
-
-    assert param_grad_check(build, theta0) <= 1e-4
+    assert param_grad_check(lambda theta: _input_gradient_loss(spec, theta, x, target),
+                            theta0) <= 1e-4
 
 
 def test_value_and_gradient_share_consistent_forward():
     spec = DenseNetSpec((2, 8, 1))
     params = init_params(spec, 9)
     x = np.array([[0.2, -0.4]])
-    layers = [(Tensor(w), Tensor(b)) for w, b in unflatten_params(spec, params)]
-    out, grad = net_value_and_input_gradient(spec, layers, Tensor(x))
-    assert out.data[0, 0] == forward(spec, params, x[0])[0]
-    assert np.array_equal(grad.data[0], grad_inputs(spec, params, x[0]))
+    layers = unflatten_params(spec, params)
+    acts = hidden_activations(spec, layers, x)
+    assert numpy_forward(spec, layers, x, acts)[0, 0] == forward(spec, params, x[0])[0]
+    grad, _ = input_gradient(spec, layers, x, acts)
+    assert np.array_equal(grad[0], grad_inputs(spec, params, x[0]))
+
+
+def test_hidden_activations_reject_wrong_width():
+    spec = DenseNetSpec((3, 4, 1))
+    layers = unflatten_params(spec, init_params(spec, 0))
+    with pytest.raises(ShapeMismatch):
+        hidden_activations(spec, layers, np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
@@ -244,11 +260,62 @@ def test_numpy_path_matches_tape_bit_for_bit(activation, batch, sizes):
     taped = [(Tensor(w), Tensor(b)) for w, b in layers]
     value = numpy_forward(spec, layers, x)
     for k in range(spec.n_outputs):
-        ref_value, ref_grad = net_value_and_input_gradient(spec, taped, Tensor(x), k)
+        ref_value, ref_grad = H.taped_value_and_input_gradient(spec, taped, x, k)
         assert np.array_equal(value, ref_value.data)
         assert np.array_equal(numpy_input_gradient(spec, layers, x, k), ref_grad.data)
         assert np.array_equal(grad_inputs(spec, params, x, k), ref_grad.data)
     assert np.array_equal(forward(spec, params, x), value)
+
+
+def _costate(t, g):
+    """A scalar root that hands ``t`` the costate ``g`` exactly."""
+    return ad.node(0.0, (t,), lambda _: (g,))
+
+
+_VJP_SIZES = [(3,), (3, 5), (3, 5, 4), (3, 4, 6, 5)]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("hidden", _VJP_SIZES)
+@pytest.mark.parametrize("batch", [1, 3, 100])
+def test_forward_vjp_matches_tape_bit_for_bit(activation, hidden, batch):
+    spec = DenseNetSpec((*hidden, 2), activation)
+    rng = np.random.default_rng(batch + len(hidden))
+    theta0 = 0.5 * rng.normal(size=param_count(spec))
+    x, g_out = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 2))
+    theta, xt = Tensor(theta0.copy(), requires_grad=True), Tensor(x, requires_grad=True)
+    out, _ = H.taped_value_and_input_gradient(spec, H.taped_layers(spec, theta), xt)
+    ref_theta, ref_x = grad_params_through(_costate(out, g_out), [theta, xt])
+    layers = unflatten_params(spec, theta0)
+    grads = nets.new_gradients(layers)
+    g_x = nets.forward_vjp(spec, layers, x, hidden_activations(spec, layers, x), g_out,
+                           grads, need_x=True)
+    assert nets.flatten_params(grads).tobytes() == ref_theta.tobytes()
+    assert np.add(g_x, 0.0).tobytes() == ref_x.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("hidden", _VJP_SIZES)
+@pytest.mark.parametrize("batch", [1, 3, 100])
+def test_input_gradient_vjp_matches_tape_bit_for_bit(activation, hidden, batch):
+    # the parameter gradient of u·∇ₓf and the Hessian-vector product H·u
+    spec = DenseNetSpec((*hidden, 1), activation)
+    rng = np.random.default_rng(batch + len(hidden))
+    theta0 = 0.5 * rng.normal(size=param_count(spec))
+    x, u = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
+    theta, xt = Tensor(theta0.copy(), requires_grad=True), Tensor(x, requires_grad=True)
+    _, g = H.taped_value_and_input_gradient(spec, H.taped_layers(spec, theta), xt)
+    ref_theta, ref_x = grad_params_through(_costate(g, u), [theta, xt])
+    layers = unflatten_params(spec, theta0)
+    acts = hidden_activations(spec, layers, x)
+    _, chain = input_gradient(spec, layers, x, acts)
+    grads = nets.new_gradients(layers)
+    hu = nets.input_gradient_vjp(spec, layers, x, acts, chain, u, grads)
+    assert nets.flatten_params(grads).tobytes() == ref_theta.tobytes()
+    if hu is None:
+        assert not np.any(ref_x)
+    else:
+        assert np.add(hu, 0.0).tobytes() == ref_x.tobytes()
 
 
 # ---------------------------------------------------------------------------

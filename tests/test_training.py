@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symplectic_ml import nets, training
+from symplectic_ml.autodiff import Tensor
 from symplectic_ml.errors import DivergedTraining
 from symplectic_ml.lstm import EncoderModel
 from symplectic_ml.models import HnnModel, SeparableModel, hnn_derivatives
@@ -199,6 +201,20 @@ def _hnn_config(**kw):
                 lr=1e-3, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "hnn", "asrnn", "encoder"])
+def test_build_problem_contract(tiny_dataset, kind):
+    # the benchmark builds its gradient check on exactly these names
+    config = TrainConfig(model_kind=kind, hidden=(8, 8), window_len=5, encoder_window=10)
+    n, theta0, loss_graph, build_model = training._build_problem(config, tiny_dataset)
+    assert n >= 8 and theta0.ndim == 1
+    theta = Tensor(theta0, requires_grad=True)
+    grad = nets.grad_params_through(loss_graph(theta, np.arange(8)), theta)
+    assert grad.shape == theta0.shape
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+    assert np.isfinite(loss_graph(Tensor(theta0), np.arange(8)).item())
+    assert np.array_equal(build_model(theta0).params, theta0)
 
 
 def test_train_smoke_produces_history_and_checkpoint(tiny_dataset):
