@@ -42,8 +42,6 @@ from .dynamics import (
     hh_potential,
     integrate,
     integrate_batch,
-    kinetic_grad,
-    leapfrog_batch,
     leapfrog_step,
 )
 from .nets import (
@@ -66,9 +64,6 @@ from .models import (
     hnn_derivatives,
     hnn_energy,
     hnn_loss,
-    separable_field,
-    separable_grad_k,
-    separable_grad_v,
     srnn_loss,
 )
 from .lstm import (

@@ -5,24 +5,19 @@ orthonormal frame through the flow-map Jacobian over fixed re-normalisation
 intervals, re-orthonormalise by QR, and average the log diagonal of R.  The
 Jacobian of each interval map is measured by central finite differences of
 the flow itself, so the same estimator runs unchanged on the analytic
-integrator and on learned models.  Fields and separable models are stepped
-by the one leapfrog kernel of ``dynamics`` on the probe rows' columns,
-carrying the force from step to step within each interval.
+integrator and on learned models.  A flow is a force field — anything
+with a ``columns(params)`` method, the analytic field or a separable model —
+stepped by the one leapfrog kernel of ``dynamics`` on the probe rows'
+columns, carrying the force from step to step within each interval; or a
+callable that steps (B, 4) rows once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    ESCAPE_RADIUS,
-    DerivativeField,
-    PhaseState,
-    advance,
-    field_columns,
-)
+from .dynamics import ESCAPE_RADIUS, PhaseState, advance
 from .errors import DegenerateR, LengthMismatch, ShapeMismatch, ZeroEnergy
-from .models import SeparableModel, separable_columns
 
 FD_EPS = 1e-7
 
@@ -105,20 +100,17 @@ class LyapunovResult:
 def _advancer(flow, params, dt):
     """Normalise a flow argument into ``advance(rows, n)``: (B, 4) rows after
     ``n`` steps."""
-    if isinstance(flow, DerivativeField):
-        columns = field_columns(flow, params)
-    elif isinstance(flow, SeparableModel):
-        columns = separable_columns(flow, params)
-    elif callable(flow):
+    if hasattr(flow, "columns"):
+        columns = flow.columns(params)
+        return lambda rows, n: np.stack(advance(rows.T, dt, n, *columns), axis=1)
+    if callable(flow):
         def repeat(rows, n):
             for _ in range(n):
                 rows = flow(rows)
             return rows
 
         return repeat
-    else:
-        raise TypeError(f"cannot interpret {type(flow).__name__} as a flow")
-    return lambda rows, n: np.stack(advance(rows.T, dt, n, *columns), axis=1)
+    raise TypeError(f"cannot interpret {type(flow).__name__} as a flow")
 
 
 def renorm_steps(dt, renorm_interval):

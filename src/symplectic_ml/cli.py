@@ -29,6 +29,7 @@ from .dynamics import HH_FIELD, PhaseState, PotentialParams, integrate
 from .errors import SymplecticMlError
 
 SEED_ENV_VAR = "SYMPLECTIC_ML_SEED"
+MAX_GRID_POINTS = 100_000
 
 
 class _UsageError(Exception):
@@ -56,7 +57,7 @@ def _parse_number(text):
     """A finite float, allowing exact fractions like 1/12."""
     try:
         value = float(Fraction(text)) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise _UsageError(f"cannot parse number {text!r}")
     if not math.isfinite(value):
         raise _UsageError(f"number must be finite, got {text!r}")
@@ -159,12 +160,16 @@ def _read_observed(path):
     return np.array(rows)
 
 
-def _load_json(path):
+def _load_config(path):
+    """The JSON object of a ``--config`` file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise _UsageError(f"{path} is not valid JSON: {err}")
+    if not isinstance(doc, dict):
+        raise _UsageError(f"{path} must hold a JSON object, got {json.dumps(doc)[:40]}")
+    return doc
 
 
 def _sample_state(energy, pot, seed):
@@ -188,7 +193,7 @@ def _truth_trajectory(state0, pot, dt, n_steps, fine_factor=100):
 def _cmd_generate(args):
     seed = _resolve_seed(args)
     if args.config:
-        cfg_dict = _load_json(args.config)
+        cfg_dict = _load_config(args.config)
     else:
         cfg_dict = {
             "param_values": [[a, a] for a in _parse_list(args.alphas or "1.0")],
@@ -215,7 +220,7 @@ def _cmd_generate(args):
 
 def _cmd_train(args):
     seed = _resolve_seed(args)
-    cfg_dict = _load_json(args.config) if args.config else {}
+    cfg_dict = _load_config(args.config) if args.config else {}
     cfg_dict.update(_parse_overrides(args.set))
     cfg_dict["model_kind"] = args.model
     cfg_dict["seed"] = seed
@@ -320,15 +325,26 @@ def _cmd_lyapunov(args):
             raise _UsageError(f"--grid needs lo:hi:step with step > 0 and hi >= lo, "
                               f"got {args.grid!r}")
         lo, hi, step = bounds
-        alphas = list(np.arange(lo, hi + 0.5 * step, step))
+        stop = hi + 0.5 * step
+        if not (stop - lo) / step <= MAX_GRID_POINTS:  # np.arange's point count
+            raise _UsageError(f"--grid {args.grid!r} has more than {MAX_GRID_POINTS} points")
+        alphas = list(np.arange(lo, stop, step))
     else:
         alphas = _parse_list(args.alphas or "1.0")
     energy = _parse_energy(args.energy)
-    interval = analysis.renorm_steps(args.dt, args.renorm)
+    interval = args.renorm / args.dt  # may overflow to inf
+    if math.isfinite(interval):
+        interval = analysis.renorm_steps(args.dt, args.renorm)
     if args.steps < interval:
         raise _UsageError(
             f"--steps {args.steps} is shorter than one renorm interval ({interval} steps)")
-    flow = checkpoint.load_checkpoint(args.checkpoint)[0] if args.checkpoint else HH_FIELD
+    flow = HH_FIELD
+    if args.checkpoint:
+        flow = checkpoint.load_checkpoint(args.checkpoint)[0]
+        if not hasattr(flow, "columns"):
+            raise SymplecticMlError(
+                f"checkpoint holds a {checkpoint.model_kind(flow)}; "
+                "lyapunov needs a separable rollout model")
     tasks = [
         (a, a, energy, seed, i, args.dt, args.steps, args.renorm, flow)
         for i, a in enumerate(alphas)
@@ -474,7 +490,7 @@ def build_parser():
     p.add_argument("--dt", type=_positive, default=0.01)
     p.add_argument("--steps", type=_count, default=100000)
     p.add_argument("--renorm", type=_positive, default=1.0)
-    p.add_argument("--checkpoint", help="rollout-model checkpoint (default: analytic)")
+    p.add_argument("--checkpoint", help="separable-model checkpoint (default: analytic)")
     p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(func=_cmd_lyapunov)
 

@@ -17,12 +17,14 @@ Every leapfrog in the package, analytic or learned, runs the one kernel
 :func:`kick_drift_kick` on the component columns, as Python floats for one
 orbit or as (B,) arrays for a batch.  It carries the force: it returns grad V
 at the new position, where the next step starts, so each step evaluates
-grad V once.
+grad V once.  A force field is anything with a ``columns(params)`` method
+giving the kernel's pair ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``: the
+analytic :data:`HH_FIELD` or a learned ``models.SeparableModel``.
 """
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -86,17 +88,10 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class DerivativeField:
-    """Separable force field: potential gradient in q, kinetic gradient in p.
+    """Separable force field in the kernel's column form: ``columns(params)``
+    gives ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``, each returning a pair."""
 
-    ``grad_v(q, params)`` and ``grad_k(p)`` take component-first arrays: (2,)
-    for one state, (2, B) when a field without ``columns`` steps B states.
-    ``columns(params)``, if set, gives the column form that the kernel calls,
-    ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``, each returning a pair.
-    """
-
-    grad_v: Callable[[np.ndarray, PotentialParams], np.ndarray]
-    grad_k: Callable[[np.ndarray], np.ndarray]
-    columns: Optional[Callable] = None
+    columns: Callable[[PotentialParams], tuple]
 
 
 def hh_potential(q, params):
@@ -130,13 +125,8 @@ def hh_grad_v(q, params):
     return np.array(hh_grad_v_columns(params.alpha, params.beta)(q[0], q[1]))
 
 
-def kinetic_grad(p):
-    """Gradient of the kinetic energy: the velocity, equal to ``p``."""
-    return np.asarray(p, dtype=np.float64)
-
-
 def kinetic_grad_columns(px, py):
-    """Column form of :func:`kinetic_grad`."""
+    """Gradient of the kinetic energy |p|^2 / 2: the velocity, equal to ``p``."""
     return px, py
 
 
@@ -144,7 +134,7 @@ def _hh_columns(params):
     return hh_grad_v_columns(params.alpha, params.beta), kinetic_grad_columns
 
 
-HH_FIELD = DerivativeField(grad_v=hh_grad_v, grad_k=kinetic_grad, columns=_hh_columns)
+HH_FIELD = DerivativeField(columns=_hh_columns)
 
 
 class Trajectory:
@@ -199,15 +189,6 @@ def hh_energy_batch(states, params):
     )
 
 
-def field_columns(field, params):
-    """The column form ``(grad_v, grad_k)`` of a field under ``params``; a
-    field without one is called on its stacked components."""
-    if field.columns is not None:
-        return field.columns(params)
-    return (lambda qx, qy: tuple(field.grad_v(np.array([qx, qy]), params)),
-            lambda px, py: tuple(field.grad_k(np.array([px, py]))))
-
-
 def kick_drift_kick(qx, qy, px, py, fx, fy, dt, grad_v, grad_k):
     """One leapfrog step of size ``dt`` on component columns; ``(fx, fy)`` is
     grad V at ``(qx, qy)``.  Returns the new state and grad V there.  Second
@@ -235,7 +216,7 @@ def advance(cols, dt, n_steps, grad_v, grad_k):
 
 def _orbit(state0, dt, n_steps, field, params, escape_radius, stride):
     """Every ``stride``-th state of one orbit, stepped in Python floats."""
-    grad_v, grad_k = field_columns(field, params)
+    grad_v, grad_k = field.columns(params)
     bound = min(escape_radius, sys.float_info.max)  # also rejects inf and NaN
     qx, qy, px, py = (float(x) for x in state0.vec())
     rows = [(qx, qy, px, py)]
@@ -258,7 +239,8 @@ def _orbit(state0, dt, n_steps, field, params, escape_radius, stride):
 
 def integrate(state0, dt, n_steps, field, params, escape_radius=ESCAPE_RADIUS,
               stride=1):
-    """Integrate ``n_steps`` leapfrog steps of one orbit.
+    """Integrate ``n_steps`` leapfrog steps of one orbit under ``field``,
+    anything with a ``columns(params)`` method.
 
     Returns every ``stride``-th state (``n_steps // stride + 1`` samples at
     spacing ``dt * stride``); ``stride`` must divide ``n_steps``.  Raises
@@ -277,13 +259,6 @@ def leapfrog_step(state, dt, field, params, escape_radius=ESCAPE_RADIUS):
     """One leapfrog step of one state; diverges as :func:`integrate` does."""
     last = _orbit(state, dt, 1, field, params, escape_radius, 1)[-1]
     return PhaseState(q=np.array(last[:2]), p=np.array(last[2:]))
-
-
-def leapfrog_batch(states, alpha, beta, dt):
-    """One leapfrog step of the analytic field on an (B, 4) batch; parameters
-    scalar or (B,).  No divergence checks."""
-    cols = advance(states.T, dt, 1, hh_grad_v_columns(alpha, beta), kinetic_grad_columns)
-    return np.stack(cols, axis=1)
 
 
 def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1,

@@ -6,7 +6,9 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
   from its input gradient: dq/dt = dH/dp, dp/dt = -dH/dq.
 * ``SeparableModel`` — two scalar networks K(p) and V(q) rolled out with the
   same leapfrog kernel as the ground truth; training matches whole rollout
-  windows, so only time series are needed, never derivative labels.
+  windows, so only time series are needed, never derivative labels.  The
+  model is its own force field: its ``columns(pot_params)`` method gives the
+  kernel's column pair, as ``dynamics.HH_FIELD`` does.
 * ``BaselineModel`` — a plain derivative regressor (q, p) -> (dq/dt, dp/dt),
   rolled out with a classic fourth-order Runge-Kutta step.
 
@@ -33,7 +35,6 @@ from . import nets
 from .autodiff import Tensor
 from .dynamics import (
     ESCAPE_RADIUS,
-    DerivativeField,
     Trajectory,
     integrate,
     kick_drift_kick,
@@ -183,19 +184,14 @@ class SeparableModel:
     def potential_params(self):
         return self.params[self.kinetic_count():]
 
-
-def separable_grad_v(model, q, pot_params):
-    """dV/dq over a (B, 2) block of positions."""
-    x = _with_channels(np.asarray(q, dtype=np.float64), pot_params, model.param_channels)
-    return nets.grad_inputs(model.potential_spec, model.potential_params, x)[:, :2]
-
-
-def separable_grad_k(model, p):
-    """dK/dp over a (B, 2) block of momenta."""
-    p = np.asarray(p, dtype=np.float64)
-    if model.fixed_kinetic:
-        return p.copy()
-    return nets.grad_inputs(model.kinetic_spec, model.kinetic_params, p)
+    def columns(self, pot_params):
+        """The learned field in the kernel's column form ``(grad_v, grad_k)``."""
+        k_layers, v_layers = _separable_layers(self, self.params)
+        chan = pot_params.channels(self.param_channels) if self.param_channels else None
+        grad_v = _gradient_columns(self.potential_spec, v_layers, chan)
+        if self.fixed_kinetic:
+            return grad_v, kinetic_grad_columns
+        return grad_v, _gradient_columns(self.kinetic_spec, k_layers)
 
 
 def _gradient_columns(spec, layers, channels=None, record=None, calls=None):
@@ -230,31 +226,11 @@ def _separable_layers(model, flat):
     return k_layers, nets.unflatten_params(model.potential_spec, flat[nk:])
 
 
-def separable_columns(model, pot_params):
-    """Column form ``(grad_v, grad_k)`` of the learned field for the kernel."""
-    k_layers, v_layers = _separable_layers(model, model.params)
-    chan = pot_params.channels(model.param_channels) if model.param_channels else None
-    grad_v = _gradient_columns(model.potential_spec, v_layers, chan)
-    if model.fixed_kinetic:
-        return grad_v, kinetic_grad_columns
-    return grad_v, _gradient_columns(model.kinetic_spec, k_layers)
-
-
-def separable_field(model):
-    """Adapter exposing the learned gradients as a DerivativeField."""
-    return DerivativeField(
-        grad_v=lambda q, pp: separable_grad_v(model, q[None, :], pp)[0],
-        grad_k=lambda p: separable_grad_k(model, p[None, :])[0],
-        columns=lambda pp: separable_columns(model, pp),
-    )
-
-
 def asrnn_rollout(model, state0, pot_params, dt, n_steps,
                   escape_radius=ESCAPE_RADIUS):
     """Leapfrog rollout under the learned K and V; the ground truth's kernel,
     so for analytic stand-ins the sequences match exactly."""
-    return integrate(state0, dt, n_steps, separable_field(model), pot_params,
-                     escape_radius)
+    return integrate(state0, dt, n_steps, model, pot_params, escape_radius)
 
 
 def conserved_quantity(model, traj, pot_params):

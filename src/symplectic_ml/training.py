@@ -10,7 +10,7 @@ bit for bit.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -157,17 +157,22 @@ class TrainReport:
 
 
 def _build_problem(config, dataset):
-    """Windowed arrays, initial parameters, and loss-graph closures."""
+    """``(n, theta0, loss_graph, build_model)``: the row count, the initial
+    parameters, the loss-graph closure, and the model at given parameters."""
     k = config.param_channels if config.adaptable else 0
     seq = np.random.SeedSequence([config.seed, 7])
     init_seed, init_seed2 = seq.spawn(2)
 
     if config.model_kind in ("baseline", "hnn"):
         pairs = window_dataset(dataset, "derivative-pairs")
+        n = pairs.n
         chan = pairs.channels if config.adaptable else None
         n_out = 4 if config.model_kind == "baseline" else 1
         spec = DenseNetSpec((4 + k, *config.hidden, n_out))
         theta0 = nets.init_params(spec, init_seed)
+        cls = models.BaselineModel if config.model_kind == "baseline" else models.HnnModel
+        template = cls(spec=spec, params=theta0, adaptable=config.adaptable,
+                       param_channels=k)
 
         if config.model_kind == "baseline":
             def loss_graph(theta, idx):
@@ -181,15 +186,9 @@ def _build_problem(config, dataset):
                     pairs.derivs[idx][:, :2], pairs.derivs[idx][:, 2:],
                     None if chan is None else chan[idx])
 
-        def build_model(theta):
-            cls = models.BaselineModel if config.model_kind == "baseline" else models.HnnModel
-            return cls(spec=spec, params=theta, adaptable=config.adaptable,
-                       param_channels=k)
-
-        return pairs.n, theta0, loss_graph, build_model
-
-    if config.model_kind == "asrnn":
+    elif config.model_kind == "asrnn":
         wins = window_dataset(dataset, "rollout", window_len=config.window_len)
+        n = wins.n
         chan = wins.channels if config.adaptable else None
         k_spec = DenseNetSpec((2, *config.hidden, 1))
         v_spec = DenseNetSpec((2 + k, *config.hidden, 1))
@@ -200,7 +199,6 @@ def _build_problem(config, dataset):
             adaptable=config.adaptable, param_channels=k,
             fixed_kinetic=config.fixed_kinetic,
         )
-
         pool = models.ArrayPool()
 
         def loss_graph(theta, idx):
@@ -209,35 +207,25 @@ def _build_problem(config, dataset):
                 None if chan is None else chan[idx], wins.dt, pool=pool)
             return loss
 
-        def build_model(theta):
-            return models.SeparableModel(
-                kinetic_spec=k_spec, potential_spec=v_spec, params=theta,
-                adaptable=config.adaptable, param_channels=k,
-                fixed_kinetic=config.fixed_kinetic,
-            )
-
-        return wins.n, theta0, loss_graph, build_model
-
-    wins = window_dataset(dataset, "encoder", window_len=config.encoder_window,
-                          stride=config.encoder_stride)
-    param_outputs = config.param_channels
-    theta0 = lstm.init_encoder_params(config.encoder_hidden, param_outputs, init_seed)
-    template = lstm.EncoderModel(
-        hidden_size=config.encoder_hidden, window_len=config.encoder_window,
-        param_outputs=param_outputs, params=theta0,
-    )
-
-    def loss_graph(theta, idx):
-        return lstm._encoder_loss_graph(template, theta, wins.inputs[idx],
-                                        wins.targets[idx])
-
-    def build_model(theta):
-        return lstm.EncoderModel(
+    else:
+        wins = window_dataset(dataset, "encoder", window_len=config.encoder_window,
+                              stride=config.encoder_stride)
+        n = wins.n
+        theta0 = lstm.init_encoder_params(config.encoder_hidden, config.param_channels,
+                                          init_seed)
+        template = lstm.EncoderModel(
             hidden_size=config.encoder_hidden, window_len=config.encoder_window,
-            param_outputs=param_outputs, params=theta,
+            param_outputs=config.param_channels, params=theta0,
         )
 
-    return wins.n, theta0, loss_graph, build_model
+        def loss_graph(theta, idx):
+            return lstm._encoder_loss_graph(template, theta, wins.inputs[idx],
+                                            wins.targets[idx])
+
+    def build_model(theta):
+        return replace(template, params=theta)
+
+    return n, theta0, loss_graph, build_model
 
 
 def _eval_loss(loss_graph, theta, idx, chunk=4096):

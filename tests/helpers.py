@@ -107,6 +107,25 @@ def fabricated_dataset(n_states_list, dt=0.1, alpha=1.0, energy=1 / 12,
     return Dataset(trajectories, records, config=None)
 
 
+def separable_gradients(model, pot):
+    """``(grad_v(q), grad_k(p))`` of a separable model over (B, 2) blocks,
+    through ``nets.grad_inputs``: a reference independent of the column form
+    the kernel calls."""
+    chan = pot.channels(model.param_channels) if model.param_channels else None
+
+    def grad_v(q):
+        x = q if chan is None else np.concatenate(
+            [q, np.broadcast_to(chan, (q.shape[0], chan.size))], axis=1)
+        return nets.grad_inputs(model.potential_spec, model.potential_params, x)[:, :2]
+
+    def grad_k(p):
+        if model.fixed_kinetic:
+            return p
+        return nets.grad_inputs(model.kinetic_spec, model.kinetic_params, p)
+
+    return grad_v, grad_k
+
+
 def constant_trajectory(row, n, dt=0.1, params=None):
     """A trajectory whose every sample is the same state row."""
     params = params or PotentialParams.single(0.0)

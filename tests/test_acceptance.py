@@ -22,7 +22,6 @@ from symplectic_ml import (
     integrate,
     leapfrog_step,
     sample_initial_condition,
-    separable_field,
 )
 from symplectic_ml import Tensor, analysis, lstm, models, nets, training
 from symplectic_ml.nets import grad_params_through
@@ -357,14 +356,12 @@ def test_criterion_02_symplectic_step():
         potential_spec=v_spec,
         params=0.5 * np.random.default_rng(7).normal(size=n_params),
     )
-    net_field = separable_field(model)
-
     def analytic_step(vec):
         return leapfrog_step(PhaseState(q=vec[:2], p=vec[2:]), 0.1, HH_FIELD, pot).vec()
 
     def network_step(vec):
         return leapfrog_step(
-            PhaseState(q=vec[:2], p=vec[2:]), 0.1, net_field, pot
+            PhaseState(q=vec[:2], p=vec[2:]), 0.1, model, pot
         ).vec()
 
     rng = np.random.default_rng(22)

@@ -8,7 +8,6 @@ from symplectic_ml import (
     HH_FIELD,
     DegenerateR,
     DenseNetSpec,
-    DerivativeField,
     LengthMismatch,
     PhaseState,
     PotentialParams,
@@ -18,11 +17,8 @@ from symplectic_ml import (
     ZeroEnergy,
     boundedness_check,
     energy_drift,
-    hh_grad_v,
     init_params,
     integrate,
-    kinetic_grad,
-    leapfrog_batch,
     lyapunov_spectra,
     lyapunov_spectrum,
     maximal_lyapunov,
@@ -30,9 +26,8 @@ from symplectic_ml import (
     poincare_section,
     relative_energy_error,
     secular_growth_ratio,
-    separable_grad_k,
-    separable_grad_v,
 )
+from symplectic_ml.dynamics import advance
 
 from symplectic_ml import nets
 from symplectic_ml.autodiff import Tensor
@@ -251,28 +246,14 @@ def test_spectrum_accepts_phase_state_and_reports_settings():
 
 def test_callable_flow_matches_analytic_fast_path():
     dt = 0.01
-    step = lambda rows: leapfrog_batch(rows, 1.0, 1.0, dt)  # noqa: E731
+    columns = HH_FIELD.columns(COUPLED)
+    step = lambda rows: np.stack(advance(rows.T, dt, 1, *columns), axis=1)  # noqa: E731
     state = np.array([0.05, 0.1, 0.3, -0.2])
     via_field = lyapunov_spectra(HH_FIELD, state, COUPLED, dt=dt, n_steps=400,
                                  renorm_interval=0.1)
     via_callable = lyapunov_spectra(step, state, COUPLED, dt=dt, n_steps=400,
                                     renorm_interval=0.1)
     assert np.array_equal(via_field, via_callable)
-
-
-def test_generic_field_rowloop_matches_fast_path():
-    # A field built from the same gradients but distinct function objects
-    # takes the per-row integrator path; results must agree bit for bit.
-    wrapped = DerivativeField(
-        grad_v=lambda q, params: hh_grad_v(q, params),
-        grad_k=lambda p: kinetic_grad(p),
-    )
-    state = np.array([0.05, 0.1, 0.3, -0.2])
-    fast = lyapunov_spectra(HH_FIELD, state, COUPLED, dt=0.02, n_steps=300,
-                            renorm_interval=0.2)
-    slow = lyapunov_spectra(wrapped, state, COUPLED, dt=0.02, n_steps=300,
-                            renorm_interval=0.2)
-    assert np.array_equal(fast, slow)
 
 
 def test_separable_model_flow_matches_explicit_stepper():
@@ -284,12 +265,13 @@ def test_separable_model_flow_matches_explicit_stepper():
         fixed_kinetic=True,
     )
     dt = 0.05
+    grad_v, grad_k = H.separable_gradients(model, FREE)
 
     def step(rows):
         q, p = rows[:, :2], rows[:, 2:]
-        p1 = p - 0.5 * dt * separable_grad_v(model, q, FREE)
-        q2 = q + dt * separable_grad_k(model, p1)
-        p2 = p1 - 0.5 * dt * separable_grad_v(model, q2, FREE)
+        p1 = p - 0.5 * dt * grad_v(q)
+        q2 = q + dt * grad_k(p1)
+        p2 = p1 - 0.5 * dt * grad_v(q2)
         return np.concatenate([q2, p2], axis=1)
 
     state = np.array([0.1, -0.05, 0.2, 0.15])

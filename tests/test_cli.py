@@ -9,7 +9,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from symplectic_ml import (
@@ -20,7 +20,11 @@ from symplectic_ml import (
     PotentialParams,
     SeparableModel,
     TrainConfig,
+    Trajectory,
+    analysis,
     cli,
+    datapipe,
+    models,
     training,
     integrate,
     load_checkpoint,
@@ -82,6 +86,12 @@ def _train(data_dir, out, model, overrides):
 def hnn_ckpt(ws, data_dir):
     return _train(data_dir, ws / "hnn.json", "hnn",
                   ["epochs=2", "batch_size=64", "hidden=[8]"])
+
+
+@pytest.fixture(scope="module")
+def baseline_ckpt(ws, data_dir):
+    return _train(data_dir, ws / "baseline.json", "baseline",
+                  ["epochs=1", "batch_size=64", "hidden=[8]"])
 
 
 @pytest.fixture(scope="module")
@@ -211,12 +221,16 @@ def test_generate_rejects_zero_denominator_energy(ws, capsys):
 @pytest.mark.parametrize("command", ["generate", "train"])
 def test_invalid_json_config_is_a_usage_error(ws, data_dir, tmp_path, capsys, command):
     config = tmp_path / "config.json"
-    config.write_text("{oops")
     extra = ["--model", "asrnn", "--dataset", str(data_dir)] if command == "train" else []
-    rc = cli.main([command, "--out", str(tmp_path / "x"), "--config", str(config), *extra])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "not valid JSON" in err
+    for text, reason in [("{oops", "not valid JSON"), ("[]", "must hold a JSON object"),
+                         ("3", "must hold a JSON object"), ("null", "must hold a JSON object"),
+                         ('"x"', "must hold a JSON object")]:
+        config.write_text(text)
+        rc = cli.main([command, "--out", str(tmp_path / "x"), "--config", str(config),
+                       *extra])
+        assert rc == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and reason in err, text
 
 
 def test_bad_environment_seed_is_a_usage_error(ws, monkeypatch, capsys):
@@ -538,6 +552,24 @@ def test_lyapunov_loads_the_checkpoint_once(ws, asrnn_ckpt, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("kind, fixture", [
+    ("baseline", "baseline_ckpt"), ("ahnn", "hnn_ckpt"), ("lstm-encoder", "encoder_ckpt"),
+])
+def test_lyapunov_rejects_a_model_without_a_force_field(ws, request, monkeypatch, capsys,
+                                                       kind, fixture):
+    started = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+    monkeypatch.setattr(cli, "_lyapunov_task", lambda task: started.append(task))
+    out = ws / "lyap-reject.csv"
+    rc = cli.main(["lyapunov", "--out", str(out), "--alphas", "0.3,0.7",
+                   "--energy", "1/12", "--dt", "0.05", "--steps", "40", "--renorm", "0.5",
+                   "--jobs", "2", "--checkpoint", str(request.getfixturevalue(fixture))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SymplecticMlError:") and f"holds a {kind};" in err
+    assert started == [] and not out.exists()
+
+
 def test_lyapunov_uncoupled_system_is_regular(ws):
     out = ws / "lyap-free.csv"
     rc = cli.main(
@@ -707,6 +739,7 @@ BAD_NUMBERS = {
                 "--observed", "o.csv", "--horizon", "0"],
     "renorm": ["lyapunov", "--energy", "1/8", "--renorm", "-1"],
     "lyapunov-steps": ["lyapunov", "--energy", "1/8", "--steps", "50", "--dt", "0.01"],
+    "renorm-overflow": ["lyapunov", "--energy", "1/8", "--dt", "1e-300", "--renorm", "1e300"],
     "jobs": ["lyapunov", "--energy", "1/8", "--jobs", "0"],
     "alpha": ["predict", "--alpha", "nan", "--energy", "1/12"],
     "energy": ["predict", "--alpha", "1", "--energy", "-1"],
@@ -714,6 +747,8 @@ BAD_NUMBERS = {
     "grid-short": ["lyapunov", "--energy", "1/8", "--grid", "0:1"],
     "grid-step": ["lyapunov", "--energy", "1/8", "--grid", "0:1:0"],
     "grid-empty": ["lyapunov", "--energy", "1/8", "--grid", "1:0:0.1"],
+    "grid-huge": ["lyapunov", "--energy", "1/8", "--grid", "0:1e30:1e-30"],
+    "energy-overflow": ["predict", "--alpha", "1", "--energy", "1" + "0" * 400 + "/1"],
     "stride": ["infer-params", "--encoder", "e.json", "--observed", "o.csv",
                "--stride", "0"],
 }
@@ -727,6 +762,125 @@ def test_bad_numbers_are_usage_errors(ws, capsys, argv):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# arbitrary number text
+
+# Text that parses as a number sometimes: short arbitrary strings, float
+# reprs (nan and inf among them), and exact fractions up to 400 digits long.
+_NUMBER_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.floats().map(repr),
+    st.builds("{}{}/{}".format, st.integers(-9, 9),
+              st.integers(0, 400).map(lambda k: "0" * k), st.integers(-9, 9)),
+)
+_GRID_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.tuples(_NUMBER_TEXT, _NUMBER_TEXT, _NUMBER_TEXT).map(":".join),
+)
+
+
+def _grid_points(text):
+    """np.arange's point count for a well-formed --grid, else None."""
+    try:
+        lo, hi, step = (cli._parse_number(x) for x in text.split(":"))
+    except (cli._UsageError, ValueError, OverflowError):
+        return None
+    if not (step > 0 and hi >= lo):
+        return None
+    return (hi + 0.5 * step - lo) / step
+
+
+@settings(max_examples=200, deadline=None)
+@example("1" + "0" * 400 + "/1")
+@given(text=_NUMBER_TEXT)
+def test_parse_number_gives_a_finite_value_or_a_usage_error(text):
+    try:
+        value = cli._parse_number(text)
+    except cli._UsageError:
+        return
+    assert isinstance(value, float) and np.isfinite(value)
+
+
+def _stub_work(mp):
+    """Replace sampling, integration and the Lyapunov estimate by constants,
+    so a valid command costs nothing whatever numbers it was given."""
+    state = PhaseState(q=np.array([0.1, 0.0]), p=np.array([0.0, 0.1]))
+    mp.setattr(cli.datapipe, "sample_initial_condition", lambda energy, pot, rng: state)
+    mp.setattr(cli, "integrate", lambda state0, dt, n, field, pot, **kw: Trajectory(
+        dt=dt, data=state0.vec()[None, :] * 0.0, params=pot))
+    mp.setattr(cli.analysis, "lyapunov_spectrum",
+               lambda *a: types.SimpleNamespace(maximal=0.0))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(grid="0:1e30:1e-30", energy="1/8", ic="0,0,0,0")
+@example(grid="0:1:1", energy="1" + "0" * 400 + "/1", ic="1" + "0" * 400 + "/1,0,0,0")
+@given(grid=_GRID_TEXT, energy=_NUMBER_TEXT,
+       ic=st.lists(_NUMBER_TEXT, min_size=1, max_size=5).map(",".join))
+def test_any_number_text_gives_a_run_or_a_usage_error(ws, grid, energy, ic):
+    # no grid of 10^3 to 10^25 points: np.arange could allocate one, were the
+    # point cap ever lost, while larger counts fail before allocating
+    n = _grid_points(grid)
+    assume(n is None or not 1e3 < n < 1e25)
+    out = str(ws / "prop-numbers.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        _stub_work(mp)
+        for argv in (["lyapunov", "--grid", grid, "--energy=" + energy, "--jobs", "1"],
+                     ["predict", "--alpha", "1", "--energy=" + energy, "--steps", "1"],
+                     ["predict", "--alpha", "1", "--ic=" + ic, "--steps", "1"]):
+            rc, err = _run_quietly([*argv, "--out", out])
+            assert rc in (0, 1), (argv, err)
+            assert (rc == 1) == err.startswith("usage error: "), (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark's traced run wraps on the simulate path
+
+
+def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
+    # bench/spans.py wraps exactly these names; a rename zeroes its metrics
+    calls = {}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.setdefault(f"{owner.__name__}.{name}", []).append((args, out))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(models, "integrate"), (cli, "integrate"),
+                        (datapipe, "integrate_batch"), (analysis, "lyapunov_spectrum"),
+                        (analysis, "_seed_rows")]:
+        spy(owner, name)
+    rollout = ["--alpha", "0.4", "--energy", "1/12", "--dt", "0.05", "--steps", "30",
+               "--out", str(ws / "contract.csv")]
+    lyap = ["lyapunov", "--alphas", "0.4", "--energy", "1/12", "--dt", "0.05",
+            "--steps", "20", "--renorm", "0.5", "--out", str(ws / "contract-lyap.csv")]
+    assert cli.main(["generate", "--out", str(ws / "contract-data"), "--alphas", "0.5",
+                     "--energies", "1/12", "--n-per-cell", "2", "--series-length", "20",
+                     "--transient", "2"]) == 0
+    assert cli.main(["predict", *rollout]) == 0
+    assert cli.main(["predict", "--checkpoint", str(asrnn_ckpt), *rollout]) == 0
+    assert cli.main(lyap) == 0
+    assert cli.main([*lyap, "--checkpoint", str(asrnn_ckpt)]) == 0
+
+    (args, _), = calls["symplectic_ml.models.integrate"]
+    assert args[2] == 30 and isinstance(args[3], SeparableModel)
+    (args, _), = calls["symplectic_ml.cli.integrate"]
+    assert args[2] == 30 and args[3] is HH_FIELD
+    args, _ = calls["symplectic_ml.datapipe.integrate_batch"][0]
+    assert args[0].shape == (2, 4) and isinstance(args[4], int)
+    (analytic, _), (learned, _) = calls["symplectic_ml.analysis.lyapunov_spectrum"]
+    assert analytic[0] is HH_FIELD and analytic[4] == 20
+    assert isinstance(learned[0], SeparableModel) and learned[4] == 20
+    for args, out in calls["symplectic_ml.analysis._seed_rows"]:
+        assert out.shape[0] == 9 * args[0].shape[0]
 
 
 def test_version_flag_prints_version(capsys):

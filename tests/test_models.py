@@ -32,9 +32,6 @@ from symplectic_ml.models import (
     hnn_derivatives,
     hnn_energy,
     hnn_loss,
-    separable_field,
-    separable_grad_k,
-    separable_grad_v,
     srnn_loss,
 )
 from symplectic_ml.nets import DenseNetSpec, flatten_params, init_params, param_count
@@ -131,10 +128,8 @@ def test_fixed_kinetic_ignores_kinetic_spec_params():
     model = _separable(fixed_kinetic=True)
     assert model.kinetic_count() == 0
     assert model.param_count() == param_count(DenseNetSpec((2, 4, 1)))
-    p = np.array([[0.3, -0.7]])
-    g = separable_grad_k(model, p)
-    assert np.array_equal(g, p)
-    assert g is not p  # caller may mutate the result safely
+    grad_k = model.columns(POT)[1]
+    assert grad_k(0.3, -0.7) == (0.3, -0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +222,8 @@ def test_linear_potential_gradient_is_constant_row():
         params=flatten_params([(w, np.array([3.0]))]),
         fixed_kinetic=True,
     )
-    q = np.array([[0.0, 0.0], [5.0, -2.0]])
-    assert np.array_equal(separable_grad_v(model, q, POT), np.tile(w, (2, 1)))
+    gx, gy = model.columns(POT)[0](np.array([0.0, 5.0]), np.array([0.0, -2.0]))
+    assert np.array_equal(np.stack([gx, gy], axis=1), np.tile(w, (2, 1)))
 
 
 def test_adaptable_potential_gradient_drops_channel_column():
@@ -242,9 +237,9 @@ def test_adaptable_potential_gradient_drops_channel_column():
         param_channels=1,
         fixed_kinetic=True,
     )
-    g = separable_grad_v(model, np.zeros((3, 2)), PotentialParams.single(0.7))
-    assert g.shape == (3, 2)
-    assert np.array_equal(g, np.tile(w[:, :2], (3, 1)))
+    gx, gy = model.columns(PotentialParams.single(0.7))[0](np.zeros(3), np.zeros(3))
+    assert gx.shape == gy.shape == (3,)
+    assert np.array_equal(np.stack([gx, gy], axis=1), np.tile(w[:, :2], (3, 1)))
 
 
 def test_rollout_matches_manual_leapfrog():
@@ -254,12 +249,13 @@ def test_rollout_matches_manual_leapfrog():
     p = np.array([0.15, 0.3])
     traj = asrnn_rollout(model, PhaseState(q=q, p=p), POT, dt, n)
 
+    grad_v, grad_k = H.separable_gradients(model, POT)
     half = 0.5 * dt
     rows = [np.concatenate([q, p])]
     for _ in range(n):
-        p_half = p - half * separable_grad_v(model, q[None, :], POT)[0]
-        q = q + dt * separable_grad_k(model, p_half[None, :])[0]
-        p = p_half - half * separable_grad_v(model, q[None, :], POT)[0]
+        p_half = p - half * grad_v(q[None, :])[0]
+        q = q + dt * grad_k(p_half[None, :])[0]
+        p = p_half - half * grad_v(q[None, :])[0]
         rows.append(np.concatenate([q, p]))
     assert np.array_equal(traj.data, np.array(rows))
 
@@ -297,15 +293,6 @@ def test_rollout_carrying_the_force_matches_three_gradient_stepper(fixed_kinetic
         p = p_half - half * grad_v(q)
         rows.append(np.concatenate([q, p]))
     assert np.array_equal(traj.data, np.array(rows))
-
-
-def test_separable_field_adapter_matches_batch_gradients():
-    model = _separable(seed=3)
-    field = separable_field(model)
-    q = np.array([0.2, -0.1])
-    p = np.array([0.05, 0.4])
-    assert np.array_equal(field.grad_v(q, POT), separable_grad_v(model, q[None, :], POT)[0])
-    assert np.array_equal(field.grad_k(p), separable_grad_k(model, p[None, :])[0])
 
 
 def test_conserved_quantity_is_kinetic_plus_potential():
