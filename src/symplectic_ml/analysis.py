@@ -9,15 +9,19 @@ integrator and on learned models.  A flow is a force field — anything
 with a ``columns(params)`` method, the analytic field or a separable model —
 stepped by the one leapfrog kernel of ``dynamics`` on the probe rows'
 columns, carrying the force from step to step within each interval; or a
-callable that steps (B, 4) rows once.
+callable that steps (B, 4) rows once.  Every seed's probe rows step together,
+in one kernel call per step, and a force field may give each seed its own
+couplings: they are repeated over the seed's probe rows, so the analytic
+field and the networks see one coupling pair per row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ESCAPE_RADIUS, PhaseState, advance
-from .errors import DegenerateR, LengthMismatch, ShapeMismatch, ZeroEnergy
+from .dynamics import ESCAPE_RADIUS, PhaseState, PotentialParams, advance
+from .errors import (DegenerateR, LengthMismatch, ShapeMismatch, SymplecticMlError,
+                     ZeroEnergy)
 
 FD_EPS = 1e-7
 
@@ -97,13 +101,28 @@ class LyapunovResult:
         return float(self.exponents[0])
 
 
-def _advancer(flow, params, dt):
+def _row_params(params, block):
+    """Each seed's couplings repeated over its ``block`` probe rows, as one
+    PotentialParams of (rows,) arrays; ``params`` itself when it is one pair
+    for every seed."""
+    if isinstance(params, PotentialParams):
+        return params
+    return PotentialParams(alpha=np.repeat([p.alpha for p in params], block),
+                           beta=np.repeat([p.beta for p in params], block))
+
+
+def _advancer(flow, params, dt, block):
     """Normalise a flow argument into ``advance(rows, n)``: (B, 4) rows after
     ``n`` steps."""
     if hasattr(flow, "columns"):
-        columns = flow.columns(params)
+        columns = flow.columns(_row_params(params, block))
         return lambda rows, n: np.stack(advance(rows.T, dt, n, *columns), axis=1)
     if callable(flow):
+        if not isinstance(params, PotentialParams):
+            raise SymplecticMlError(
+                "a callable flow steps rows under its own couplings; per-seed "
+                "potential params need a force field")
+
         def repeat(rows, n):
             for _ in range(n):
                 rows = flow(rows)
@@ -131,26 +150,32 @@ def _seed_rows(states):
 def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     """Lyapunov spectra of several seeds at once; returns (S, 4) exponents.
 
-    ``n_steps`` counts integrator steps; the frame is re-orthonormalised
-    every ``renorm_interval`` time units (at least one step).  Intervals that
-    do not fit are dropped.  Raises DegenerateR if any re-orthonormalisation
-    loses rank.
+    ``params`` is one PotentialParams for every seed, or a sequence of one
+    per seed (a force field only: a callable flow raises
+    SymplecticMlError).  ``n_steps`` counts integrator steps; the frame is
+    re-orthonormalised every ``renorm_interval`` time units (at least one
+    step).  Intervals that do not fit are dropped.  Raises DegenerateR if a
+    probe row turns non-finite or any re-orthonormalisation loses rank.
     """
     states0 = np.atleast_2d(np.asarray(states0, dtype=np.float64))
     if states0.ndim != 2 or states0.shape[1] != 4:
         raise ShapeMismatch(f"states must be (S, 4), got {states0.shape}")
-    advance_rows = _advancer(flow, params, dt)
+    s, d = states0.shape
+    if not isinstance(params, PotentialParams) and len(params) != s:
+        raise ShapeMismatch(f"got {len(params)} potential params for {s} seeds")
+    block = 1 + 2 * d
+    advance_rows = _advancer(flow, params, dt, block)
     interval_steps = renorm_steps(dt, renorm_interval)
     n_intervals = n_steps // interval_steps
     if n_intervals < 1:
         raise ValueError("n_steps must cover at least one renorm interval")
-    s, d = states0.shape
-    block = 1 + 2 * d
     frames = np.broadcast_to(np.eye(d), (s, d, d)).copy()
     sums = np.zeros((s, d))
     rows = _seed_rows(states0)
     for _ in range(n_intervals):
-        rows = advance_rows(rows, interval_steps)
+        # an escaping orbit overflows on its way out; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = advance_rows(rows, interval_steps)
         if not np.all(np.isfinite(rows)):
             raise DegenerateR("flow produced non-finite probe rows")
         jac = np.empty((s, d, d))

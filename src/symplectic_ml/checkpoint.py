@@ -11,6 +11,7 @@ rejects a document whose parameters do not match it.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -87,9 +88,35 @@ def build_checkpoint(model, seed=None, training_config=None, metrics=None):
     }
 
 
-def save_checkpoint(model, path, seed=None, training_config=None, metrics=None):
+# stands in for the parameter list while the rest of the document is encoded;
+# no key or value before "params" holds a NUL, so its first occurrence is that one
+_PARAMS_SLOT = "\x00params\x00"
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_WRITE_BLOCK = 4096  # parameters formatted per write, so the text held at once stays small
+
+
+def write_checkpoint(doc, path):
+    """Write a checkpoint document byte for byte as ``json.dumps(doc,
+    indent=1)``, formatting its float parameter list a block at a time
+    rather than token by token."""
+    params = doc["params"]
+    head, tail = json.dumps({**doc, "params": _PARAMS_SLOT}, indent=1).split(
+        json.dumps(_PARAMS_SLOT), 1)
     with open(path, "w") as fh:
-        json.dump(build_checkpoint(model, seed, training_config, metrics), fh, indent=1)
+        fh.write(head)
+        sep = "[\n  "
+        for i in range(0, len(params), _WRITE_BLOCK):
+            block = params[i : i + _WRITE_BLOCK]
+            items = map(float.__repr__, block)
+            if not all(map(math.isfinite, block)):
+                items = (_JSON_NONFINITE.get(text, text) for text in items)
+            fh.write(sep + ",\n  ".join(items))
+            sep = ",\n  "
+        fh.write(("\n ]" if params else "[]") + tail)
+
+
+def save_checkpoint(model, path, seed=None, training_config=None, metrics=None):
+    write_checkpoint(build_checkpoint(model, seed, training_config, metrics), path)
 
 
 def model_from_checkpoint(doc):

@@ -8,7 +8,11 @@ Every CSV output begins with ``# key=value`` metadata lines recording the
 tool version, the seed, and a hash of the effective configuration.  The
 seed comes from ``--seed`` when given, else the ``SYMPLECTIC_ML_SEED``
 environment variable, else 0.  ``--jobs`` bounds worker processes where
-supported; results are independent of the worker count.
+supported; results are independent of the worker count.  ``lyapunov``
+samples each grid point's initial condition from its own stream, then
+estimates the grid in fixed chunks of ``LYAPUNOV_CHUNK`` points: one
+batched ``analysis.lyapunov_spectra`` pass per chunk, each point with its
+own couplings, and one worker task per chunk.
 """
 
 import argparse
@@ -30,6 +34,9 @@ from .errors import SymplecticMlError
 
 SEED_ENV_VAR = "SYMPLECTIC_ML_SEED"
 MAX_GRID_POINTS = 100_000
+# grid points per batched Lyapunov estimate, and per worker task; fixed, so
+# that the rows each network call sees, and so the output, never depend on --jobs
+LYAPUNOV_CHUNK = 32
 
 
 class _UsageError(Exception):
@@ -232,8 +239,7 @@ def _cmd_train(args):
         raise _UsageError(f"bad training config: {err}")
     dataset = datapipe.load_dataset(args.dataset)
     report = training.train(config, dataset)
-    with open(args.out, "w") as fh:
-        json.dump(report.checkpoint, fh, indent=1)
+    checkpoint.write_checkpoint(report.checkpoint, args.out)
     if args.history:
         training.save_history_csv(report, args.history)
     print(
@@ -308,13 +314,17 @@ def _cmd_eval_energy(args):
 
 
 def _lyapunov_task(task):
-    """One grid point: sample an IC, estimate the maximal exponent."""
-    (alpha, beta, energy, seed, index, dt, steps, renorm, flow) = task
-    pot = PotentialParams(alpha=alpha, beta=beta)
-    rng = np.random.default_rng([seed, index])
-    state0 = datapipe.sample_initial_condition(energy, pot, rng)
-    result = analysis.lyapunov_spectrum(flow, state0, pot, dt, steps, renorm)
-    return alpha, beta, result.maximal
+    """One chunk of grid points, the first at index ``start``: sample each
+    point's IC from its own stream, then estimate every maximal exponent in
+    one batched pass."""
+    (alphas, start, energy, seed, dt, steps, renorm, flow) = task
+    pots = [PotentialParams(alpha=a, beta=a) for a in alphas]
+    states = np.array([
+        datapipe.sample_initial_condition(
+            energy, pot, np.random.default_rng([seed, start + i])).vec()
+        for i, pot in enumerate(pots)])
+    spectra = analysis.lyapunov_spectra(flow, states, pots, dt, steps, renorm)
+    return [(a, a, lam) for a, lam in zip(alphas, spectra[:, 0])]
 
 
 def _cmd_lyapunov(args):
@@ -330,7 +340,9 @@ def _cmd_lyapunov(args):
             raise _UsageError(f"--grid {args.grid!r} has more than {MAX_GRID_POINTS} points")
         alphas = list(np.arange(lo, stop, step))
     else:
-        alphas = _parse_list(args.alphas or "1.0")
+        alphas = _parse_list("1.0" if args.alphas is None else args.alphas)
+        if not alphas:
+            raise _UsageError(f"--alphas needs at least one value, got {args.alphas!r}")
     energy = _parse_energy(args.energy)
     interval = args.renorm / args.dt  # may overflow to inf
     if math.isfinite(interval):
@@ -346,14 +358,16 @@ def _cmd_lyapunov(args):
                 f"checkpoint holds a {checkpoint.model_kind(flow)}; "
                 "lyapunov needs a separable rollout model")
     tasks = [
-        (a, a, energy, seed, i, args.dt, args.steps, args.renorm, flow)
-        for i, a in enumerate(alphas)
+        (alphas[i : i + LYAPUNOV_CHUNK], i, energy, seed, args.dt, args.steps,
+         args.renorm, flow)
+        for i in range(0, len(alphas), LYAPUNOV_CHUNK)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_lyapunov_task, tasks))
+    if args.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+            chunks = list(pool.map(_lyapunov_task, tasks))
     else:
-        results = [_lyapunov_task(t) for t in tasks]
+        chunks = [_lyapunov_task(t) for t in tasks]
+    results = [row for chunk in chunks for row in chunk]
     cfg = {
         "alphas": alphas, "energy": energy, "dt": args.dt, "steps": args.steps,
         "renorm": args.renorm, "checkpoint": args.checkpoint,

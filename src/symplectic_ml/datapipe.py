@@ -20,6 +20,7 @@ from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import (
     ESCAPE_RADIUS,
@@ -371,14 +372,19 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
         inputs, targets = [], []
         for traj, rec in zip(dataset.trajectories, dataset.records):
             d = traj.data
-            for s in range(0, len(traj) - length + 1, step):
-                inputs.append(d[s : s + length][:, [0, 2]])
-                last = d[s + length - 1]
-                targets.append([last[1], last[3], *_channel_row(rec, k)])
+            if len(traj) < length:
+                continue
+            # (windows, 2, length) views of the observed columns, one per start
+            inputs.append(sliding_window_view(d[:, 0::2], length, axis=0)[::step])
+            lasts = d[length - 1 :: step, 1::2]  # hidden coordinates at each end
+            chan = np.broadcast_to(_channel_row(rec, k), (lasts.shape[0], k))
+            targets.append(np.concatenate([lasts, chan], axis=1))
         if not inputs:
             raise TooShort(f"no trajectory has {length} consecutive states")
+        # (windows, length, 2), each window stored column by column
         return EncoderWindows(
-            inputs=np.stack(inputs), targets=np.array(targets), dt=dt
+            inputs=np.ascontiguousarray(np.concatenate(inputs)).transpose(0, 2, 1),
+            targets=np.ascontiguousarray(np.concatenate(targets)), dt=dt,
         )
 
     raise ValueError(f"unknown windowing kind {kind!r}")

@@ -35,13 +35,15 @@ ESCAPE_RADIUS = 10.0
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Coupling strengths of the cubic potential terms."""
+    """Coupling strengths of the cubic potential terms: scalars, or (B,)
+    arrays giving one pair per row of a batch (such params are not
+    comparable or hashable)."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.beta))):
             raise ValueError("potential parameters must be finite")
 
     @classmethod
@@ -50,12 +52,11 @@ class PotentialParams:
         return cls(alpha=float(alpha), beta=float(alpha))
 
     def channels(self, n):
-        """The parameter vector fed to adaptable networks (length 1 or 2)."""
-        if n == 1:
-            return np.array([self.alpha])
-        if n == 2:
-            return np.array([self.alpha, self.beta])
-        raise ShapeMismatch(f"parameter channel count must be 1 or 2, got {n}")
+        """The parameters fed to adaptable networks, 1 or 2 channels: an (n,)
+        vector for scalar couplings, a (B, n) block for per-row ones."""
+        if n not in (1, 2):
+            raise ShapeMismatch(f"parameter channel count must be 1 or 2, got {n}")
+        return np.stack([self.alpha, self.beta][:n], axis=-1)
 
 
 @dataclass(frozen=True)

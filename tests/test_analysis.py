@@ -13,6 +13,7 @@ from symplectic_ml import (
     PotentialParams,
     SeparableModel,
     ShapeMismatch,
+    SymplecticMlError,
     Trajectory,
     ZeroEnergy,
     boundedness_check,
@@ -327,7 +328,62 @@ def test_spectra_batch_matches_individual_seeds():
     assert batch.shape == (2, 4)
     for i in range(2):
         solo = lyapunov_spectra(HH_FIELD, states[i], COUPLED, dt=0.02, n_steps=300)
-        np.testing.assert_allclose(batch[i], solo[0], rtol=1e-12, atol=1e-15)
+        assert np.array_equal(batch[i], solo[0])
+
+
+SEED_STATES = np.array([
+    [0.3, -0.2, 0.1, 0.4],
+    [0.0, 0.25, 0.44, 0.0],
+    [0.1, 0.1, -0.3, 0.2],
+    [-0.2, 0.05, 0.2, -0.25],
+])
+SEED_PARAMS = [PotentialParams.single(0.0), PotentialParams.single(0.5),
+               PotentialParams.single(1.0), PotentialParams(alpha=0.7, beta=0.3)]
+
+
+def test_per_seed_couplings_match_each_seed_alone_bit_for_bit():
+    batch = lyapunov_spectra(HH_FIELD, SEED_STATES, SEED_PARAMS, dt=0.02, n_steps=300,
+                             renorm_interval=0.2)
+    assert batch.shape == (4, 4)
+    for state, pot, row in zip(SEED_STATES, SEED_PARAMS, batch):
+        solo = lyapunov_spectra(HH_FIELD, state, pot, dt=0.02, n_steps=300,
+                                renorm_interval=0.2)
+        assert np.array_equal(row, solo[0])
+    # the couplings reach the field: the uncoupled seed is regular, the others differ
+    assert np.all(np.abs(batch[0]) < 0.05)
+    assert len({tuple(row) for row in batch}) == 4
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_learned_per_seed_couplings_match_each_seed_alone(channels):
+    k_spec = DenseNetSpec((2, 16, 1))
+    v_spec = DenseNetSpec((2 + channels, 16, 16, 1))
+    n = nets.param_count(k_spec) + nets.param_count(v_spec)
+    model = SeparableModel(kinetic_spec=k_spec, potential_spec=v_spec,
+                           params=0.4 * np.random.default_rng(7).normal(size=n),
+                           adaptable=True, param_channels=channels)
+    batch = lyapunov_spectra(model, SEED_STATES, SEED_PARAMS, dt=0.05, n_steps=80,
+                             renorm_interval=0.5)
+    solo = np.concatenate([
+        lyapunov_spectra(model, state, pot, dt=0.05, n_steps=80, renorm_interval=0.5)
+        for state, pot in zip(SEED_STATES, SEED_PARAMS)])
+    assert np.all(np.isfinite(batch))
+    np.testing.assert_allclose(batch, solo, rtol=0.0, atol=1e-9)
+    # each seed's network saw its own couplings
+    shared = lyapunov_spectra(model, SEED_STATES, SEED_PARAMS[1], dt=0.05, n_steps=80,
+                              renorm_interval=0.5)
+    assert not np.allclose(batch[[0, 2, 3]], shared[[0, 2, 3]], rtol=0.0, atol=1e-6)
+
+
+def test_per_seed_params_must_match_the_seed_count():
+    with pytest.raises(ShapeMismatch):
+        lyapunov_spectra(HH_FIELD, SEED_STATES, SEED_PARAMS[:3], dt=0.02, n_steps=100)
+
+
+def test_callable_flow_rejects_per_seed_params():
+    step = lambda rows: rows  # noqa: E731
+    with pytest.raises(SymplecticMlError, match="per-seed"):
+        lyapunov_spectra(step, SEED_STATES, SEED_PARAMS, dt=0.02, n_steps=100)
 
 
 def test_renorm_interval_shorter_than_step_uses_single_step():

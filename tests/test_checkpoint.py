@@ -16,6 +16,7 @@ from symplectic_ml.checkpoint import (
     model_from_checkpoint,
     model_kind,
     save_checkpoint,
+    write_checkpoint,
 )
 from symplectic_ml.errors import CorruptRecord, FormatVersionMismatch
 from symplectic_ml.lstm import EncoderModel, encoder_param_count, init_encoder_params
@@ -67,6 +68,23 @@ ALL_MODELS = [
     ("baseline", _baseline, {"adaptable": True}),
     ("lstm-encoder", _encoder, {}),
 ]
+
+
+EDGE_PARAMS = [-0.0, 5e-324, 1e-300, 1e300, float("nan"), float("inf"), -float("inf"),
+               0.1, -2.5]
+
+
+@pytest.mark.parametrize("params", [EDGE_PARAMS, EDGE_PARAMS[:4], [], None, EDGE_PARAMS * 1000],
+                         ids=["non-finite", "finite", "empty", "fixed-k-model", "several-blocks"])
+def test_written_checkpoint_is_byte_identical_to_json_dumps(tmp_path, params):
+    doc = build_checkpoint(_separable(adaptable=True, fixed_kinetic=True), seed=4,
+                           training_config={"hidden": [4], "note": "x"},
+                           metrics={"val_loss": 0.5, "params": []})
+    if params is not None:
+        doc["params"] = params
+    path = tmp_path / "model.json"
+    write_checkpoint(doc, path)
+    assert path.read_bytes() == json.dumps(doc, indent=1).encode()
 
 
 @pytest.mark.parametrize("expected_kind, factory, kw", ALL_MODELS)

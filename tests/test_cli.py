@@ -5,7 +5,7 @@ import dataclasses
 import io
 import json
 import shutil
-import types
+import warnings
 
 import numpy as np
 import pytest
@@ -532,6 +532,42 @@ def test_lyapunov_worker_count_does_not_change_results(ws):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("learned", [False, True], ids=["analytic", "learned"])
+def test_lyapunov_grid_of_several_chunks_is_the_same_for_any_worker_count(
+        ws, asrnn_ckpt, learned):
+    base = ["lyapunov", "--seed", "6", "--grid", "0.1:0.9:0.02", "--energy", "1/12",
+            "--dt", "0.05", "--steps", "40", "--renorm", "0.5"]
+    if learned:
+        base += ["--checkpoint", str(asrnn_ckpt)]
+    a, b = ws / "lyap-chunks-j1.csv", ws / "lyap-chunks-j3.csv"
+    assert cli.main(base + ["--out", str(a), "--jobs", "1"]) == 0
+    assert cli.main(base + ["--out", str(b), "--jobs", "3"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    _, _, rows = _read_csv(a)
+    assert len(rows) == 41 > cli.LYAPUNOV_CHUNK
+    if not learned:
+        # the analytic kernel is elementwise per row: batching changes no bit
+        for i in (0, cli.LYAPUNOV_CHUNK, 40):
+            pot = PotentialParams.single(rows[i][0])
+            state0 = cli.datapipe.sample_initial_condition(
+                1 / 12, pot, np.random.default_rng([6, i]))
+            solo = analysis.lyapunov_spectrum(HH_FIELD, state0, pot, 0.05, 40, 0.5)
+            assert rows[i][2] == solo.maximal
+
+
+def test_lyapunov_escaping_orbit_reports_only_the_structured_error(ws, capsys):
+    out = ws / "lyap-escape.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["lyapunov", "--alphas", "1", "--energy", "1/5", "--dt", "0.1",
+                       "--steps", "2000", "--out", str(out)])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: DegenerateR: flow produced non-finite probe rows\n")
+    assert not out.exists()
+
+
 def test_lyapunov_loads_the_checkpoint_once(ws, asrnn_ckpt, monkeypatch):
     loads = []
     real = cli.checkpoint.load_checkpoint
@@ -744,6 +780,8 @@ BAD_NUMBERS = {
     "alpha": ["predict", "--alpha", "nan", "--energy", "1/12"],
     "energy": ["predict", "--alpha", "1", "--energy", "-1"],
     "alphas": ["lyapunov", "--energy", "1/8", "--alphas", "0.5,inf"],
+    "alphas-empty": ["lyapunov", "--energy", "1/8", "--alphas", ","],
+    "alphas-blank": ["lyapunov", "--energy", "1/8", "--alphas", ""],
     "grid-short": ["lyapunov", "--energy", "1/8", "--grid", "0:1"],
     "grid-step": ["lyapunov", "--energy", "1/8", "--grid", "0:1:0"],
     "grid-empty": ["lyapunov", "--energy", "1/8", "--grid", "1:0:0.1"],
@@ -810,8 +848,8 @@ def _stub_work(mp):
     mp.setattr(cli.datapipe, "sample_initial_condition", lambda energy, pot, rng: state)
     mp.setattr(cli, "integrate", lambda state0, dt, n, field, pot, **kw: Trajectory(
         dt=dt, data=state0.vec()[None, :] * 0.0, params=pot))
-    mp.setattr(cli.analysis, "lyapunov_spectrum",
-               lambda *a: types.SimpleNamespace(maximal=0.0))
+    mp.setattr(cli.analysis, "lyapunov_spectra",
+               lambda flow, states, *a: np.zeros((len(states), 4)))
 
 
 @settings(max_examples=150, deadline=None,
@@ -855,12 +893,12 @@ def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in [(models, "integrate"), (cli, "integrate"),
-                        (datapipe, "integrate_batch"), (analysis, "lyapunov_spectrum"),
-                        (analysis, "_seed_rows")]:
+                        (datapipe, "integrate_batch"), (analysis, "lyapunov_spectra"),
+                        (analysis, "lyapunov_spectrum"), (analysis, "_seed_rows")]:
         spy(owner, name)
     rollout = ["--alpha", "0.4", "--energy", "1/12", "--dt", "0.05", "--steps", "30",
                "--out", str(ws / "contract.csv")]
-    lyap = ["lyapunov", "--alphas", "0.4", "--energy", "1/12", "--dt", "0.05",
+    lyap = ["lyapunov", "--alphas", "0.4,0.6", "--energy", "1/12", "--dt", "0.05",
             "--steps", "20", "--renorm", "0.5", "--out", str(ws / "contract-lyap.csv")]
     assert cli.main(["generate", "--out", str(ws / "contract-data"), "--alphas", "0.5",
                      "--energies", "1/12", "--n-per-cell", "2", "--series-length", "20",
@@ -876,9 +914,14 @@ def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
     assert args[2] == 30 and args[3] is HH_FIELD
     args, _ = calls["symplectic_ml.datapipe.integrate_batch"][0]
     assert args[0].shape == (2, 4) and isinstance(args[4], int)
-    (analytic, _), (learned, _) = calls["symplectic_ml.analysis.lyapunov_spectrum"]
+    # one batched call per chunk of grid points, each seed with its own couplings
+    (analytic, _), (learned, _) = calls["symplectic_ml.analysis.lyapunov_spectra"]
     assert analytic[0] is HH_FIELD and analytic[4] == 20
     assert isinstance(learned[0], SeparableModel) and learned[4] == 20
+    for args in (analytic, learned):
+        assert args[1].shape == (2, 4)
+        assert [(p.alpha, p.beta) for p in args[2]] == [(0.4, 0.4), (0.6, 0.6)]
+    assert "symplectic_ml.analysis.lyapunov_spectrum" not in calls
     for args, out in calls["symplectic_ml.analysis._seed_rows"]:
         assert out.shape[0] == 9 * args[0].shape[0]
 

@@ -316,6 +316,37 @@ def test_encoder_window_count_one_past_window():
     assert wins.n == 2
 
 
+def _encoder_windows_by_loop(dataset, length, step, k):
+    """Encoder windows cut one start at a time, the reference layout."""
+    inputs, targets = [], []
+    for traj, rec in zip(dataset.trajectories, dataset.records):
+        d = traj.data
+        for s in range(0, len(traj) - length + 1, step):
+            inputs.append(d[s : s + length][:, [0, 2]])
+            last = d[s + length - 1]
+            targets.append([last[1], last[3], *[rec.alpha, rec.beta][:k]])
+    return np.stack(inputs), np.array(targets)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_encoder_windows_match_the_per_window_loop(k, stride):
+    base = fabricated_dataset([61, 12, 45, 30])  # 12 is too short: skipped
+    records = [TrajectoryRecord(alpha=0.3 + 0.1 * j, beta=0.9 - 0.2 * j, energy=1 / 12)
+               for j in range(len(base))]
+    config = GenerationConfig(param_values=tuple((r.alpha, r.beta) for r in records),
+                              energies=(1 / 12,), n_per_cell=1, param_channels=k) \
+        if k == 2 else None
+    dataset = Dataset(base.trajectories, records, config=config)
+    wins = window_dataset(dataset, "encoder", window_len=30, stride=stride)
+    inputs, targets = _encoder_windows_by_loop(dataset, 30, stride, k)
+    assert np.array_equal(wins.inputs, inputs)
+    assert np.array_equal(wins.targets, targets)
+    # the same memory layout too, so that downstream arithmetic cannot differ
+    assert wins.inputs.strides == inputs.strides
+    assert wins.targets.strides == targets.strides
+
+
 def test_encoder_too_short_raises():
     with pytest.raises(TooShort):
         window_dataset(fabricated_dataset([29]), "encoder", window_len=30)

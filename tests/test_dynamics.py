@@ -274,6 +274,14 @@ def test_potential_params_channels():
         PotentialParams(alpha=np.inf, beta=0.0)
 
 
+def test_per_row_potential_params_give_a_channel_block():
+    rows = PotentialParams(alpha=np.array([0.1, 0.2, 0.3]), beta=np.array([0.4, 0.5, 0.6]))
+    assert np.array_equal(rows.channels(1), [[0.1], [0.2], [0.3]])
+    assert np.array_equal(rows.channels(2), [[0.1, 0.4], [0.2, 0.5], [0.3, 0.6]])
+    with pytest.raises(ValueError):
+        PotentialParams(alpha=np.array([0.1, np.nan]), beta=np.zeros(2))
+
+
 def test_trajectory_validation_and_views():
     pot = PotentialParams.single(1.0)
     data = np.array([[0.1, 0.0, 0.0, 0.2], [0.1, 0.0, 0.0, 0.19]])
