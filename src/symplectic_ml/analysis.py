@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ESCAPE_RADIUS, PhaseState, PotentialParams, advance
+from .dynamics import ESCAPE_RADIUS, PhaseState, PotentialParams, advance, outside
 from .errors import (DegenerateR, LengthMismatch, ShapeMismatch, SymplecticMlError,
                      ZeroEnergy)
 
@@ -74,14 +74,11 @@ def secular_growth_ratio(errors):
 def boundedness_check(traj, radius=ESCAPE_RADIUS):
     """(bounded, first_escape_index) for a trajectory.
 
-    Bounded means every sample is finite and its position stays inside
-    ``radius`` in sup-norm.  The index of the first offending sample is
-    returned for unbounded trajectories, None otherwise.
+    Bounded means no sample is :func:`dynamics.outside` the bounded regime
+    of ``radius``.  The index of the first offending sample is returned for
+    unbounded trajectories, None otherwise.
     """
-    q = traj.q
-    bad = ~np.all(np.isfinite(traj.data), axis=1) | (
-        np.max(np.where(np.isfinite(q), np.abs(q), np.inf), axis=1) > radius
-    )
+    bad = outside(traj.data, radius)
     if not np.any(bad):
         return True, None
     return False, int(np.argmax(bad))

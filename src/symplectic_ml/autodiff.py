@@ -12,8 +12,9 @@ one gradient per parent: each training loss of the package — the rollout
 window through the leapfrog's discrete adjoint, the derivative-matching
 losses through the networks' vector-Jacobian products, the LSTM encoder
 through backpropagation through time — is one such node on the flat
-parameter vector.  :func:`scale` and :func:`sum_sq_diff` remain for the
-encoder's loss.
+parameter vector.  :func:`scale` and :func:`sum_sq_diff`, which the
+encoder's loss still composes, are such nodes too: :func:`node` is the
+tape's only recorder.
 
 Ops accept plain ndarrays or scalars in place of tensors and wrap them as
 constant (non-gradient) nodes.  Graphs are single-use: build the
@@ -129,16 +130,7 @@ def scale(a, c):
     """Multiply by a python float."""
     a = _wrap(a)
     c = float(c)
-    out = Tensor(a.data * c)
-    if a.requires_grad:
-        out.requires_grad = True
-        out._prev = (a,)
-
-        def _bw():
-            a._accum(out.grad * c)
-
-        out._backward = _bw
-    return out
+    return node(a.data * c, (a,), lambda g: (g * c,))
 
 
 def sum_sq_diff(a, b):
@@ -149,20 +141,12 @@ def sum_sq_diff(a, b):
             f"sum_sq_diff shapes disagree: {a.data.shape} vs {b.data.shape}"
         )
     diff = a.data - b.data
-    out = Tensor((diff * diff).sum())
-    if a.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._prev = tuple(t for t in (a, b) if t.requires_grad)
 
-        def _bw():
-            g = out.grad * 2.0 * diff
-            if a.requires_grad:
-                a._accum(g)
-            if b.requires_grad:
-                b._accum(-g)
+    def backward(g_out):
+        g = g_out * 2.0 * diff
+        return g, (-g if b.requires_grad else None)
 
-        out._backward = _bw
-    return out
+    return node((diff * diff).sum(), (a, b), backward)
 
 
 def grad_params_through(loss, params):

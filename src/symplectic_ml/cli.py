@@ -203,8 +203,8 @@ def _cmd_generate(args):
         cfg_dict = _load_config(args.config)
     else:
         cfg_dict = {
-            "param_values": [[a, a] for a in _parse_list(args.alphas or "1.0")],
-            "energies": _parse_list(args.energies or "0.125"),
+            "param_values": [[a, a] for a in _parse_list(args.alphas)],
+            "energies": _parse_list(args.energies),
             "n_per_cell": args.n_per_cell,
             "series_length": args.series_length,
             "transient": args.transient,
@@ -261,51 +261,45 @@ def _state_from_args(args, pot, seed):
     return _sample_state(_parse_energy(args.energy), pot, seed)
 
 
-def _rollout_from_checkpoint(path, state0, pot, dt, n_steps):
-    model, _ = checkpoint.load_checkpoint(path)
-    if isinstance(model, models.SeparableModel):
-        return models.asrnn_rollout(model, state0, pot, dt, n_steps)
-    if isinstance(model, models.BaselineModel):
-        return models.baseline_rollout(model, state0, pot, dt, n_steps)
-    raise SymplecticMlError(
-        f"checkpoint holds a {checkpoint.model_kind(model)}; need a rollout model"
-    )
-
-
-def _cmd_predict(args):
+def _rollout(args):
+    """The shared start of ``predict``, ``poincare`` and ``eval-energy``:
+    ``(state0, pot, traj, meta)``, the initial state and couplings, their
+    rollout (under ``--checkpoint``, else analytic) and the CSV metadata."""
     seed = _resolve_seed(args)
     pot = _pot_from_args(args)
     state0 = _state_from_args(args, pot, seed)
-    if args.checkpoint:
-        traj = _rollout_from_checkpoint(
-            args.checkpoint, state0, pot, args.dt, args.steps)
-    else:
+    if not args.checkpoint:
         traj = integrate(state0, args.dt, args.steps, HH_FIELD, pot)
+    else:
+        model, _ = checkpoint.load_checkpoint(args.checkpoint)
+        if isinstance(model, models.SeparableModel):
+            traj = models.asrnn_rollout(model, state0, pot, args.dt, args.steps)
+        elif isinstance(model, models.BaselineModel):
+            traj = models.baseline_rollout(model, state0, pot, args.dt, args.steps)
+        else:
+            raise SymplecticMlError(
+                f"checkpoint holds a {checkpoint.model_kind(model)}; need a rollout model")
     cfg = {
         "checkpoint": args.checkpoint, "alpha": pot.alpha, "beta": pot.beta,
         "dt": args.dt, "steps": args.steps,
     }
-    rows = [
-        (i * traj.dt, *traj.data[i]) for i in range(len(traj))
-    ]
-    _write_csv(args.out, ("t", "q_x", "q_y", "p_x", "p_y"), rows, _meta(seed, cfg))
+    return state0, pot, traj, _meta(seed, cfg)
+
+
+def _cmd_predict(args):
+    _, _, traj, meta = _rollout(args)
+    rows = [(i * traj.dt, *traj.data[i]) for i in range(len(traj))]
+    _write_csv(args.out, ("t", "q_x", "q_y", "p_x", "p_y"), rows, meta)
     print(f"wrote {len(traj)} states -> {args.out}")
     return 0
 
 
 def _cmd_eval_energy(args):
-    seed = _resolve_seed(args)
-    pot = _pot_from_args(args)
-    state0 = _state_from_args(args, pot, seed)
-    traj = _rollout_from_checkpoint(args.checkpoint, state0, pot, args.dt, args.steps)
+    state0, pot, traj, meta = _rollout(args)
     truth = _truth_trajectory(state0, pot, args.dt, args.steps)
     err = analysis.relative_energy_error(traj, truth)
-    cfg = {
-        "checkpoint": args.checkpoint, "alpha": pot.alpha, "beta": pot.beta,
-        "dt": args.dt, "steps": args.steps,
-    }
     rows = [(i * traj.dt, err[i]) for i in range(err.size)]
-    _write_csv(args.out, ("t", "energy_error_pct"), rows, _meta(seed, cfg))
+    _write_csv(args.out, ("t", "energy_error_pct"), rows, meta)
     print(
         f"mean energy error {float(np.mean(err)):.4f}% over {args.steps} steps "
         f"-> {args.out}"
@@ -378,30 +372,25 @@ def _cmd_lyapunov(args):
 
 
 def _cmd_poincare(args):
-    seed = _resolve_seed(args)
-    pot = _pot_from_args(args)
-    state0 = _state_from_args(args, pot, seed)
-    if args.checkpoint:
-        traj = _rollout_from_checkpoint(
-            args.checkpoint, state0, pot, args.dt, args.steps)
-    else:
-        traj = integrate(state0, args.dt, args.steps, HH_FIELD, pot)
+    _, _, traj, meta = _rollout(args)
     section = analysis.poincare_section(traj)
-    cfg = {
-        "alpha": pot.alpha, "beta": pot.beta, "dt": args.dt, "steps": args.steps,
-        "checkpoint": args.checkpoint,
-    }
     rows = list(zip(section.times, section.q_y, section.p_y, section.p_x))
-    _write_csv(args.out, ("t", "q_y", "p_y", "p_x"), rows, _meta(seed, cfg))
+    _write_csv(args.out, ("t", "q_y", "p_y", "p_x"), rows, meta)
     print(f"wrote {section.n} section points -> {args.out}")
     return 0
 
 
-def _cmd_infer_params(args):
-    seed = _resolve_seed(args)
-    model, _ = checkpoint.load_checkpoint(args.encoder)
+def _load_encoder(path):
+    """The ``--encoder`` checkpoint's model, which must be an LSTM encoder."""
+    model, _ = checkpoint.load_checkpoint(path)
     if not isinstance(model, lstm.EncoderModel):
         raise SymplecticMlError("--encoder must point at an lstm-encoder checkpoint")
+    return model
+
+
+def _cmd_infer_params(args):
+    seed = _resolve_seed(args)
+    model = _load_encoder(args.encoder)
     observed = _read_observed(args.observed)
     est = lstm.infer_param_ensemble(model, observed, stride=args.stride)
     cfg = {"encoder": args.encoder, "observed": args.observed, "stride": args.stride}
@@ -420,10 +409,8 @@ def _cmd_infer_params(args):
 
 def _cmd_predict_partial(args):
     seed = _resolve_seed(args)
-    encoder, _ = checkpoint.load_checkpoint(args.encoder)
+    encoder = _load_encoder(args.encoder)
     model, _ = checkpoint.load_checkpoint(args.checkpoint)
-    if not isinstance(encoder, lstm.EncoderModel):
-        raise SymplecticMlError("--encoder must point at an lstm-encoder checkpoint")
     if not isinstance(model, models.SeparableModel):
         raise SymplecticMlError("--checkpoint must point at a rollout model")
     observed = _read_observed(args.observed)
@@ -458,8 +445,9 @@ def build_parser():
     p = sub.add_parser("generate", help="generate a trajectory dataset")
     common(p)
     p.add_argument("--config", help="JSON file of generation settings")
-    p.add_argument("--alphas", help="comma list of coupling values")
-    p.add_argument("--energies", help="comma list of energies (fractions ok)")
+    p.add_argument("--alphas", default="1.0", help="comma list of coupling values")
+    p.add_argument("--energies", default="0.125",
+                   help="comma list of energies (fractions ok)")
     p.add_argument("--n-per-cell", type=int, default=50)
     p.add_argument("--series-length", type=int, default=3000)
     p.add_argument("--transient", type=int, default=500)

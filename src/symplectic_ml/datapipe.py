@@ -1,11 +1,13 @@
 """Trajectory dataset generation, windowing, and persistence.
 
 Generation integrates finely (default dt 0.001), coarse-grains (default every
-100th sample), drops an initial transient, and audits energy conservation on
-everything it keeps.  Initial conditions are rejection-sampled on a constant
-energy surface.  Every trajectory owns an independent RNG stream keyed by
-(dataset seed, trajectory index), so results are independent of batching or
-worker count.
+100th sample), drops an initial transient, and audits energy conservation
+(``dynamics.hh_energy_batch``) on everything it keeps.  Initial conditions
+are rejection-sampled on a constant energy surface.  Every trajectory owns an
+independent RNG stream keyed by (dataset seed, trajectory index), so results
+are independent of batching or worker count.  Training rows and windows take
+their parameter channels from each trajectory's own couplings
+(``PotentialParams.channels``).
 
 On disk a dataset is a directory: ``manifest.json`` (structured metadata plus
 a SHA-256 checksum) and ``states.bin`` (all state rows concatenated,
@@ -23,10 +25,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import (
-    ESCAPE_RADIUS,
     PhaseState,
     PotentialParams,
     Trajectory,
+    hh_energy_batch,
     hh_grad_v_columns,
     hh_potential,
     integrate_batch,
@@ -202,18 +204,6 @@ def sample_initial_condition(energy, params, rng):
     )
 
 
-def _energy_rows(block, alpha, beta):
-    """Energies of a (B, M, 4) block under per-row parameters (B,)."""
-    qx, qy = block[:, :, 0], block[:, :, 1]
-    px, py = block[:, :, 2], block[:, :, 3]
-    return (
-        0.5 * (px * px + py * py)
-        + 0.5 * (qx * qx + qy * qy)
-        + alpha[:, None] * qx * qx * qy
-        - beta[:, None] * (qy * qy * qy) / 3.0
-    )
-
-
 def generate_dataset(config):
     """Generate every trajectory of the config's (parameters, energy) grid.
 
@@ -243,7 +233,8 @@ def generate_dataset(config):
             n_fine,
             stride=config.coarse_factor,
         )
-        energies = _energy_rows(coarse, alpha[pending], beta[pending])
+        energies = hh_energy_batch(
+            coarse, PotentialParams(alpha[pending, None], beta[pending, None]))
         drift = np.max(
             np.abs(energies - energies[:, :1]) / np.abs(energies[:, :1]), axis=1
         )
@@ -310,12 +301,6 @@ class EncoderWindows:
         return self.inputs.shape[0]
 
 
-def _channel_row(record, k):
-    if k == 1:
-        return [record.alpha]
-    return [record.alpha, record.beta]
-
-
 def window_dataset(dataset, kind, window_len=None, stride=None):
     """Cut training rows or windows out of a dataset.
 
@@ -336,13 +321,13 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
 
     if kind == "derivative-pairs":
         states, derivs, channels = [], [], []
-        for traj, rec in zip(dataset.trajectories, dataset.records):
-            d = traj.data
+        for traj in dataset.trajectories:
+            d, pot = traj.data, traj.params
             qx, qy, px, py = d[:, 0], d[:, 1], d[:, 2], d[:, 3]
-            gx, gy = hh_grad_v_columns(rec.alpha, rec.beta)(qx, qy)
+            gx, gy = hh_grad_v_columns(pot.alpha, pot.beta)(qx, qy)
             states.append(d)
             derivs.append(np.stack([px, py, -gx, -gy], axis=1))
-            channels.append(np.tile(_channel_row(rec, k), (len(traj), 1)))
+            channels.append(np.tile(pot.channels(k), (len(traj), 1)))
         return DerivativePairs(
             states=np.concatenate(states),
             derivs=np.concatenate(derivs),
@@ -355,11 +340,11 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
             raise ValueError("rollout windows need at least 2 states")
         step = length if stride is None else int(stride)
         windows, channels = [], []
-        for traj, rec in zip(dataset.trajectories, dataset.records):
-            starts = range(0, len(traj) - length + 1, step)
-            for s in starts:
+        for traj in dataset.trajectories:
+            chan = traj.params.channels(k)
+            for s in range(0, len(traj) - length + 1, step):
                 windows.append(traj.data[s : s + length])
-                channels.append(_channel_row(rec, k))
+                channels.append(chan)
         if not windows:
             raise TooShort(f"no trajectory has {length} consecutive states")
         return RolloutWindows(
@@ -370,14 +355,14 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
         length = 30 if window_len is None else int(window_len)
         step = 1 if stride is None else int(stride)
         inputs, targets = [], []
-        for traj, rec in zip(dataset.trajectories, dataset.records):
+        for traj in dataset.trajectories:
             d = traj.data
             if len(traj) < length:
                 continue
             # (windows, 2, length) views of the observed columns, one per start
             inputs.append(sliding_window_view(d[:, 0::2], length, axis=0)[::step])
             lasts = d[length - 1 :: step, 1::2]  # hidden coordinates at each end
-            chan = np.broadcast_to(_channel_row(rec, k), (lasts.shape[0], k))
+            chan = np.broadcast_to(traj.params.channels(k), (lasts.shape[0], k))
             targets.append(np.concatenate([lasts, chan], axis=1))
         if not inputs:
             raise TooShort(f"no trajectory has {length} consecutive states")

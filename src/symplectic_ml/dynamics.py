@@ -11,7 +11,10 @@ linear frequencies:
 below an escape energy (1/6 at alpha = beta = 1).
 
 Phase-space layout used everywhere in the package: a state vector is
-``(q_x, q_y, p_x, p_y)`` and batches stack such rows.
+``(q_x, q_y, p_x, p_y)`` and batches stack such rows.  A state has left
+the bounded regime when a component is non-finite or its position lies
+beyond :data:`ESCAPE_RADIUS` in sup-norm; :func:`outside` is that rule, for
+every integrator, training loss and diagnostic of the package.
 
 Every leapfrog in the package, analytic or learned, runs the one kernel
 :func:`kick_drift_kick` on the component columns, as Python floats for one
@@ -31,6 +34,15 @@ import numpy as np
 from .errors import BadFactor, IntegrationDiverged, ShapeMismatch
 
 ESCAPE_RADIUS = 10.0
+
+
+def outside(states, radius=ESCAPE_RADIUS):
+    """Whether each state of a (..., 4) block has left the bounded regime: a
+    non-finite component, or a position beyond ``radius`` in sup-norm.  A
+    bool array over the leading axes."""
+    states = np.asarray(states)
+    return (~np.all(np.isfinite(states), axis=-1)
+            | (np.max(np.abs(states[..., :2]), axis=-1) > radius))
 
 
 @dataclass(frozen=True)
@@ -141,7 +153,7 @@ HH_FIELD = DerivativeField(columns=_hh_columns)
 class Trajectory:
     """A uniformly sampled trajectory: (N, 4) state rows at spacing ``dt``."""
 
-    def __init__(self, dt, data, params, energy0=None):
+    def __init__(self, dt, data, params):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] < 1:
             raise ShapeMismatch(f"trajectory data must be (N>=1, 4), got {data.shape}")
@@ -150,10 +162,7 @@ class Trajectory:
         self.dt = float(dt)
         self.data = data
         self.params = params
-        e0 = hh_energy(self.state(0), params)
-        if energy0 is not None and abs(e0 - energy0) > 1e-12:
-            raise ValueError("energy0 does not match the first state")
-        self.energy0 = e0
+        self.energy0 = hh_energy(self.state(0), params)
 
     def __len__(self):
         return self.data.shape[0]
@@ -180,8 +189,10 @@ class Trajectory:
 
 
 def hh_energy_batch(states, params):
-    """Energies of an (N, 4) block of state rows."""
-    qx, qy, px, py = states[:, 0], states[:, 1], states[:, 2], states[:, 3]
+    """Energies of a (..., 4) block of states; the couplings broadcast
+    against the leading axes, so (B, 1) ones give each row of a (B, M, 4)
+    block its own."""
+    qx, qy, px, py = states[..., 0], states[..., 1], states[..., 2], states[..., 3]
     return (
         0.5 * (px * px + py * py)
         + 0.5 * (qx * qx + qy * qy)
@@ -215,10 +226,13 @@ def advance(cols, dt, n_steps, grad_v, grad_k):
     return qx, qy, px, py
 
 
-def _orbit(state0, dt, n_steps, field, params, escape_radius, stride):
-    """Every ``stride``-th state of one orbit, stepped in Python floats."""
+def _orbit(state0, dt, n_steps, field, params, stride):
+    """Every ``stride``-th state of one orbit, stepped in Python floats.
+
+    Each step is checked against :func:`outside`'s rule, spelled out on the
+    four floats: an array call would cost more than the step itself.
+    """
     grad_v, grad_k = field.columns(params)
-    bound = min(escape_radius, sys.float_info.max)  # also rejects inf and NaN
     qx, qy, px, py = (float(x) for x in state0.vec())
     rows = [(qx, qy, px, py)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,10 +240,10 @@ def _orbit(state0, dt, n_steps, field, params, escape_radius, stride):
         for i in range(1, n_steps + 1):
             qx, qy, px, py, fx, fy = kick_drift_kick(qx, qy, px, py, fx, fy, dt,
                                                      grad_v, grad_k)
-            if not (abs(qx) <= bound and abs(qy) <= bound):
+            if not (abs(qx) <= ESCAPE_RADIUS and abs(qy) <= ESCAPE_RADIUS):
                 raise IntegrationDiverged(
                     f"diverged at step {i}: position left the bounded regime "
-                    f"(|q| > {escape_radius})", step=i)
+                    f"(|q| > {ESCAPE_RADIUS})", step=i)
             if not (abs(px) <= sys.float_info.max and abs(py) <= sys.float_info.max):
                 raise IntegrationDiverged(
                     f"diverged at step {i}: momentum became non-finite", step=i)
@@ -238,39 +252,37 @@ def _orbit(state0, dt, n_steps, field, params, escape_radius, stride):
     return rows
 
 
-def integrate(state0, dt, n_steps, field, params, escape_radius=ESCAPE_RADIUS,
-              stride=1):
+def integrate(state0, dt, n_steps, field, params, stride=1):
     """Integrate ``n_steps`` leapfrog steps of one orbit under ``field``,
     anything with a ``columns(params)`` method.
 
     Returns every ``stride``-th state (``n_steps // stride + 1`` samples at
     spacing ``dt * stride``); ``stride`` must divide ``n_steps``.  Raises
-    IntegrationDiverged, with the step index, once a position is non-finite
-    or outside the escape radius in sup-norm, or a momentum is non-finite.
+    IntegrationDiverged, with the step index, once a state is :func:`outside`
+    the bounded regime.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not isinstance(stride, (int, np.integer)) or stride < 1 or n_steps % stride:
         raise BadFactor(f"stride {stride!r} must be a positive divisor of {n_steps}")
-    rows = _orbit(state0, dt, n_steps, field, params, escape_radius, stride)
+    rows = _orbit(state0, dt, n_steps, field, params, stride)
     return Trajectory(dt=dt * stride, data=np.array(rows), params=params)
 
 
-def leapfrog_step(state, dt, field, params, escape_radius=ESCAPE_RADIUS):
+def leapfrog_step(state, dt, field, params):
     """One leapfrog step of one state; diverges as :func:`integrate` does."""
-    last = _orbit(state, dt, 1, field, params, escape_radius, 1)[-1]
+    last = _orbit(state, dt, 1, field, params, 1)[-1]
     return PhaseState(q=np.array(last[:2]), p=np.array(last[2:]))
 
 
-def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1,
-                    escape_radius=ESCAPE_RADIUS):
+def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1):
     """Integrate a batch, recording every ``stride``-th step.
 
     ``states0`` is (B, 4); ``alpha``/``beta`` scalar or (B,).  ``stride`` must
     divide ``n_steps``.  Returns ``(coarse, escaped)`` where ``coarse`` is
     (B, n_steps // stride + 1, 4) and ``escaped[b]`` is the first recorded
-    index at which row ``b`` was non-finite or outside the escape radius
-    (-1 for rows that stayed bounded).  Rows keep integrating after escape;
+    index at which row ``b`` was :func:`outside` the bounded regime (-1 for
+    rows that stayed bounded).  Rows keep integrating after escape;
     their later samples are garbage and must be discarded by the caller.
     """
     if n_steps % stride != 0:
@@ -288,11 +300,7 @@ def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1,
             cols = advance(cols, dt, stride, grad_v, kinetic_grad_columns)
             cur = coarse[:, k]
             cur[:] = np.stack(cols, axis=1)
-            q = cur[:, :2]
-            bad = ~np.all(np.isfinite(cur), axis=1) | (
-                np.max(np.abs(np.where(np.isfinite(q), q, np.inf)), axis=1)
-                > escape_radius
-            )
+            bad = outside(cur)
             newly = bad & (escaped < 0)
             escaped[newly] = k
             if np.any(bad):

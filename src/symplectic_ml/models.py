@@ -13,7 +13,10 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
   rolled out with a classic fourth-order Runge-Kutta step.
 
 Adaptable variants append the potential parameters to the network input —
-for the separable model only to V's input, so K stays parameter-blind.
+for the separable model only to V's input, so K stays parameter-blind —
+through the one helper :func:`_with_channels`.  Rollouts and the rollout
+loss judge divergence by ``dynamics.outside``, the package's one
+bounded-regime rule.
 
 Inference (derivatives, energies, rollouts) runs the numpy networks of
 ``nets``.  Each training loss is one closed-form tape node on the flat
@@ -33,13 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Tensor
-from .dynamics import (
-    ESCAPE_RADIUS,
-    Trajectory,
-    integrate,
-    kick_drift_kick,
-    kinetic_grad_columns,
-)
+from .dynamics import Trajectory, integrate, kick_drift_kick, kinetic_grad_columns, outside
 from .errors import (
     EmptyBatch,
     IntegrationDiverged,
@@ -77,24 +74,31 @@ class HnnModel:
             raise ShapeMismatch("parameter vector does not match the layer sizes")
 
 
-def _with_channels(x, pot_params, param_channels):
-    """Append constant parameter channels to each row of a (B, n) array."""
-    if param_channels == 0:
+def _with_channels(x, channels):
+    """A (B, n) array with parameter channels appended to each row:
+    ``channels`` is None (none appended), a (k,) vector for every row, or a
+    (B, k) block."""
+    if channels is None:
         return x
-    chan = pot_params.channels(param_channels)
-    return np.concatenate([x, np.broadcast_to(chan, (x.shape[0], param_channels))], axis=1)
+    return np.concatenate(
+        [x, np.broadcast_to(channels, (x.shape[0], np.shape(channels)[-1]))], axis=1)
+
+
+def _channels(model, pot_params):
+    """The parameter channels ``model`` reads under ``pot_params``, or None."""
+    return pot_params.channels(model.param_channels) if model.param_channels else None
 
 
 def hnn_derivatives(model, state, pot_params):
     """(dq/dt, dp/dt) of one state under the learned Hamiltonian."""
-    x = _with_channels(state.vec()[None, :], pot_params, model.param_channels)
+    x = _with_channels(state.vec()[None, :], _channels(model, pot_params))
     g = nets.grad_inputs(model.spec, model.params, x)[0]
     return g[2:4].copy(), -g[0:2]
 
 
 def hnn_energy(model, states, pot_params):
     """H values over an (N, 4) block of states."""
-    x = _with_channels(states, pot_params, model.param_channels)
+    x = _with_channels(states, _channels(model, pot_params))
     return nets.forward(model.spec, model.params, x)[:, 0]
 
 
@@ -117,7 +121,7 @@ def hnn_loss(model, states, qdot, pdot, channels=None):
 def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
     """The derivative-matching loss as one tape node on ``theta``; its
     backward is the second-order VJP of the network's input gradient."""
-    x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
+    x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)
     g, chain = nets.input_gradient(spec, layers, x, acts)
@@ -187,8 +191,7 @@ class SeparableModel:
     def columns(self, pot_params):
         """The learned field in the kernel's column form ``(grad_v, grad_k)``."""
         k_layers, v_layers = _separable_layers(self, self.params)
-        chan = pot_params.channels(self.param_channels) if self.param_channels else None
-        grad_v = _gradient_columns(self.potential_spec, v_layers, chan)
+        grad_v = _gradient_columns(self.potential_spec, v_layers, _channels(self, pot_params))
         if self.fixed_kinetic:
             return grad_v, kinetic_grad_columns
         return grad_v, _gradient_columns(self.kinetic_spec, k_layers)
@@ -205,10 +208,7 @@ def _gradient_columns(spec, layers, channels=None, record=None, calls=None):
     empty = np.empty if record is None else record.empty
 
     def grad(a, b):
-        x = np.column_stack((a, b))
-        if channels is not None:
-            x = np.concatenate(
-                [x, np.broadcast_to(channels, (x.shape[0], channels.shape[-1]))], axis=1)
+        x = _with_channels(np.column_stack((a, b)), channels)
         acts = nets.hidden_activations(spec, layers, x, empty)
         g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty)
         if calls is not None:
@@ -226,17 +226,16 @@ def _separable_layers(model, flat):
     return k_layers, nets.unflatten_params(model.potential_spec, flat[nk:])
 
 
-def asrnn_rollout(model, state0, pot_params, dt, n_steps,
-                  escape_radius=ESCAPE_RADIUS):
+def asrnn_rollout(model, state0, pot_params, dt, n_steps):
     """Leapfrog rollout under the learned K and V; the ground truth's kernel,
     so for analytic stand-ins the sequences match exactly."""
-    return integrate(state0, dt, n_steps, model, pot_params, escape_radius)
+    return integrate(state0, dt, n_steps, model, pot_params)
 
 
 def conserved_quantity(model, traj, pot_params):
     """K + V evaluated along a trajectory — the quantity rollouts conserve."""
     q, p = traj.q, traj.p
-    v_in = _with_channels(q, pot_params, model.param_channels)
+    v_in = _with_channels(q, _channels(model, pot_params))
     v = nets.forward(model.potential_spec, model.potential_params, v_in)[:, 0]
     if model.fixed_kinetic:
         k = 0.5 * np.sum(p * p, axis=1)
@@ -406,7 +405,7 @@ def srnn_loss(model, window, pot_params, dt):
     if window.ndim != 2 or window.shape[1] != 4 or window.shape[0] < 2:
         raise WindowLengthMismatch(f"window must be (L>=2, 4), got {window.shape}")
     theta = Tensor(model.params)
-    chan = pot_params.channels(model.param_channels) if model.adaptable else None
+    chan = _channels(model, pot_params)
     channels = None if chan is None else chan[None, :]
     loss, n_diverged = _srnn_loss_graph(
         model, theta, window[None, :, :], channels, dt)
@@ -416,12 +415,11 @@ def srnn_loss(model, window, pot_params, dt):
 DIVERGENCE_PENALTY = 1e6
 
 
-def _srnn_loss_graph(model, theta, windows, channels, dt,
-                     escape_radius=ESCAPE_RADIUS, pool=None):
+def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
     """Batched rollout loss as one tape node on ``theta``.  ``windows`` is
     (B, L, 4).
 
-    Windows whose rollout leaves the escape radius are excluded and
+    Windows whose rollout leaves the bounded regime are excluded and
     contribute a constant penalty instead: the divergence penalty plus the
     squared distance at the last finite step.  The rollout runs once; only
     when some window diverged is it rerun over the others, so that the loss
@@ -447,11 +445,7 @@ def _srnn_loss_graph(model, theta, windows, channels, dt,
         return pred, record
 
     pred, record = rollout(slice(None))
-    finite = np.all(np.isfinite(pred), axis=2)
-    inside = finite & (
-        np.max(np.abs(np.where(finite[:, :, None], pred[:, :, :2], 0.0)), axis=2)
-        <= escape_radius
-    )
+    inside = ~outside(pred)
     ok = np.all(inside, axis=1)
     penalty = 0.0
     for i in np.flatnonzero(~ok):
@@ -511,8 +505,7 @@ class BaselineModel:
 
 def baseline_derivatives(model, states, pot_params):
     """Predicted (B, 4) derivatives for a (B, 4) block of states."""
-    x = _with_channels(np.asarray(states, dtype=np.float64), pot_params,
-                       model.param_channels)
+    x = _with_channels(np.asarray(states, dtype=np.float64), _channels(model, pot_params))
     return nets.forward(model.spec, model.params, x)
 
 
@@ -528,7 +521,7 @@ def baseline_loss(model, states, derivs, channels=None):
 
 def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
     """Mean squared derivative error as one tape node on ``theta``."""
-    x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
+    x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)
     out = nets.numpy_forward(spec, layers, x, acts)
@@ -545,8 +538,7 @@ def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
     return ad.node((diff * diff).sum() * c, (theta,), backward)
 
 
-def baseline_rollout(model, state0, pot_params, dt, n_steps,
-                     escape_radius=ESCAPE_RADIUS):
+def baseline_rollout(model, state0, pot_params, dt, n_steps):
     """Classic RK4 rollout of the learned derivative field."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -554,10 +546,10 @@ def baseline_rollout(model, state0, pot_params, dt, n_steps,
     data[0] = state0.vec()
     cur = data[0][None, :]
     layers = nets.unflatten_params(model.spec, model.params)
+    chan = _channels(model, pot_params)
 
     def f(x):
-        return nets.numpy_forward(
-            model.spec, layers, _with_channels(x, pot_params, model.param_channels))
+        return nets.numpy_forward(model.spec, layers, _with_channels(x, chan))
 
     for i in range(1, n_steps + 1):
         k1 = f(cur)
@@ -566,7 +558,7 @@ def baseline_rollout(model, state0, pot_params, dt, n_steps,
         k4 = f(cur + dt * k3)
         cur = cur + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         row = cur[0]
-        if not np.all(np.isfinite(row)) or np.max(np.abs(row[:2])) > escape_radius:
+        if outside(row):
             raise IntegrationDiverged(f"baseline rollout diverged at step {i}", step=i)
         data[i] = row
     return Trajectory(dt=dt, data=data, params=pot_params)

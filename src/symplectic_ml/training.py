@@ -19,7 +19,7 @@ from . import checkpoint as ckpt
 from . import lstm, models, nets
 from .autodiff import Tensor
 from .datapipe import check_field, finite_positive, window_dataset
-from .errors import DivergedTraining, EmptyBatch
+from .errors import DivergedTraining, EmptyBatch, ShapeMismatch
 from .nets import DenseNetSpec
 
 GRAD_CLIP_NORM = 10.0
@@ -158,8 +158,19 @@ class TrainReport:
 
 def _build_problem(config, dataset):
     """``(n, theta0, loss_graph, build_model)``: the row count, the initial
-    parameters, the loss-graph closure, and the model at given parameters."""
+    parameters, the loss-graph closure, and the model at given parameters.
+
+    Raises ShapeMismatch when a model that reads parameter channels (an
+    adaptable one, or the encoder) asks for another count than the dataset
+    holds.
+    """
     k = config.param_channels if config.adaptable else 0
+    if config.adaptable or config.model_kind == "encoder":
+        held = dataset.config.param_channels if dataset.config else 1
+        if config.param_channels != held:
+            raise ShapeMismatch(
+                f"param_channels is {config.param_channels}, but the dataset holds "
+                f"{held} parameter channel(s)")
     seq = np.random.SeedSequence([config.seed, 7])
     init_seed, init_seed2 = seq.spawn(2)
 

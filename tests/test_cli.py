@@ -305,6 +305,25 @@ def test_train_on_a_corrupt_record_is_a_runtime_error(ws, data_dir, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("model", ["asrnn", "baseline", "hnn", "encoder"])
+def test_train_param_channels_must_match_the_dataset(ws, data_dir, monkeypatch, capsys,
+                                                     model):
+    def never(*args, **kwargs):
+        raise AssertionError("parameters initialised before the channel check")
+
+    monkeypatch.setattr(training.nets, "init_params", never)
+    monkeypatch.setattr(training.lstm, "init_encoder_params", never)
+    out = ws / f"channels-{model}.json"
+    rc = cli.main(["train", "--out", str(out), "--model", model, "--dataset",
+                   str(data_dir), "--set", "param_channels=2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ShapeMismatch: param_channels is 2, but the dataset "
+                          "holds 1 parameter channel(s)")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_rejects_bad_config_value(ws, data_dir, capsys):
     rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "hnn",
                    "--dataset", str(data_dir), "--set", "epochs=0"])
@@ -782,6 +801,8 @@ BAD_NUMBERS = {
     "alphas": ["lyapunov", "--energy", "1/8", "--alphas", "0.5,inf"],
     "alphas-empty": ["lyapunov", "--energy", "1/8", "--alphas", ","],
     "alphas-blank": ["lyapunov", "--energy", "1/8", "--alphas", ""],
+    "generate-alphas-blank": ["generate", "--alphas", "", "--energies", "0.1"],
+    "generate-energies-blank": ["generate", "--alphas", "0.5", "--energies", ""],
     "grid-short": ["lyapunov", "--energy", "1/8", "--grid", "0:1"],
     "grid-step": ["lyapunov", "--energy", "1/8", "--grid", "0:1:0"],
     "grid-empty": ["lyapunov", "--energy", "1/8", "--grid", "1:0:0.1"],

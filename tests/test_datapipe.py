@@ -20,7 +20,13 @@ from symplectic_ml.datapipe import (
     save_dataset,
     window_dataset,
 )
-from symplectic_ml.dynamics import PotentialParams, hh_energy, hh_grad_v, hh_potential
+from symplectic_ml.dynamics import (
+    PotentialParams,
+    Trajectory,
+    hh_energy,
+    hh_grad_v,
+    hh_potential,
+)
 from symplectic_ml.errors import (
     CorruptRecord,
     EmptyDataset,
@@ -337,7 +343,10 @@ def test_encoder_windows_match_the_per_window_loop(k, stride):
     config = GenerationConfig(param_values=tuple((r.alpha, r.beta) for r in records),
                               energies=(1 / 12,), n_per_cell=1, param_channels=k) \
         if k == 2 else None
-    dataset = Dataset(base.trajectories, records, config=config)
+    # each trajectory carries its record's couplings, as generated and loaded ones do
+    trajectories = [Trajectory(t.dt, t.data, PotentialParams(r.alpha, r.beta))
+                    for t, r in zip(base.trajectories, records)]
+    dataset = Dataset(trajectories, records, config=config)
     wins = window_dataset(dataset, "encoder", window_len=30, stride=stride)
     inputs, targets = _encoder_windows_by_loop(dataset, 30, stride, k)
     assert np.array_equal(wins.inputs, inputs)

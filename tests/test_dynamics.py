@@ -21,7 +21,13 @@ from symplectic_ml import (
     integrate_batch,
     leapfrog_step,
 )
-from symplectic_ml.dynamics import advance, hh_grad_v_columns, kinetic_grad_columns
+from symplectic_ml.dynamics import (
+    ESCAPE_RADIUS,
+    advance,
+    hh_grad_v_columns,
+    kinetic_grad_columns,
+    outside,
+)
 
 from helpers import numeric_jacobian
 
@@ -36,6 +42,19 @@ def test_potential_value_at_sample_point():
 def test_energy_adds_kinetic_term():
     state = PhaseState(q=[0.1, 0.2], p=[0.3, 0.4])
     assert hh_energy(state, UNIT) == pytest.approx(73 / 3000 + 0.125, rel=1e-14)
+
+
+def test_energy_batch_of_a_per_row_block_matches_the_row_formula_bit_for_bit():
+    # the formula dataset generation once kept for (B, M, 4) blocks, written out
+    rng = np.random.default_rng(3)
+    block = rng.uniform(-0.6, 0.6, size=(5, 7, 4))
+    alpha, beta = rng.uniform(0.0, 1.0, 5), rng.uniform(0.0, 1.0, 5)
+    qx, qy, px, py = block[:, :, 0], block[:, :, 1], block[:, :, 2], block[:, :, 3]
+    expected = (0.5 * (px * px + py * py) + 0.5 * (qx * qx + qy * qy)
+                + alpha[:, None] * qx * qx * qy - beta[:, None] * (qy * qy * qy) / 3.0)
+    got = hh_energy_batch(block, PotentialParams(alpha[:, None], beta[:, None]))
+    assert got.shape == (5, 7)
+    assert np.array_equal(got, expected)
 
 
 def test_energy_batch_matches_scalar():
@@ -157,6 +176,34 @@ def test_escape_raises_with_step_index():
     with pytest.raises(IntegrationDiverged) as exc:
         integrate(PhaseState(q=[0.0, 0.0], p=[1000.0, 0.0]), 0.1, 5, HH_FIELD, pot)
     assert exc.value.step == 1
+
+
+def _float_rule_outside(qx, qy, px, py):
+    """The bounded-regime test that ``integrate`` applies to each step's floats."""
+    huge = np.finfo(float).max
+    return not (abs(qx) <= ESCAPE_RADIUS and abs(qy) <= ESCAPE_RADIUS
+                and abs(px) <= huge and abs(py) <= huge)
+
+
+_EDGE_COMPONENTS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, ESCAPE_RADIUS, -ESCAPE_RADIUS,
+                     np.nextafter(ESCAPE_RADIUS, np.inf),
+                     -np.nextafter(ESCAPE_RADIUS, np.inf),
+                     np.nextafter(ESCAPE_RADIUS, 0.0), 0.0, -0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2 * ESCAPE_RADIUS, 2 * ESCAPE_RADIUS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[_EDGE_COMPONENTS] * 4), min_size=1, max_size=12))
+def test_outside_agrees_with_the_float_rule_row_by_row(rows):
+    block = np.array(rows, dtype=np.float64)
+    expected = [_float_rule_outside(*row) for row in rows]
+    for shape in [(len(rows),), (1, len(rows)), (len(rows), 1, 1)]:
+        got = outside(block.reshape(*shape, 4))
+        assert got.shape == shape and got.dtype == bool
+        assert got.ravel().tolist() == expected
 
 
 def _reference_orbit(state, dt, n_steps, pot, radius=10.0):
@@ -291,8 +338,6 @@ def test_trajectory_validation_and_views():
     assert np.array_equal(traj.p, data[:, 2:])
     assert np.allclose(traj.times, [0.0, 0.1])
     assert traj.energy0 == pytest.approx(hh_energy(traj.state(0), pot))
-    with pytest.raises(ValueError):
-        Trajectory(dt=0.1, data=data, params=pot, energy0=traj.energy0 + 1.0)
     with pytest.raises(ShapeMismatch):
         Trajectory(dt=0.1, data=np.zeros((0, 4)), params=pot)
     with pytest.raises(ValueError):
