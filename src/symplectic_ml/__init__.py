@@ -92,7 +92,6 @@ from .training import (
 from .datapipe import (
     Dataset,
     GenerationConfig,
-    TrajectoryRecord,
     generate_dataset,
     load_dataset,
     sample_initial_condition,

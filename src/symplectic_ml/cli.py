@@ -334,7 +334,7 @@ def _cmd_lyapunov(args):
             raise _UsageError(f"--grid {args.grid!r} has more than {MAX_GRID_POINTS} points")
         alphas = list(np.arange(lo, stop, step))
     else:
-        alphas = _parse_list("1.0" if args.alphas is None else args.alphas)
+        alphas = _parse_list(args.alphas)
         if not alphas:
             raise _UsageError(f"--alphas needs at least one value, got {args.alphas!r}")
     energy = _parse_energy(args.energy)
@@ -471,8 +471,9 @@ def build_parser():
                        **({"required": True} if need_checkpoint else {}))
         p.add_argument("--alpha", type=_finite, required=True)
         p.add_argument("--beta", type=_finite, default=None)
-        p.add_argument("--energy", help="initial energy (fractions ok)")
-        p.add_argument("--ic", help="explicit q_x,q_y,p_x,p_y")
+        start = p.add_mutually_exclusive_group()
+        start.add_argument("--energy", help="initial energy (fractions ok)")
+        start.add_argument("--ic", help="explicit q_x,q_y,p_x,p_y")
         p.add_argument("--dt", type=_positive, default=0.1)
         p.add_argument("--steps", type=_count, default=1000)
 
@@ -486,8 +487,9 @@ def build_parser():
 
     p = sub.add_parser("lyapunov", help="maximal exponents over a coupling grid")
     common(p)
-    p.add_argument("--grid", help="alpha grid lo:hi:step")
-    p.add_argument("--alphas", help="comma list of alphas")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--grid", help="alpha grid lo:hi:step")
+    grid.add_argument("--alphas", default="1.0", help="comma list of alphas")
     p.add_argument("--energy", required=True)
     p.add_argument("--dt", type=_positive, default=0.01)
     p.add_argument("--steps", type=_count, default=100000)

@@ -9,8 +9,9 @@ are independent of batching or worker count.  Training rows and windows take
 their parameter channels from each trajectory's own couplings
 (``PotentialParams.channels``).
 
-On disk a dataset is a directory: ``manifest.json`` (structured metadata plus
-a SHA-256 checksum) and ``states.bin`` (all state rows concatenated,
+On disk a dataset is a directory: ``manifest.json`` (structured metadata,
+one record per trajectory written from its own couplings, plus a SHA-256
+checksum) and ``states.bin`` (all state rows concatenated,
 little-endian float64, row order ``q_x, q_y, p_x, p_y``).
 """
 
@@ -156,27 +157,24 @@ class GenerationConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Per-trajectory metadata: the generating cell."""
-
-    alpha: float
-    beta: float
-    energy: float
-
-
 class Dataset:
-    """Generated trajectories plus their per-trajectory records."""
+    """Trajectories, which carry their own couplings, and the energy of each
+    one's generating cell, the one fact of its cell a trajectory lacks."""
 
-    def __init__(self, trajectories, records, config=None):
-        if len(trajectories) != len(records):
-            raise CorruptRecord("trajectory and record counts disagree")
+    def __init__(self, trajectories, cell_energies, config=None):
+        if len(trajectories) != len(cell_energies):
+            raise CorruptRecord("trajectory and cell-energy counts disagree")
         self.trajectories = list(trajectories)
-        self.records = list(records)
+        self.cell_energies = list(cell_energies)
         self.config = config
 
     def __len__(self):
         return len(self.trajectories)
+
+    @property
+    def param_channels(self):
+        """Channels the networks read: the config's count, 1 without one."""
+        return self.config.param_channels if self.config else 1
 
     @property
     def n_states(self):
@@ -252,14 +250,9 @@ def generate_dataset(config):
             f"{MAX_DIVERGENCE_RETRIES} resamples"
         )
 
-    trajectories = []
-    records = []
-    for i, (pot, energy) in enumerate(entries):
-        trajectories.append(
-            Trajectory(dt=config.coarse_dt, data=stored[i], params=pot)
-        )
-        records.append(TrajectoryRecord(alpha=pot.alpha, beta=pot.beta, energy=energy))
-    return Dataset(trajectories, records, config=config)
+    trajectories = [Trajectory(dt=config.coarse_dt, data=stored[i], params=pot)
+                    for i, (pot, _) in enumerate(entries)]
+    return Dataset(trajectories, [energy for _, energy in entries], config=config)
 
 
 @dataclass
@@ -313,7 +306,7 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot window an empty dataset")
-    k = dataset.config.param_channels if dataset.config else 1
+    k = dataset.param_channels
     dts = {t.dt for t in dataset.trajectories}
     if len(dts) != 1:
         raise CorruptRecord("trajectories have mixed sampling steps")
@@ -388,14 +381,14 @@ def save_dataset(dataset, path):
     blob = f8_bytes(t.data for t in dataset.trajectories)
     records = []
     offset = 0
-    for traj, rec in zip(dataset.trajectories, dataset.records):
+    for traj, energy in zip(dataset.trajectories, dataset.cell_energies):
         records.append(
             {
                 "offset": offset,
                 "length": len(traj),
-                "alpha": rec.alpha,
-                "beta": rec.beta,
-                "energy": rec.energy,
+                "alpha": traj.params.alpha,
+                "beta": traj.params.beta,
+                "energy": energy,
                 "dt": traj.dt,
             }
         )
@@ -414,8 +407,10 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """Read a dataset directory back; verifies version, checksum and that the
-    records tile ``states.bin`` in order, one block each."""
+    """Read a dataset directory back.  Verifies the version, the checksum,
+    that every stored state is finite, and that the records tile ``states.bin``
+    in order, one block each, with finite couplings, ``dt`` and cell energy
+    finite and > 0, and ``alpha == beta`` in a one-channel dataset."""
     path = Path(path)
     try:
         with open(path / "manifest.json") as fh:
@@ -439,6 +434,8 @@ def load_dataset(path):
     if flat.size % 4 != 0:
         raise CorruptRecord("states.bin length is not a multiple of the row size")
     rows = flat.reshape(-1, 4)
+    if not np.all(np.isfinite(rows)):
+        raise CorruptRecord("states.bin holds non-finite values")
     totals = manifest.get("totals")
     total = totals.get("states") if isinstance(totals, dict) else None
     if type(total) is not int or total != rows.shape[0]:
@@ -448,7 +445,7 @@ def load_dataset(path):
     records_in = manifest.get("records")
     if not isinstance(records_in, list) or not all(isinstance(r, dict) for r in records_in):
         raise CorruptRecord("manifest records are not a list of objects")
-    trajectories, records = [], []
+    trajectories, cell_energies = [], []
     end = 0
     try:
         for k, rec in enumerate(records_in):
@@ -462,16 +459,21 @@ def load_dataset(path):
             end += length
             if end > total:
                 raise CorruptRecord("record extends past the end of states.bin")
-            pot = PotentialParams(alpha=rec["alpha"], beta=rec["beta"])
+            pot = PotentialParams(*(check_field(n, rec[n], Real, math.isfinite, "finite")
+                                    for n in ("alpha", "beta")))
             trajectories.append(Trajectory(dt=rec["dt"], data=rows[offset:end].copy(),
                                            params=pot))
-            records.append(
-                TrajectoryRecord(alpha=rec["alpha"], beta=rec["beta"], energy=rec["energy"])
-            )
+            cell_energies.append(check_field("energy", rec["energy"], Real, finite_positive,
+                                             "finite and > 0"))
         if end != total:
             raise CorruptRecord(f"records cover {end} of the {total} stored states")
         config = manifest.get("config")
         config = GenerationConfig.from_dict(config) if config else None
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CorruptRecord(f"manifest is structurally invalid: {err}")
-    return Dataset(trajectories, records, config=config)
+    dataset = Dataset(trajectories, cell_energies, config=config)
+    uneven = [k for k, t in enumerate(trajectories) if t.params.alpha != t.params.beta]
+    if uneven and dataset.param_channels == 1:
+        raise CorruptRecord(f"record {uneven[0]} has alpha != beta in a dataset with "
+                            "one parameter channel")
+    return dataset

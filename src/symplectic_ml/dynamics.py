@@ -8,7 +8,8 @@ linear frequencies:
     V = (q_x^2 + q_y^2) / 2 + alpha * q_x^2 q_y - beta * q_y^3 / 3
 
 ``alpha == beta`` recovers the single-parameter family; bounded motion exists
-below an escape energy (1/6 at alpha = beta = 1).
+below an escape energy (1/6 at alpha = beta = 1).  The energy has one
+formula, :func:`hh_energy_batch`.
 
 Phase-space layout used everywhere in the package: a state vector is
 ``(q_x, q_y, p_x, p_y)`` and batches stack such rows.  A state has left
@@ -25,6 +26,7 @@ giving the kernel's pair ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``: the
 analytic :data:`HH_FIELD` or a learned ``models.SeparableModel``.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -117,9 +119,8 @@ def hh_potential(q, params):
 
 
 def hh_energy(state, params):
-    """Total energy of one state."""
-    p = state.p
-    return 0.5 * (p[0] * p[0] + p[1] * p[1]) + hh_potential(state.q, params)
+    """Total energy of one state: :func:`hh_energy_batch` of its vector."""
+    return hh_energy_batch(state.vec(), params)
 
 
 def hh_grad_v_columns(alpha, beta):
@@ -151,18 +152,18 @@ HH_FIELD = DerivativeField(columns=_hh_columns)
 
 
 class Trajectory:
-    """A uniformly sampled trajectory: (N, 4) state rows at spacing ``dt``."""
+    """A uniformly sampled trajectory: (N, 4) state rows at spacing ``dt``
+    under the couplings ``params``."""
 
     def __init__(self, dt, data, params):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] < 1:
             raise ShapeMismatch(f"trajectory data must be (N>=1, 4), got {data.shape}")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         self.dt = float(dt)
         self.data = data
         self.params = params
-        self.energy0 = hh_energy(self.state(0), params)
 
     def __len__(self):
         return self.data.shape[0]
@@ -178,10 +179,6 @@ class Trajectory:
     @property
     def times(self):
         return np.arange(len(self)) * self.dt
-
-    def state(self, i):
-        row = self.data[i]
-        return PhaseState(q=row[:2], p=row[2:])
 
     def energies(self, params=None):
         """Total energy at every sample, under ``params`` (default: own)."""

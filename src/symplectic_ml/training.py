@@ -166,11 +166,10 @@ def _build_problem(config, dataset):
     """
     k = config.param_channels if config.adaptable else 0
     if config.adaptable or config.model_kind == "encoder":
-        held = dataset.config.param_channels if dataset.config else 1
-        if config.param_channels != held:
+        if config.param_channels != dataset.param_channels:
             raise ShapeMismatch(
                 f"param_channels is {config.param_channels}, but the dataset holds "
-                f"{held} parameter channel(s)")
+                f"{dataset.param_channels} parameter channel(s)")
     seq = np.random.SeedSequence([config.seed, 7])
     init_seed, init_seed2 = seq.spawn(2)
 

@@ -15,7 +15,6 @@ from symplectic_ml import (
     ShapeMismatch,
     Tensor,
     Trajectory,
-    TrajectoryRecord,
     finite_diff_check,
     generate_dataset,
     grad_params_through,
@@ -90,21 +89,22 @@ def small_dataset(alphas=(0.5,), energies=(1 / 12,), n_per_cell=2,
 
 
 def fabricated_dataset(n_states_list, dt=0.1, alpha=1.0, energy=1 / 12,
-                       seed=9, dts=None):
+                       seed=9, dts=None, couplings=None, config=None):
     """A dataset assembled from genuine integrator output, without running
     the full generation pipeline.  ``n_states_list`` gives each trajectory's
-    stored length."""
-    pot = PotentialParams.single(alpha)
+    stored length; ``couplings``, one (alpha, beta) pair per trajectory, the
+    couplings each is integrated under (default: ``alpha`` for both)."""
+    if couplings is None:
+        couplings = [(float(alpha), float(alpha))] * len(n_states_list)
     rng = np.random.default_rng(seed)
-    trajectories, records = [], []
+    trajectories = []
     for j, n in enumerate(n_states_list):
+        pot = PotentialParams(*couplings[j])
         q = rng.uniform(-0.1, 0.1, size=2)
         p = rng.uniform(-0.2, 0.2, size=2)
         step = dt if dts is None else dts[j]
-        traj = integrate(PhaseState(q=q, p=p), step, n - 1, HH_FIELD, pot)
-        trajectories.append(traj)
-        records.append(TrajectoryRecord(alpha=alpha, beta=alpha, energy=energy))
-    return Dataset(trajectories, records, config=None)
+        trajectories.append(integrate(PhaseState(q=q, p=p), step, n - 1, HH_FIELD, pot))
+    return Dataset(trajectories, [energy] * len(trajectories), config=config)
 
 
 def separable_gradients(model, pot):

@@ -135,7 +135,7 @@ def test_generate_writes_loadable_dataset(data_dir, capsys):
     assert len(dataset) == 4
     assert dataset.trajectories[0].dt == pytest.approx(0.1)
     assert all(len(t) == 40 for t in dataset.trajectories)
-    alphas = sorted({r.alpha for r in dataset.records})
+    alphas = sorted({t.params.alpha for t in dataset.trajectories})
     assert alphas == [0.4, 0.8]
 
 
@@ -292,11 +292,12 @@ def test_train_missing_dataset_is_a_runtime_error(ws, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_train_on_a_corrupt_record_is_a_runtime_error(ws, data_dir, capsys):
-    bad = ws / "dataset-dt0"
+@pytest.mark.parametrize("dt", [0, float("nan"), float("inf")])
+def test_train_on_a_corrupt_record_is_a_runtime_error(ws, data_dir, capsys, dt):
+    bad = ws / f"dataset-dt-{dt}"
     shutil.copytree(data_dir, bad)
     manifest = json.loads((bad / "manifest.json").read_text())
-    manifest["records"][1]["dt"] = 0
+    manifest["records"][1]["dt"] = dt
     (bad / "manifest.json").write_text(json.dumps(manifest))
     rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "hnn",
                    "--dataset", str(bad)])
@@ -820,6 +821,29 @@ def test_bad_numbers_are_usage_errors(ws, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# each pair of options names the same input twice; one used to win silently
+CONFLICTS = {
+    "lyapunov-grid-alphas": ["lyapunov", "--energy", "1/8", "--steps", "100",
+                             "--grid", "0:0.2:0.1", "--alphas", "0.7"],
+    "predict-ic-energy": ["predict", "--alpha", "1", "--ic", "0.1,0,0,0.1",
+                          "--energy", "1/12"],
+    "poincare-energy-ic": ["poincare", "--alpha", "1", "--energy", "1/12",
+                           "--ic", "0.1,0,0,0.1"],
+    "eval-energy-ic-energy": ["eval-energy", "--checkpoint", "c.json", "--alpha", "1",
+                              "--ic", "0.1,0,0,0.1", "--energy", "1/12"],
+}
+
+
+@pytest.mark.parametrize("argv", CONFLICTS.values(), ids=CONFLICTS.keys())
+def test_conflicting_options_are_usage_errors(ws, capsys, argv):
+    out = ws / "conflict.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --")
+    assert "not allowed with argument --" in err
     assert not out.exists()
 
 

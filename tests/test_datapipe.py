@@ -13,7 +13,6 @@ from symplectic_ml.datapipe import (
     CONSERVATION_TOL,
     Dataset,
     GenerationConfig,
-    TrajectoryRecord,
     generate_dataset,
     load_dataset,
     sample_initial_condition,
@@ -22,7 +21,6 @@ from symplectic_ml.datapipe import (
 )
 from symplectic_ml.dynamics import (
     PotentialParams,
-    Trajectory,
     hh_energy,
     hh_grad_v,
     hh_potential,
@@ -162,8 +160,8 @@ def test_tiny_generation_shapes_and_spacing():
     traj = dataset.trajectories[0]
     assert traj.data.shape == (8, 4)  # series 10 minus transient 2
     assert traj.dt == pytest.approx(0.1, rel=1e-12)
-    rec = dataset.records[0]
-    assert rec.alpha == 1.0 and rec.beta == 1.0 and rec.energy == 1 / 12
+    assert traj.params == PotentialParams(alpha=1.0, beta=1.0)
+    assert dataset.cell_energies == [1 / 12]
     assert dataset.n_states == 8
 
 
@@ -171,20 +169,20 @@ def test_generation_covers_the_whole_grid():
     dataset = small_dataset(alphas=(0.2, 0.8), energies=(1 / 24, 1 / 12),
                             n_per_cell=2)
     assert len(dataset) == 8
-    seen = [(r.alpha, r.energy) for r in dataset.records]
+    seen = [(t.params.alpha, e) for t, e in zip(dataset.trajectories, dataset.cell_energies)]
     assert seen.count((0.2, 1 / 24)) == 2
     assert seen.count((0.8, 1 / 12)) == 2
 
 
 def test_generated_trajectories_conserve_energy():
     dataset = small_dataset(series_length=60, transient=6)
-    for traj, rec in zip(dataset.trajectories, dataset.records):
+    for traj, cell_energy in zip(dataset.trajectories, dataset.cell_energies):
         energies = traj.energies()
         drift = np.max(np.abs(energies - energies[0]) / abs(energies[0]))
         assert drift <= CONSERVATION_TOL
         # the transient is dropped, so the first stored sample may sit
-        # anywhere on the surface; its energy still matches the record
-        assert abs(energies[0] - rec.energy) / rec.energy <= CONSERVATION_TOL
+        # anywhere on the surface; its energy still matches its cell's
+        assert abs(energies[0] - cell_energy) / cell_energy <= CONSERVATION_TOL
 
 
 def test_generation_is_deterministic_per_seed():
@@ -286,8 +284,7 @@ def test_rollout_rejects_degenerate_length():
 def test_windows_never_mix_trajectories():
     ones = constant_trajectory([1.0, 1.0, 1.0, 1.0], 25)
     twos = constant_trajectory([2.0, 2.0, 2.0, 2.0], 25)
-    rec = TrajectoryRecord(alpha=0.0, beta=0.0, energy=1.0)
-    dataset = Dataset([ones, twos], [rec, rec])
+    dataset = Dataset([ones, twos], [1.0, 1.0])
     wins = window_dataset(dataset, "rollout", window_len=10)
     assert wins.n == 4
     for w in wins.windows:
@@ -322,33 +319,35 @@ def test_encoder_window_count_one_past_window():
     assert wins.n == 2
 
 
-def _encoder_windows_by_loop(dataset, length, step, k):
+def _encoder_windows_by_loop(dataset, couplings, length, step, k):
     """Encoder windows cut one start at a time, the reference layout."""
     inputs, targets = [], []
-    for traj, rec in zip(dataset.trajectories, dataset.records):
+    for traj, pair in zip(dataset.trajectories, couplings):
         d = traj.data
         for s in range(0, len(traj) - length + 1, step):
             inputs.append(d[s : s + length][:, [0, 2]])
             last = d[s + length - 1]
-            targets.append([last[1], last[3], *[rec.alpha, rec.beta][:k]])
+            targets.append([last[1], last[3], *pair[:k]])
     return np.stack(inputs), np.array(targets)
+
+
+# four trajectories' (alpha, beta), each pair its own and alpha != beta
+COUPLINGS = [(0.3 + 0.1 * j, 0.9 - 0.2 * j) for j in range(4)]
+
+
+def _config(couplings, k):
+    return GenerationConfig(param_values=couplings, energies=(1 / 12,), n_per_cell=1,
+                            param_channels=k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("stride", [1, 3])
 def test_encoder_windows_match_the_per_window_loop(k, stride):
-    base = fabricated_dataset([61, 12, 45, 30])  # 12 is too short: skipped
-    records = [TrajectoryRecord(alpha=0.3 + 0.1 * j, beta=0.9 - 0.2 * j, energy=1 / 12)
-               for j in range(len(base))]
-    config = GenerationConfig(param_values=tuple((r.alpha, r.beta) for r in records),
-                              energies=(1 / 12,), n_per_cell=1, param_channels=k) \
-        if k == 2 else None
-    # each trajectory carries its record's couplings, as generated and loaded ones do
-    trajectories = [Trajectory(t.dt, t.data, PotentialParams(r.alpha, r.beta))
-                    for t, r in zip(base.trajectories, records)]
-    dataset = Dataset(trajectories, records, config=config)
+    config = _config(COUPLINGS, 2) if k == 2 else None
+    # 12 states is too short for a window: skipped
+    dataset = fabricated_dataset([61, 12, 45, 30], couplings=COUPLINGS, config=config)
     wins = window_dataset(dataset, "encoder", window_len=30, stride=stride)
-    inputs, targets = _encoder_windows_by_loop(dataset, 30, stride, k)
+    inputs, targets = _encoder_windows_by_loop(dataset, COUPLINGS, 30, stride, k)
     assert np.array_equal(wins.inputs, inputs)
     assert np.array_equal(wins.targets, targets)
     # the same memory layout too, so that downstream arithmetic cannot differ
@@ -401,8 +400,49 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(a.data, b.data)
         assert a.dt == b.dt
         assert a.params == b.params
-    assert loaded.records == dataset.records
+    assert loaded.cell_energies == dataset.cell_energies
     assert loaded.config == dataset.config
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_hand_built_round_trip_keeps_every_training_row(tmp_path, k):
+    # each trajectory has couplings of its own; alpha != beta needs two channels
+    couplings = COUPLINGS if k == 2 else [(a, a) for a, _ in COUPLINGS]
+    dataset = fabricated_dataset([40, 25, 33, 30], couplings=couplings,
+                                 config=_config(couplings, k))
+    save_dataset(dataset, tmp_path / "d")
+    loaded = load_dataset(tmp_path / "d")
+    assert [t.params for t in loaded.trajectories] == [PotentialParams(*c) for c in couplings]
+    rollout = window_dataset(loaded, "rollout", window_len=25)
+    assert np.array_equal(rollout.channels, [c[:k] for c in couplings])
+    for kind in ("rollout", "derivative-pairs", "encoder"):
+        before, after = vars(window_dataset(dataset, kind)), vars(window_dataset(loaded, kind))
+        assert before.keys() == after.keys()
+        for name in before:
+            assert np.array_equal(before[name], after[name]), (kind, name)
+
+
+@pytest.mark.parametrize("channels", [None, 1, 2])
+def test_beta_apart_from_alpha_is_corrupt_only_with_one_channel(tmp_path, channels):
+    couplings = [(0.5, 0.5), (0.7, 0.7)]
+    config = None if channels is None else _config(couplings, channels)
+    save_dataset(fabricated_dataset([10, 8], couplings=couplings, config=config),
+                 tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update(beta=0.9))
+    if channels == 2:
+        assert load_dataset(tmp_path / "d").trajectories[1].params == PotentialParams(0.7, 0.9)
+    else:  # a config-free dataset has one channel too
+        with pytest.raises(CorruptRecord, match="record 1 has alpha != beta"):
+            load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("row", [0, 5])
+def test_non_finite_stored_state_is_corrupt(tmp_path, row):
+    dataset = fabricated_dataset([10])
+    dataset.trajectories[0].data[row, 2] = np.nan
+    save_dataset(dataset, tmp_path / "d")
+    with pytest.raises(CorruptRecord, match="non-finite"):
+        load_dataset(tmp_path / "d")
 
 
 def test_saved_bytes_are_deterministic(tmp_path):
@@ -501,7 +541,10 @@ def _edit_manifest(path, edit):
     (path / "manifest.json").write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("field, value", [("dt", 0), ("alpha", float("nan"))])
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0), ("dt", float("nan")), ("dt", float("inf")), ("alpha", float("nan")),
+    ("alpha", [1.0]), ("beta", True), ("energy", "x"), ("energy", 0), ("energy", None),
+])
 def test_record_rejected_by_its_trajectory_is_corrupt(tmp_path, field, value):
     save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
     _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update({field: value}))
