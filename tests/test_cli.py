@@ -292,16 +292,25 @@ def test_train_missing_dataset_is_a_runtime_error(ws, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dt", [0, float("nan"), float("inf")])
-def test_train_on_a_corrupt_record_is_a_runtime_error(ws, data_dir, capsys, dt):
+def _train_with_record_dt(ws, data_dir, dt):
     bad = ws / f"dataset-dt-{dt}"
     shutil.copytree(data_dir, bad)
     manifest = json.loads((bad / "manifest.json").read_text())
     manifest["records"][1]["dt"] = dt
     (bad / "manifest.json").write_text(json.dumps(manifest))
-    rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "hnn",
-                   "--dataset", str(bad)])
-    assert rc == 2
+    return cli.main(["train", "--out", str(ws / "x.json"), "--model", "hnn",
+                     "--dataset", str(bad)])
+
+
+def test_train_on_a_corrupt_record_is_a_runtime_error(ws, data_dir, capsys):
+    assert _train_with_record_dt(ws, data_dir, 0) == 2
+    assert "error: CorruptRecord: manifest is structurally invalid: dt must be positive" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_train_on_a_record_with_nonfinite_dt_is_a_runtime_error(ws, data_dir, capsys, dt):
+    assert _train_with_record_dt(ws, data_dir, dt) == 2
     assert "error: CorruptRecord: manifest is structurally invalid: dt must be positive" in (
         capsys.readouterr().err)
 
