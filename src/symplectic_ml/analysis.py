@@ -6,13 +6,12 @@ intervals, re-orthonormalise by QR, and average the log diagonal of R.  The
 Jacobian of each interval map is measured by central finite differences of
 the flow itself, so the same estimator runs unchanged on the analytic
 integrator and on learned models.  A flow is a force field — anything
-with a ``columns(params)`` method, the analytic field or a separable model —
-stepped by the one leapfrog kernel of ``dynamics`` on the probe rows'
-columns, carrying the force from step to step within each interval; or a
-callable that steps (B, 4) rows once.  Every seed's probe rows step together,
-in one kernel call per step, and a force field may give each seed its own
-couplings: they are repeated over the seed's probe rows, so the analytic
-field and the networks see one coupling pair per row.
+with a ``block_force(params)`` method, the analytic field or a separable
+model — whose probe rows step together as one (4, B) block, in place,
+through ``dynamics.advance``, carrying the force from step to step within
+each interval; or a callable that steps (B, 4) rows once.  A force field may
+give each seed its own couplings: they are repeated over the seed's probe
+rows, so the analytic field and the networks see one coupling pair per row.
 """
 
 from dataclasses import dataclass
@@ -111,9 +110,13 @@ def _row_params(params, block):
 def _advancer(flow, params, dt, block):
     """Normalise a flow argument into ``advance(rows, n)``: (B, 4) rows after
     ``n`` steps."""
-    if hasattr(flow, "columns"):
-        columns = flow.columns(_row_params(params, block))
-        return lambda rows, n: np.stack(advance(rows.T, dt, n, *columns), axis=1)
+    if hasattr(flow, "block_force"):
+        grad_v, grad_k = flow.block_force(_row_params(params, block))
+
+        def step(rows, n):
+            return advance(rows.T.copy(), dt, n, grad_v, grad_k).T
+
+        return step
     if callable(flow):
         if not isinstance(params, PotentialParams):
             raise SymplecticMlError(

@@ -347,7 +347,7 @@ def _cmd_lyapunov(args):
     flow = HH_FIELD
     if args.checkpoint:
         flow = checkpoint.load_checkpoint(args.checkpoint)[0]
-        if not hasattr(flow, "columns"):
+        if not hasattr(flow, "block_force"):
             raise SymplecticMlError(
                 f"checkpoint holds a {checkpoint.model_kind(flow)}; "
                 "lyapunov needs a separable rollout model")

@@ -410,7 +410,10 @@ def load_dataset(path):
     """Read a dataset directory back.  Verifies the version, the checksum,
     that every stored state is finite, and that the records tile ``states.bin``
     in order, one block each, with finite couplings, ``dt`` and cell energy
-    finite and > 0, and ``alpha == beta`` in a one-channel dataset."""
+    finite and > 0, ``alpha == beta`` in a one-channel dataset, and couplings
+    from the config's ``param_values`` grid when there is a config.  The
+    trajectories' data are read-only views of one array of the stored
+    states."""
     path = Path(path)
     try:
         with open(path / "manifest.json") as fh:
@@ -430,7 +433,9 @@ def load_dataset(path):
         raise CorruptRecord(f"cannot read states.bin: {err}")
     if hashlib.sha256(blob).hexdigest() != manifest.get("checksum_sha256"):
         raise CorruptRecord("states.bin does not match its checksum")
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    # one copy of the states: every trajectory is a read-only view of the
+    # bytes, which are already native float64 on a little-endian machine
+    flat = np.frombuffer(blob, dtype="<f8")
     if flat.size % 4 != 0:
         raise CorruptRecord("states.bin length is not a multiple of the row size")
     rows = flat.reshape(-1, 4)
@@ -461,8 +466,7 @@ def load_dataset(path):
                 raise CorruptRecord("record extends past the end of states.bin")
             pot = PotentialParams(*(check_field(n, rec[n], Real, math.isfinite, "finite")
                                     for n in ("alpha", "beta")))
-            trajectories.append(Trajectory(dt=rec["dt"], data=rows[offset:end].copy(),
-                                           params=pot))
+            trajectories.append(Trajectory(dt=rec["dt"], data=rows[offset:end], params=pot))
             cell_energies.append(check_field("energy", rec["energy"], Real, finite_positive,
                                              "finite and > 0"))
         if end != total:
@@ -476,4 +480,11 @@ def load_dataset(path):
     if uneven and dataset.param_channels == 1:
         raise CorruptRecord(f"record {uneven[0]} has alpha != beta in a dataset with "
                             "one parameter channel")
+    if config:
+        grid = set(config.param_values)
+        for k, t in enumerate(trajectories):
+            if (t.params.alpha, t.params.beta) not in grid:
+                raise CorruptRecord(
+                    f"record {k} couplings ({t.params.alpha!r}, {t.params.beta!r}) are "
+                    "not in the config's param_values")
     return dataset

@@ -1,5 +1,5 @@
 """Ground-truth dynamics: a two-degree-of-freedom oscillator with cubic
-coupling, its conserved energy, and the one symplectic leapfrog kernel.
+coupling, its conserved energy, and the symplectic leapfrog in its two forms.
 
 The Hamiltonian is separable, H = K(p) + V(q), with unit masses and unit
 linear frequencies:
@@ -17,13 +17,17 @@ the bounded regime when a component is non-finite or its position lies
 beyond :data:`ESCAPE_RADIUS` in sup-norm; :func:`outside` is that rule, for
 every integrator, training loss and diagnostic of the package.
 
-Every leapfrog in the package, analytic or learned, runs the one kernel
-:func:`kick_drift_kick` on the component columns, as Python floats for one
-orbit or as (B,) arrays for a batch.  It carries the force: it returns grad V
-at the new position, where the next step starts, so each step evaluates
-grad V once.  A force field is anything with a ``columns(params)`` method
-giving the kernel's pair ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``: the
-analytic :data:`HH_FIELD` or a learned ``models.SeparableModel``.
+Every leapfrog in the package, analytic or learned, has one of two forms,
+and the input picks it.  One orbit steps in Python floats through
+:func:`kick_drift_kick`, where a step costs less than one array call.  Every
+batch steps one C-contiguous (4, B) block in place through :func:`advance`:
+rows 0-1 are q, rows 2-3 are p, grad V is carried in a (2, B) buffer, and a
+step makes 11 ufunc calls into preallocated arrays.  Both carry the force, so
+each step evaluates grad V once.  A force field gives both forms:
+``columns(params)`` the float pair ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``
+and ``block_force(params)`` the block pair ``(grad_v, grad_k)`` of binders
+(see :func:`hh_grad_v_block`).  The analytic :data:`HH_FIELD` and a learned
+``models.SeparableModel`` are the two fields.
 """
 
 import math
@@ -103,10 +107,13 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class DerivativeField:
-    """Separable force field in the kernel's column form: ``columns(params)``
-    gives ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``, each returning a pair."""
+    """Separable force field in both leapfrog forms: ``columns(params)`` gives
+    ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``, each returning a pair, and
+    ``block_force(params)`` the block binders ``(grad_v, grad_k)`` that
+    :func:`advance` reads, ``grad_k`` None where grad K = p."""
 
     columns: Callable[[PotentialParams], tuple]
+    block_force: Callable[[PotentialParams], tuple]
 
 
 def hh_potential(q, params):
@@ -134,6 +141,34 @@ def hh_grad_v_columns(alpha, beta):
     return grad_v
 
 
+def hh_grad_v_block(alpha, beta):
+    """Gradient of the potential in block form, couplings scalar or (B,):
+    ``bind(q, f)`` takes a (2, B) position block and a (2, B) output block
+    and returns a call that writes grad V at ``q``'s current values into
+    ``f``.  Row 0 is ``2 alpha * q_x * q_y`` and row 1 ``alpha * q_x * q_x``,
+    each added to its own ``q`` row, then row 1 less ``beta * q_y * q_y``:
+    the products and sums of :func:`hh_grad_v_columns` with their operands in
+    the same order, so the two agree bit for bit, NaN payloads included."""
+    coef = np.reshape(np.array([2.0 * alpha, alpha], dtype=np.float64), (2, -1))
+    beta = np.asarray(beta, dtype=np.float64)
+
+    def bind(q, f):
+        qx, qy, swapped, fy = q[0], q[1], q[::-1], f[1]
+        work = np.empty_like(qy)
+
+        def grad_v():
+            np.multiply(coef, qx, f)
+            np.multiply(f, swapped, f)
+            np.add(q, f, f)
+            np.multiply(beta, qy, work)
+            np.multiply(work, qy, work)
+            np.subtract(fy, work, fy)
+
+        return grad_v
+
+    return bind
+
+
 def hh_grad_v(q, params):
     """Gradient of the potential with respect to ``q``."""
     return np.array(hh_grad_v_columns(params.alpha, params.beta)(q[0], q[1]))
@@ -148,7 +183,11 @@ def _hh_columns(params):
     return hh_grad_v_columns(params.alpha, params.beta), kinetic_grad_columns
 
 
-HH_FIELD = DerivativeField(columns=_hh_columns)
+def _hh_block_force(params):
+    return hh_grad_v_block(params.alpha, params.beta), None
+
+
+HH_FIELD = DerivativeField(columns=_hh_columns, block_force=_hh_block_force)
 
 
 class Trajectory:
@@ -199,9 +238,9 @@ def hh_energy_batch(states, params):
 
 
 def kick_drift_kick(qx, qy, px, py, fx, fy, dt, grad_v, grad_k):
-    """One leapfrog step of size ``dt`` on component columns; ``(fx, fy)`` is
-    grad V at ``(qx, qy)``.  Returns the new state and grad V there.  Second
-    order, symplectic, and time-reversible for separable fields."""
+    """One leapfrog step of size ``dt`` of one orbit in floats; ``(fx, fy)``
+    is grad V at ``(qx, qy)``.  Returns the new state and grad V there.
+    Second order, symplectic, and time-reversible for separable fields."""
     half = 0.5 * dt
     px = px - half * fx
     py = py - half * fy
@@ -212,15 +251,38 @@ def kick_drift_kick(qx, qy, px, py, fx, fy, dt, grad_v, grad_k):
     return qx, qy, px - half * fx, py - half * fy, fx, fy
 
 
-def advance(cols, dt, n_steps, grad_v, grad_k):
-    """``n_steps`` kernel steps of the columns ``(q_x, q_y, p_x, p_y)``; the
-    force is evaluated once to start and then carried."""
-    qx, qy, px, py = cols
-    fx, fy = grad_v(qx, qy)
-    for _ in range(n_steps):
-        qx, qy, px, py, fx, fy = kick_drift_kick(qx, qy, px, py, fx, fy, dt,
-                                                 grad_v, grad_k)
-    return qx, qy, px, py
+def advance(block, dt, n_steps, grad_v, grad_k=None, out=None):
+    """``n_steps`` leapfrog steps of a C-contiguous (4, B) block, in place.
+
+    ``grad_v`` and ``grad_k`` are block binders (see :func:`hh_grad_v_block`)
+    of the positions and momenta; ``grad_k`` None means grad K = p.  The
+    force is evaluated at the block's start, then carried from step to step,
+    and each step is :func:`kick_drift_kick`'s arithmetic in the same
+    order.  ``out``, an (n_steps, 4, B) array, receives the block after each
+    step.  Returns ``block``.
+    """
+    q, p = block[:2], block[2:]
+    f, t = np.empty_like(q), np.empty_like(q)
+    force = grad_v(q, f)
+    velocity = None if grad_k is None else grad_k(p, t)
+    # 0-d arrays: a Python float operand costs each call a conversion
+    dt, half = np.array(dt), np.array(0.5 * dt)
+    force()
+    np.multiply(half, f, t)
+    for k in range(n_steps):
+        np.subtract(p, t, p)
+        if velocity is None:
+            np.multiply(dt, p, t)
+        else:
+            velocity()
+            np.multiply(dt, t, t)
+        np.add(q, t, q)
+        force()
+        np.multiply(half, f, t)
+        np.subtract(p, t, p)
+        if out is not None:
+            out[k] = block
+    return block
 
 
 def _orbit(state0, dt, n_steps, field, params, stride):
@@ -289,20 +351,18 @@ def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1):
     coarse = np.empty((b, n_coarse + 1, 4))
     coarse[:, 0] = states0
     escaped = np.full(b, -1, dtype=np.int64)
-    grad_v = hh_grad_v_columns(alpha, beta)
-    cols = states0.T
+    grad_v = hh_grad_v_block(alpha, beta)
+    block = np.array(states0.T, dtype=np.float64, order="C")
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_coarse + 1):
-            # advance returns new arrays, which freezing below may write to
-            cols = advance(cols, dt, stride, grad_v, kinetic_grad_columns)
+            advance(block, dt, stride, grad_v)
             cur = coarse[:, k]
-            cur[:] = np.stack(cols, axis=1)
+            cur[:] = block.T
             bad = outside(cur)
             newly = bad & (escaped < 0)
             escaped[newly] = k
             if np.any(bad):
                 # freeze escaped rows so overflow cannot poison the batch; the
                 # next advance evaluates the force at the frozen position
-                for col in cols:
-                    col[bad] = 0.0
+                block[:, bad] = 0.0
     return coarse, escaped

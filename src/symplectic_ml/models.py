@@ -5,10 +5,11 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
 * ``HnnModel`` — a scalar energy surrogate H(q, p).  Time derivatives come
   from its input gradient: dq/dt = dH/dp, dp/dt = -dH/dq.
 * ``SeparableModel`` — two scalar networks K(p) and V(q) rolled out with the
-  same leapfrog kernel as the ground truth; training matches whole rollout
-  windows, so only time series are needed, never derivative labels.  The
-  model is its own force field: its ``columns(pot_params)`` method gives the
-  kernel's column pair, as ``dynamics.HH_FIELD`` does.
+  same leapfrog as the ground truth; training matches whole rollout windows,
+  so only time series are needed, never derivative labels.  The model is its
+  own force field, as ``dynamics.HH_FIELD`` is: ``columns(pot_params)``
+  gives the float form that steps one orbit, ``block_force(pot_params)`` the
+  block form that steps a batch.
 * ``BaselineModel`` — a plain derivative regressor (q, p) -> (dq/dt, dp/dt),
   rolled out with a classic fourth-order Runge-Kutta step.
 
@@ -20,13 +21,14 @@ bounded-regime rule.
 
 Inference (derivatives, energies, rollouts) runs the numpy networks of
 ``nets``.  Each training loss is one closed-form tape node on the flat
-parameter vector.  The rollout loss steps ``dynamics.kick_drift_kick``,
-keeping each network call's activations, and its backward is the discrete
-adjoint of the leapfrog — itself a reverse kick-drift-kick on the costates
-(Sanz-Serna, SIAM Review 58, 2016) — with each call pulled back through
-``nets.input_gradient_vjp``.  Chen et al. (ICLR 2020) train the same model
-by backpropagation through the unrolled leapfrog, which this reproduces bit
-for bit.
+parameter vector.  The rollout loss steps its windows as one (4, B) block,
+in place, through ``dynamics.advance``, keeping each network call's input
+(a fresh copy of the block's rows), activations and chain.  Its backward is
+the discrete adjoint of the leapfrog — itself a reverse kick-drift-kick on
+the costates (Sanz-Serna, SIAM Review 58, 2016) — with each call pulled
+back through ``nets.input_gradient_vjp``.  Chen et al. (ICLR 2020) train the
+same model by backpropagation through the unrolled leapfrog, which this
+reproduces bit for bit.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Tensor
-from .dynamics import Trajectory, integrate, kick_drift_kick, kinetic_grad_columns, outside
+from .dynamics import Trajectory, advance, integrate, kinetic_grad_columns, outside
 from .errors import (
     EmptyBatch,
     IntegrationDiverged,
@@ -189,16 +191,25 @@ class SeparableModel:
         return self.params[self.kinetic_count():]
 
     def columns(self, pot_params):
-        """The learned field in the kernel's column form ``(grad_v, grad_k)``."""
+        """The learned field in the float form ``(grad_v, grad_k)``."""
         k_layers, v_layers = _separable_layers(self, self.params)
         grad_v = _gradient_columns(self.potential_spec, v_layers, _channels(self, pot_params))
         if self.fixed_kinetic:
             return grad_v, kinetic_grad_columns
         return grad_v, _gradient_columns(self.kinetic_spec, k_layers)
 
+    def block_force(self, pot_params):
+        """The learned field in the block form ``(grad_v, grad_k)`` of
+        ``dynamics.advance``; ``grad_k`` None with a fixed kinetic energy."""
+        k_layers, v_layers = _separable_layers(self, self.params)
+        grad_v = _gradient_block(self.potential_spec, v_layers, _channels(self, pot_params))
+        if self.fixed_kinetic:
+            return grad_v, None
+        return grad_v, _gradient_block(self.kinetic_spec, k_layers)
 
-def _gradient_columns(spec, layers, channels=None, record=None, calls=None):
-    """Column form of a scalar net's gradient in its first two inputs.
+
+def _net_gradient(spec, layers, channels=None, record=None, calls=None):
+    """A scalar net's input gradient as ``grad(x)`` of a fresh (B, 2) array.
 
     ``channels`` — a (k,) vector for every row, or a (B, k) block — fills the
     remaining inputs.  With a ``record``, each call appends its input,
@@ -207,15 +218,42 @@ def _gradient_columns(spec, layers, channels=None, record=None, calls=None):
     """
     empty = np.empty if record is None else record.empty
 
-    def grad(a, b):
-        x = _with_channels(np.column_stack((a, b)), channels)
+    def grad(x):
+        x = _with_channels(x, channels)
         acts = nets.hidden_activations(spec, layers, x, empty)
         g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty)
         if calls is not None:
             calls.append((x, acts, chain))
-        return (g[0, 0], g[0, 1]) if np.ndim(a) == 0 else (g[:, 0], g[:, 1])
+        return g
 
     return grad
+
+
+def _gradient_columns(spec, layers, channels=None):
+    """Float form of :func:`_net_gradient`: ``(g_x, g_y)`` of two floats,
+    or of two (B,) columns."""
+    grad = _net_gradient(spec, layers, channels)
+
+    def columns(a, b):
+        g = grad(np.column_stack((a, b)))
+        return (g[0, 0], g[0, 1]) if np.ndim(a) == 0 else (g[:, 0], g[:, 1])
+
+    return columns
+
+
+def _gradient_block(spec, layers, channels=None, record=None, calls=None):
+    """Block binder of :func:`_net_gradient` for ``dynamics.advance``.  Each
+    call reads its (2, B) input block through a fresh (B, 2) copy, so a
+    recorded call never holds a view of the block the next step writes."""
+    grad = _net_gradient(spec, layers, channels, record, calls)
+
+    def bind(x, out):
+        def call():
+            out[...] = grad(x.T.copy())[:, :2].T
+
+        return call
+
+    return bind
 
 
 def _separable_layers(model, flat):
@@ -313,17 +351,14 @@ def _window_rollout(model, layers, starts, channels, dt, n_steps, record=None):
     """
     k_layers, v_layers = layers
     v_calls, k_calls = (None, None) if record is None else (record.v_calls, record.k_calls)
-    grad_v = _gradient_columns(model.potential_spec, v_layers, channels, record, v_calls)
-    grad_k = (kinetic_grad_columns if model.fixed_kinetic
-              else _gradient_columns(model.kinetic_spec, k_layers, None, record, k_calls))
-    qx, qy, px, py = starts.T
-    fx, fy = grad_v(qx, qy)
-    cols = [(qx, qy, px, py)]
-    for _ in range(n_steps):
-        qx, qy, px, py, fx, fy = kick_drift_kick(qx, qy, px, py, fx, fy, dt,
-                                                 grad_v, grad_k)
-        cols.append((qx, qy, px, py))
-    return np.stack([np.stack(c, axis=1) for c in cols], axis=1)
+    grad_v = _gradient_block(model.potential_spec, v_layers, channels, record, v_calls)
+    grad_k = (None if model.fixed_kinetic
+              else _gradient_block(model.kinetic_spec, k_layers, None, record, k_calls))
+    block = starts.T.copy()
+    states = np.empty((n_steps + 1,) + block.shape)
+    states[0] = block
+    advance(block, dt, n_steps, grad_v, grad_k, out=states[1:])
+    return np.ascontiguousarray(states.transpose(2, 0, 1))
 
 
 def _rollout_adjoint(model, layers, record, resid, scale, dt):

@@ -268,12 +268,16 @@ def finite_diff_grad(f, x, eps=1e-6):
 def finite_diff_check(f, x, eps=1e-6):
     """Max relative disagreement between analytic and central-diff gradients.
 
-    ``f`` maps a flat vector to ``(value, gradient)``.  The relative error of
-    each component uses a floor of 1e-8 on the analytic magnitude.
+    ``f`` maps a flat vector to ``(value, gradient)``.  Each component's
+    error is read against its analytic magnitude, floored at 1e-4 times the
+    gradient's largest component (and at 1e-8): central differences round
+    off by about eps_mach * |f| / eps in every component, which a component
+    far below the gradient's scale would misread as a relative error.
     """
     _, analytic = f(x)
     numeric = finite_diff_grad(lambda v: f(v)[0], x, eps)
-    denom = np.maximum(np.abs(analytic), 1e-8)
+    scale = float(np.max(np.abs(analytic), initial=0.0))
+    denom = np.maximum(np.abs(analytic), max(1e-4 * scale, 1e-8))
     return float(np.max(np.abs(numeric - analytic) / denom))
 
 

@@ -247,8 +247,8 @@ def test_spectrum_accepts_phase_state_and_reports_settings():
 
 def test_callable_flow_matches_analytic_fast_path():
     dt = 0.01
-    columns = HH_FIELD.columns(COUPLED)
-    step = lambda rows: np.stack(advance(rows.T, dt, 1, *columns), axis=1)  # noqa: E731
+    force = HH_FIELD.block_force(COUPLED)
+    step = lambda rows: advance(rows.T.copy(), dt, 1, *force).T  # noqa: E731
     state = np.array([0.05, 0.1, 0.3, -0.2])
     via_field = lyapunov_spectra(HH_FIELD, state, COUPLED, dt=dt, n_steps=400,
                                  renorm_interval=0.1)

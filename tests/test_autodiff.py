@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symplectic_ml import ShapeMismatch, Tensor, grad_params_through
@@ -204,6 +204,7 @@ def test_tanh_range(values):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
+@example(rows=5, inner=4, seed=8388608)  # a component 4.5e4 times below max|g|
 def test_matmul_gradient_property(rows, inner, seed):
     rng = np.random.default_rng(seed)
     a0 = rng.uniform(-1, 1, size=rows * inner)

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -429,8 +430,9 @@ def test_beta_apart_from_alpha_is_corrupt_only_with_one_channel(tmp_path, channe
     save_dataset(fabricated_dataset([10, 8], couplings=couplings, config=config),
                  tmp_path / "d")
     _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update(beta=0.9))
-    if channels == 2:
-        assert load_dataset(tmp_path / "d").trajectories[1].params == PotentialParams(0.7, 0.9)
+    if channels == 2:  # alpha != beta is allowed, but (0.7, 0.9) is off the grid
+        with pytest.raises(CorruptRecord, match=r"record 1 couplings \(0.7, 0.9\) are not"):
+            load_dataset(tmp_path / "d")
     else:  # a config-free dataset has one channel too
         with pytest.raises(CorruptRecord, match="record 1 has alpha != beta"):
             load_dataset(tmp_path / "d")
@@ -461,6 +463,21 @@ def test_configless_dataset_round_trips(tmp_path):
     assert loaded.config is None
     assert len(loaded) == 2
     assert np.array_equal(loaded.trajectories[1].data, dataset.trajectories[1].data)
+
+
+def test_loading_holds_the_stored_states_once(tmp_path):
+    save_dataset(fabricated_dataset([8000, 4000]), tmp_path / "d")
+    stored = (tmp_path / "d/states.bin").stat().st_size
+    manifest = (tmp_path / "d/manifest.json").stat().st_size
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three copies (the bytes, a float copy, a copy per trajectory) read 3.0
+    assert peak < 1.5 * (stored + manifest)
+    assert not any(t.data.flags.writeable for t in dataset.trajectories)
 
 
 def test_truncated_states_file_is_detected(tmp_path):

@@ -24,8 +24,8 @@ from symplectic_ml import (
 from symplectic_ml.dynamics import (
     ESCAPE_RADIUS,
     advance,
+    hh_grad_v_block,
     hh_grad_v_columns,
-    kinetic_grad_columns,
     outside,
 )
 
@@ -349,14 +349,38 @@ def test_batch_step_matches_scalar_step_bitwise():
     states = rng.uniform(-0.5, 0.5, size=(8, 4))
     alphas = rng.uniform(0.0, 1.0, size=8)
     betas = rng.uniform(0.0, 1.0, size=8)
-    cols = advance(states.T, 0.07, 1, hh_grad_v_columns(alphas, betas), kinetic_grad_columns)
-    out = np.stack(cols, axis=1)
+    out = advance(states.T.copy(), 0.07, 1, hh_grad_v_block(alphas, betas)).T
     for i in range(8):
         pot = PotentialParams(alpha=alphas[i], beta=betas[i])
         ref = leapfrog_step(
             PhaseState(q=states[i, :2], p=states[i, 2:]), 0.07, HH_FIELD, pot
         )
         assert np.array_equal(out[i], ref.vec())
+
+
+# a quiet NaN with its own payload, apart from np.nan and -np.nan
+ODD_NAN = np.uint64(0x7FF8_0000_0000_0F0F).view(np.float64)
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_block_force_matches_columns_bytewise(per_row):
+    rng = np.random.default_rng(12)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, ODD_NAN])
+    q = rng.uniform(-2.0, 2.0, size=(2, 200))
+    mask = rng.random(q.shape) < 0.3
+    q[mask] = rng.choice(special, size=int(mask.sum()))
+    if per_row:
+        alpha, beta = rng.uniform(-1.0, 1.0, size=(2, 200))
+        for c in (alpha, beta):
+            c[:7] = special
+            c[rng.random(200) < 0.1] = -0.0
+    else:
+        alpha, beta = 0.7, -1.3
+    f = np.empty_like(q)
+    with np.errstate(invalid="ignore", over="ignore"):
+        hh_grad_v_block(alpha, beta)(q, f)()
+        gx, gy = hh_grad_v_columns(alpha, beta)(q[0], q[1])
+    assert f.tobytes() == np.stack([gx, gy]).tobytes()
 
 
 def test_integrate_batch_matches_scalar_integrate_bitwise():

@@ -466,6 +466,28 @@ def test_taped_rollout_states_match_untaped_bit_for_bit():
         assert np.array_equal(p_t.data, plain[:, t, 2:])
 
 
+@pytest.mark.parametrize("fixed_kinetic", [False, True])
+def test_recorded_rollout_calls_never_hold_a_view_of_the_block(monkeypatch, fixed_kinetic):
+    model = _separable(seed=33, scale=0.3, fixed_kinetic=fixed_kinetic)
+    blocks = []
+    real = models.advance
+
+    def spy(block, *args, **kw):
+        blocks.append(block)
+        return real(block, *args, **kw)
+
+    monkeypatch.setattr(models, "advance", spy)
+    windows = _finite_and_diverged_batches()["finite"]
+    record = models._CallRecord()
+    models._window_rollout(model, models._separable_layers(model, model.params),
+                           windows[:, 0], None, 0.1, 4, record)
+    (block,) = blocks
+    assert len(record.v_calls) == 5
+    assert len(record.k_calls) == (0 if fixed_kinetic else 4)
+    for x, _, _ in record.v_calls + record.k_calls:
+        assert not np.shares_memory(x, block)
+
+
 @pytest.mark.parametrize("batch", ["finite", "diverged"])
 def test_training_and_validation_losses_agree(batch):
     model = _separable(seed=33, scale=0.3)
