@@ -2,10 +2,10 @@
 
 The package covers the full loop: generate trajectories of a
 two-degree-of-freedom oscillator with cubic coupling, train symplectic
-rollout models (and baselines) on them with a from-scratch reverse-mode
-tape, reconstruct hidden coordinates from partial observations with an LSTM
-encoder, and diagnose the results through energy drift, Lyapunov spectra,
-and surface sections.
+rollout models (and baselines) on them, each loss one node on the flat
+parameters with a closed-form backward, reconstruct hidden coordinates from
+partial observations with an LSTM encoder, and diagnose the results through
+energy drift, Lyapunov spectra, and surface sections.
 """
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ from .dynamics import (
 )
 from .nets import (
     DenseNetSpec,
-    finite_diff_check,
     forward,
     grad_inputs,
     grad_params_through,

@@ -410,8 +410,9 @@ def load_dataset(path):
     """Read a dataset directory back.  Verifies the version, the checksum,
     that every stored state is finite, and that the records tile ``states.bin``
     in order, one block each, with finite couplings, ``dt`` and cell energy
-    finite and > 0, ``alpha == beta`` in a one-channel dataset, and couplings
-    from the config's ``param_values`` grid when there is a config.  The
+    finite and > 0, ``alpha == beta`` in a one-channel dataset, and, when
+    there is a config, couplings from its ``param_values`` grid, an energy
+    from its ``energies`` and its coarse step as ``dt``.  The
     trajectories' data are read-only views of one array of the stored
     states."""
     path = Path(path)
@@ -482,9 +483,15 @@ def load_dataset(path):
                             "one parameter channel")
     if config:
         grid = set(config.param_values)
-        for k, t in enumerate(trajectories):
+        for k, (t, energy) in enumerate(zip(trajectories, cell_energies)):
             if (t.params.alpha, t.params.beta) not in grid:
                 raise CorruptRecord(
                     f"record {k} couplings ({t.params.alpha!r}, {t.params.beta!r}) are "
                     "not in the config's param_values")
+            if energy not in config.energies:
+                raise CorruptRecord(f"record {k} energy {energy!r} is not in the config's "
+                                    "energies")
+            if t.dt != config.coarse_dt:
+                raise CorruptRecord(f"record {k} dt {t.dt!r} is not the config's coarse "
+                                    f"step {config.coarse_dt!r}")
     return dataset

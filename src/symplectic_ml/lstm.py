@@ -12,10 +12,11 @@ input weights U (hidden x input, row-major), recurrent weights V
 for every window.
 
 One numpy cell, :func:`lstm_step`, serves training, validation and
-inference.  For training, a whole unrolled window batch is one tape node on
-the flat parameters: its forward keeps each step's gates and its backward
-runs backpropagation through time in closed form (Werbos 1990; Hochreiter &
-Schmidhuber 1997), bit-identical to the same cell built op by op on the tape.
+inference.  For training, the loss on a whole unrolled window batch is one
+node on the flat parameters: its forward keeps each step's gates and its
+backward runs backpropagation through time in closed form (Werbos 1990;
+Hochreiter & Schmidhuber 1997), bit-identical to the same cell built op by
+op on the reference tape of the tests.
 """
 
 from dataclasses import dataclass
@@ -115,27 +116,28 @@ def lstm_step(parts, x, h, c):
     return o * tc, c_new, (f, i, o, g, tc)
 
 
-def _encode_graph(model, theta, windows):
-    """Head outputs for a (B, window_len, 2) batch of observation windows:
-    one tape node on ``theta``, which keeps each step's gates only when
-    ``theta`` requires gradients."""
+def _encode_graph(model, params, windows, need_grad=False):
+    """Head outputs for a (B, window_len, 2) batch of observation windows
+    under the flat ``params``, and the pullback that maps the outputs'
+    gradient to the flat parameter gradient; with ``need_grad`` false no
+    step's gates are kept and the pullback is None."""
     b, length, width = windows.shape
     if length != model.window_len or width != INPUT_SIZE:
         raise WindowLengthMismatch(
             f"windows must be (B, {model.window_len}, {INPUT_SIZE}), got "
             f"{windows.shape}"
         )
-    parts = encoder_parts(theta.data, model.hidden_size, model.param_outputs)
+    parts = encoder_parts(params, model.hidden_size, model.param_outputs)
     h = c = np.zeros((b, model.hidden_size))
     steps = []
     for t in range(length):
         x = windows[:, t, :]
         h_new, c_new, gates = lstm_step(parts, x, h, c)
-        if theta.requires_grad:
+        if need_grad:
             steps.append((x, h, c, gates))
         h, c = h_new, c_new
     out = h @ parts["Wh"].T + parts["bh"]
-    return ad.node(out, (theta,), lambda g: (_bptt(parts, steps, h, g),))
+    return out, (lambda g: _bptt(parts, steps, h, g)) if need_grad else None
 
 
 def _bptt(parts, steps, h_last, g_out):
@@ -168,7 +170,7 @@ def encode_window(model, window):
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise ShapeMismatch(f"window must be 2-D, got shape {window.shape}")
-    out = _encode_graph(model, Tensor(model.params), window[None, :, :]).data[0]
+    out = _encode_graph(model, model.params, window[None, :, :])[0][0]
     return out[0], out[1], out[2:].copy()
 
 
@@ -187,13 +189,19 @@ def encoder_loss(model, windows, targets):
 
 
 def _encoder_loss_graph(model, theta, windows, targets):
+    """:func:`encoder_loss` as one node on ``theta``; its backward
+    pulls the head's costate back through :func:`_bptt`."""
     if targets.shape != (windows.shape[0], model.n_outputs):
         raise ShapeMismatch(
             f"targets must be ({windows.shape[0]}, {model.n_outputs}), got "
             f"{targets.shape}"
         )
-    out = _encode_graph(model, theta, windows)
-    return ad.scale(ad.sum_sq_diff(out, targets), 1.0 / windows.shape[0])
+    out, pullback = _encode_graph(model, theta.data, windows, theta.requires_grad)
+    diff = out - targets
+    c = 1.0 / windows.shape[0]
+    # adding 0.0 turns a negative zero of the costate positive, as on the tape
+    return ad.node((diff * diff).sum() * c, theta,
+                   lambda g_out: pullback(np.add(g_out * c * 2.0 * diff, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -224,8 +232,7 @@ def infer_param_ensemble(model, observed, stride=1):
         raise TooShort(f"need at least {w} observations, got {t_total}")
     starts = np.arange(0, t_total - w + 1, stride)
     windows = np.stack([observed[s : s + w] for s in starts])
-    out = _encode_graph(model, Tensor(model.params), windows).data
-    samples = out[:, 2:]
+    samples = _encode_graph(model, model.params, windows)[0][:, 2:]
     return ParamEstimate(
         mean=samples.mean(axis=0),
         std=samples.std(axis=0),

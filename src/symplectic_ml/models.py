@@ -20,15 +20,17 @@ loss judge divergence by ``dynamics.outside``, the package's one
 bounded-regime rule.
 
 Inference (derivatives, energies, rollouts) runs the numpy networks of
-``nets``.  Each training loss is one closed-form tape node on the flat
-parameter vector.  The rollout loss steps its windows as one (4, B) block,
+``nets``.  Each training loss is one closed-form node on the flat
+parameter vector (``autodiff.node``): its value and a backward that returns
+the flat gradient.  The rollout loss steps its windows as one (4, B) block,
 in place, through ``dynamics.advance``, keeping each network call's input
 (a fresh copy of the block's rows), activations and chain.  Its backward is
 the discrete adjoint of the leapfrog — itself a reverse kick-drift-kick on
 the costates (Sanz-Serna, SIAM Review 58, 2016) — with each call pulled
 back through ``nets.input_gradient_vjp``.  Chen et al. (ICLR 2020) train the
 same model by backpropagation through the unrolled leapfrog, which this
-reproduces bit for bit.
+reproduces bit for bit; the op-by-op tape it is checked against is in the
+tests.
 """
 
 from dataclasses import dataclass
@@ -121,7 +123,7 @@ def hnn_loss(model, states, qdot, pdot, channels=None):
 
 
 def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
-    """The derivative-matching loss as one tape node on ``theta``; its
+    """The derivative-matching loss as one node on ``theta``; its
     backward is the second-order VJP of the network's input gradient."""
     x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
@@ -139,9 +141,9 @@ def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
         u[:, 2:4] = scale * d_q
         grads = nets.new_gradients(layers)
         nets.input_gradient_vjp(spec, layers, x, acts, chain, u, grads, need_x=False)
-        return (nets.flatten_params(grads),)
+        return nets.flatten_params(grads)
 
-    return ad.node(((d_q * d_q).sum() + (d_p * d_p).sum()) * c, (theta,), backward)
+    return ad.node(((d_q * d_q).sum() + (d_p * d_p).sum()) * c, theta, backward)
 
 
 @dataclass
@@ -451,7 +453,7 @@ DIVERGENCE_PENALTY = 1e6
 
 
 def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
-    """Batched rollout loss as one tape node on ``theta``.  ``windows`` is
+    """Batched rollout loss as one node on ``theta``.  ``windows`` is
     (B, L, 4).
 
     Windows whose rollout leaves the bounded regime are excluded and
@@ -510,9 +512,9 @@ def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
     def backward(g_out):
         grad = _rollout_adjoint(model, layers, record, resid, g_out * c * 2.0, dt)
         record.release()
-        return (grad,)
+        return grad
 
-    return ad.node(value, (theta,), backward), n_diverged
+    return ad.node(value, theta, backward), n_diverged
 
 
 @dataclass
@@ -555,7 +557,7 @@ def baseline_loss(model, states, derivs, channels=None):
 
 
 def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
-    """Mean squared derivative error as one tape node on ``theta``."""
+    """Mean squared derivative error as one node on ``theta``."""
     x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)
@@ -568,9 +570,9 @@ def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
     def backward(g_out):
         grads = nets.new_gradients(layers)
         nets.forward_vjp(spec, layers, x, acts, g_out * c * 2.0 * diff, grads)
-        return (nets.flatten_params(grads),)
+        return nets.flatten_params(grads)
 
-    return ad.node((diff * diff).sum() * c, (theta,), backward)
+    return ad.node((diff * diff).sum() * c, theta, backward)
 
 
 def baseline_rollout(model, state0, pot_params, dt, n_steps):

@@ -10,12 +10,13 @@ layer, and :func:`input_gradient` gives the gradient of one output in the
 inputs in closed form — the reverse sweep of the chain rule written as
 successive matrix products with activation derivatives.
 
-Training losses are closed-form tape nodes built on two reverse sweeps:
-:func:`forward_vjp`, the vector-Jacobian product of the output, and
-:func:`input_gradient_vjp`, the second-order one of ``u · ∇ₓf``, which also
-gives the Hessian-vector product H·u (Pearlmutter, Neural Computation 1994).
-Both add into per-layer accumulators with the expressions, and in the
-order, of the same network built op by op on the tape, so the gradients are
+Each training loss is one closed-form node on the flat parameters, its
+backward built on two reverse sweeps: :func:`forward_vjp`, the
+vector-Jacobian product of the output, and :func:`input_gradient_vjp`, the
+second-order one of ``u · ∇ₓf``, which also gives the Hessian-vector product
+H·u (Pearlmutter, Neural Computation 1994).  Both add into per-layer
+accumulators with the expressions, and in the order, of the same network
+built op by op on the reference tape of the tests, so the gradients are
 bit-identical to it.
 """
 
@@ -254,33 +255,6 @@ def grad_inputs(spec, params, x, output_index=0):
     return g[0] if squeeze else g
 
 
-def finite_diff_grad(f, x, eps=1e-6):
-    """Central-difference gradient of a scalar function of a flat vector."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = eps
-        g[i] = (f(x + step) - f(x - step)) / (2.0 * eps)
-    return g
-
-
-def finite_diff_check(f, x, eps=1e-6):
-    """Max relative disagreement between analytic and central-diff gradients.
-
-    ``f`` maps a flat vector to ``(value, gradient)``.  Each component's
-    error is read against its analytic magnitude, floored at 1e-4 times the
-    gradient's largest component (and at 1e-8): central differences round
-    off by about eps_mach * |f| / eps in every component, which a component
-    far below the gradient's scale would misread as a relative error.
-    """
-    _, analytic = f(x)
-    numeric = finite_diff_grad(lambda v: f(v)[0], x, eps)
-    scale = float(np.max(np.abs(analytic), initial=0.0))
-    denom = np.maximum(np.abs(analytic), max(1e-4 * scale, 1e-8))
-    return float(np.max(np.abs(numeric - analytic) / denom))
-
-
 __all__ = [
     "ACTIVATIONS",
     "DenseNetSpec",
@@ -299,6 +273,4 @@ __all__ = [
     "forward",
     "grad_inputs",
     "grad_params_through",
-    "finite_diff_grad",
-    "finite_diff_check",
 ]

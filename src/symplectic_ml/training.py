@@ -253,8 +253,8 @@ def train(config, dataset):
     """Train a model of ``config.model_kind`` on a generated dataset.
 
     Returns a TrainReport whose checkpoint document embeds the config and
-    final losses.  Raises DivergedTraining if the validation loss leaves the
-    finite range.
+    final losses.  Raises DivergedTraining if the validation loss or the
+    parameters leave the finite range.
     """
     t_start = time.perf_counter()
     n, theta, loss_graph, build_model = _build_problem(config, dataset)
@@ -284,6 +284,9 @@ def train(config, dataset):
             raise DivergedTraining(
                 f"validation loss became non-finite at epoch {epoch + 1}"
             )
+        # the rollout loss's divergence penalty keeps it finite when theta is not
+        if not np.all(np.isfinite(theta)):
+            raise DivergedTraining(f"parameters became non-finite at epoch {epoch + 1}")
     model = build_model(theta)
     wall = time.perf_counter() - t_start
     document = ckpt.build_checkpoint(

@@ -1,4 +1,5 @@
-"""Shared fixtures-in-spirit: small builders and gradient-check utilities."""
+"""Shared fixtures-in-spirit: small builders, gradient-check utilities and
+the op-by-op reference tape."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -13,9 +14,7 @@ from symplectic_ml import (
     PhaseState,
     PotentialParams,
     ShapeMismatch,
-    Tensor,
     Trajectory,
-    finite_diff_check,
     generate_dataset,
     grad_params_through,
     integrate,
@@ -29,6 +28,33 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6,
 )
+
+
+def finite_diff_grad(f, x, eps=1e-6):
+    """Central-difference gradient of a scalar function of a flat vector."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = eps
+        g[i] = (f(x + step) - f(x - step)) / (2.0 * eps)
+    return g
+
+
+def finite_diff_check(f, x, eps=1e-6):
+    """Max relative disagreement between analytic and central-diff gradients.
+
+    ``f`` maps a flat vector to ``(value, gradient)``.  Each component's
+    error is read against its analytic magnitude, floored at 1e-4 times the
+    gradient's largest component (and at 1e-8): central differences round
+    off by about eps_mach * |f| / eps in every component, which a component
+    far below the gradient's scale would misread as a relative error.
+    """
+    _, analytic = f(x)
+    numeric = finite_diff_grad(lambda v: f(v)[0], x, eps)
+    scale = float(np.max(np.abs(analytic), initial=0.0))
+    denom = np.maximum(np.abs(analytic), max(1e-4 * scale, 1e-8))
+    return float(np.max(np.abs(numeric - analytic) / denom))
 
 
 def param_grad_check(build_graph, theta0, eps=1e-6):
@@ -135,14 +161,84 @@ def constant_trajectory(row, n, dt=0.1, params=None):
 
 # ---------------------------------------------------------------------------
 # The op-by-op tape that trained every model before the losses became
-# closed-form nodes.  Each op is an ``ad.node`` with that tape's forward and
-# backward expressions and parent order, so a graph built from them
-# accumulates its gradients in the same order; the bit-identity tests hold
-# the closed-form nodes to it.
+# closed-form nodes, kept as the reference the bit-identity tests hold those
+# nodes to.  A reference ``Tensor`` adds parent links to the package's, and
+# its ``backward`` walks the graph in reverse topological order,
+# accumulating into every parent that requires gradients; the package's
+# Tensors serve as leaves.  Each op is a :func:`node` with that tape's
+# forward and backward expressions and parent order, so a graph built from
+# them accumulates its gradients in the same order.
+
+
+class Tensor(ad.Tensor):
+    """A node of the reference tape.  Graphs are single-use: ``backward``
+    consumes the graph as it walks it, dropping each node's closure and
+    parent links once the node has passed its gradient on, so reference
+    counting frees the intermediates during the reverse pass."""
+
+    __slots__ = ("_prev",)
+
+    def __init__(self, data, requires_grad=False):
+        super().__init__(data, requires_grad)
+        self._prev = ()
+
+    def backward(self):
+        if self.data.size != 1:
+            raise ShapeMismatch(f"backward() needs a scalar root, got shape {self.data.shape}")
+        topo = _topo_order(self)
+        self.grad = np.ones_like(self.data)
+        while topo:
+            n = topo.pop()
+            if n._backward is not None:
+                n._backward(n.grad)
+                n._backward = None
+            if isinstance(n, Tensor):
+                n._prev = ()
+
+
+def _topo_order(root):
+    """Nodes reachable from ``root``, each after all of its parents."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            topo.append(n)
+        elif n not in visited:
+            visited.add(n)
+            stack.append((n, True))
+            stack.extend((p, False) for p in getattr(n, "_prev", ()) if p not in visited)
+    return topo
+
+
+def node(data, parents, backward):
+    """A reference node of value ``data``: ``backward(g)`` returns one
+    gradient per entry of ``parents``, each accumulated into its parent when
+    that parent requires gradients.  Without such a parent the node is a
+    constant and keeps no closure."""
+    parents = tuple(_t(p) for p in parents)
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._prev = tuple(p for p in parents if p.requires_grad)
+
+        def _bw(g_out):
+            for p, g in zip(parents, backward(g_out)):
+                if p.requires_grad:
+                    p._accum(g)
+
+        out._backward = _bw
+    return out
+
+
+def leaf_grads(loss, leaves):
+    """One reverse pass from ``loss``; each leaf's gradient, zeros where the
+    leaf never entered the graph."""
+    loss.backward()
+    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in leaves]
 
 
 def _t(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, ad.Tensor) else Tensor(x)
 
 
 def _unbroadcast(g, shape):
@@ -162,20 +258,20 @@ def _scatter(shape, index, g):
 
 def add(a, b):
     a, b = _t(a), _t(b)
-    return ad.node(a.data + b.data, (a, b), lambda g: (
+    return node(a.data + b.data, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = _t(a), _t(b)
-    return ad.node(a.data * b.data, (a, b), lambda g: (
+    return node(a.data * b.data, (a, b), lambda g: (
         _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)))
 
 
 def add_scaled(a, b, c):
     """Fused ``a + c * b`` with a python float ``c``."""
     a, b, c = _t(a), _t(b), float(c)
-    return ad.node(a.data + c * b.data, (a, b), lambda g: (
+    return node(a.data + c * b.data, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape), _unbroadcast(c * g, b.data.shape)))
 
 
@@ -183,7 +279,7 @@ def matmul(a, b):
     a, b = _t(a), _t(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}")
-    return ad.node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    return node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def linear(x, w, b=None):
@@ -193,33 +289,53 @@ def linear(x, w, b=None):
         raise ShapeMismatch(f"linear: input {x.data.shape}, weight {w.data.shape}")
     z = x.data @ w.data.T
     if b is None:
-        return ad.node(z, (x, w), lambda g: (g @ w.data, g.T @ x.data))
+        return node(z, (x, w), lambda g: (g @ w.data, g.T @ x.data))
     b = _t(b)
-    return ad.node(z + b.data, (x, w, b), lambda g: (g @ w.data, g.T @ x.data, g.sum(axis=0)))
+    return node(z + b.data, (x, w, b), lambda g: (g @ w.data, g.T @ x.data, g.sum(axis=0)))
+
+
+def scale(a, c):
+    """Multiply by a python float."""
+    a, c = _t(a), float(c)
+    return node(a.data * c, (a,), lambda g: (g * c,))
+
+
+def sum_sq_diff(a, b):
+    """Fused ``sum((a - b)**2)`` over all entries; ``b`` may be a constant."""
+    a, b = _t(a), _t(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatch(f"sum_sq_diff shapes disagree: {a.data.shape} vs {b.data.shape}")
+    diff = a.data - b.data
+
+    def backward(g_out):
+        g = g_out * 2.0 * diff
+        return g, (-g if b.requires_grad else None)
+
+    return node((diff * diff).sum(), (a, b), backward)
 
 
 def tanh(a):
     a = _t(a)
     out = np.tanh(a.data)
-    return ad.node(out, (a,), lambda g: (g * (1.0 - out * out),))
+    return node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def one_minus_sq(a):
     """``1 - a**2``, the tanh derivative expressed from the activation."""
     a = _t(a)
-    return ad.node(1.0 - a.data * a.data, (a,), lambda g: (g * (-2.0) * a.data,))
+    return node(1.0 - a.data * a.data, (a,), lambda g: (g * (-2.0) * a.data,))
 
 
 def concat_cols(parts):
     parts = [_t(p) for p in parts]
     edges = np.cumsum([0] + [p.data.shape[1] for p in parts])
-    return ad.node(np.concatenate([p.data for p in parts], axis=1), parts, lambda g: tuple(
+    return node(np.concatenate([p.data for p in parts], axis=1), parts, lambda g: tuple(
         g[:, j0:j1] for j0, j1 in zip(edges[:-1], edges[1:])))
 
 
 def slice_cols(a, j0, j1):
     a = _t(a)
-    return ad.node(a.data[:, j0:j1], (a,), lambda g: (
+    return node(a.data[:, j0:j1], (a,), lambda g: (
         _scatter(a.data.shape, (slice(None), slice(j0, j1)), g),))
 
 
@@ -228,7 +344,7 @@ def segment(a, i0, i1, shape):
     a = _t(a)
     if a.data.ndim != 1 or i1 - i0 != int(np.prod(shape)) or i1 > a.data.size:
         raise ShapeMismatch(f"segment [{i0}:{i1}] with shape {shape} from {a.data.size}")
-    return ad.node(a.data[i0:i1].reshape(shape), (a,), lambda g: (
+    return node(a.data[i0:i1].reshape(shape), (a,), lambda g: (
         _scatter(a.data.size, slice(i0, i1), g.ravel()),))
 
 
@@ -264,15 +380,15 @@ def taped_value_and_input_gradient(spec, layers, x, output_index=0):
 def taped_hnn_loss(spec, theta, param_channels, states, qdot, pdot, channels):
     x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
     _, g = taped_value_and_input_gradient(spec, taped_layers(spec, theta), x)
-    loss = add(ad.sum_sq_diff(slice_cols(g, 2, 4), qdot),
-               ad.sum_sq_diff(slice_cols(g, 0, 2), -np.asarray(pdot)))
-    return ad.scale(loss, 1.0 / states.shape[0])
+    loss = add(sum_sq_diff(slice_cols(g, 2, 4), qdot),
+               sum_sq_diff(slice_cols(g, 0, 2), -np.asarray(pdot)))
+    return scale(loss, 1.0 / states.shape[0])
 
 
 def taped_baseline_loss(spec, theta, param_channels, states, derivs, channels):
     x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
     out, _ = taped_value_and_input_gradient(spec, taped_layers(spec, theta), x)
-    return ad.scale(ad.sum_sq_diff(out, derivs), 1.0 / (states.shape[0] * 4))
+    return scale(sum_sq_diff(out, derivs), 1.0 / (states.shape[0] * 4))
 
 
 def taped_rollout(model, theta, q0, p0, chan, dt, n_steps):
@@ -338,10 +454,10 @@ def taped_srnn_loss(model, theta, windows, channels, dt):
         qs, ps = rollout(idx)
     total = None
     for t in range(1, length):
-        term = add(ad.sum_sq_diff(qs[t], windows[idx, t, :2]),
-                   ad.sum_sq_diff(ps[t], windows[idx, t, 2:]))
+        term = add(sum_sq_diff(qs[t], windows[idx, t, :2]),
+                   sum_sq_diff(ps[t], windows[idx, t, 2:]))
         total = term if total is None else add(total, term)
-    loss = ad.scale(total, 1.0 / b)
+    loss = scale(total, 1.0 / b)
     if penalty:
         loss = add(loss, Tensor(penalty / b))
     return loss, int(b - idx.size)

@@ -26,7 +26,7 @@ from symplectic_ml import (
 from symplectic_ml import Tensor, analysis, lstm, models, nets, training
 from symplectic_ml.nets import grad_params_through
 
-from helpers import numeric_jacobian
+from helpers import finite_diff_check, finite_diff_grad, numeric_jacobian
 
 # An energy-error sequence whose second-half maximum exceeds the first-half
 # maximum by this factor counts as secular (unbounded drift rather than
@@ -57,7 +57,7 @@ def _param_grad_error(build, theta0, eps=1e-6):
     """
     theta = Tensor(np.asarray(theta0, dtype=np.float64), requires_grad=True)
     analytic = grad_params_through(build(theta), theta)
-    numeric = nets.finite_diff_grad(lambda v: build(Tensor(v)).item(), theta0, eps)
+    numeric = finite_diff_grad(lambda v: build(Tensor(v)).item(), theta0, eps)
     scale = max(float(np.max(np.abs(analytic))), 1e-12)
     denom = np.maximum(np.abs(analytic), 1e-4 * scale)
     return float(np.max(np.abs(numeric - analytic) / denom))
@@ -334,7 +334,7 @@ def test_criterion_01_gradient_engine():
             value = float(nets.forward(spec, theta, v)[0])
             return value, nets.grad_inputs(spec, theta, v)
 
-        worst_input = max(worst_input, nets.finite_diff_check(value_and_grad, x0))
+        worst_input = max(worst_input, finite_diff_check(value_and_grad, x0))
 
     ok = worst_input <= 1e-5 and worst_param <= 1e-4
     _report(

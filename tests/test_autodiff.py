@@ -1,6 +1,6 @@
-"""Tape engine: reverse-mode gradients and graph hygiene, exercised through
-the reference ops of the op-by-op tape (``helpers``) that the bit-identity
-tests compare the closed-form nodes against."""
+"""Reverse mode: the package's one-node losses, and the op-by-op reference
+tape of ``helpers`` — its gradients and graph hygiene — that the
+bit-identity tests compare the closed-form nodes against."""
 
 import gc
 import weakref
@@ -36,14 +36,14 @@ def test_matmul_and_linear_values():
 def test_elementwise_values():
     x = Tensor([0.0, 0.5, -1.0])
     assert np.allclose(H.tanh(x).data, np.tanh([0.0, 0.5, -1.0]))
-    assert np.array_equal(ad.scale(x, 2.0).data, [0.0, 1.0, -2.0])
+    assert np.array_equal(H.scale(x, 2.0).data, [0.0, 1.0, -2.0])
     h = np.tanh([0.0, 0.5, -1.0])
     assert np.allclose(H.one_minus_sq(Tensor(h)).data, 1.0 - h * h)
 
 
 def test_reductions_and_slicing_values():
     a = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert ad.sum_sq_diff(a, np.zeros((2, 3))).item() == 91.0
+    assert H.sum_sq_diff(a, np.zeros((2, 3))).item() == 91.0
     assert np.array_equal(H.slice_cols(a, 1, 3).data, [[2.0, 3.0], [5.0, 6.0]])
     both = H.concat_cols([a, Tensor([[7.0], [8.0]])])
     assert np.array_equal(both.data, [[1.0, 2.0, 3.0, 7.0], [4.0, 5.0, 6.0, 8.0]])
@@ -61,18 +61,18 @@ def test_add_scaled_is_fused_axpy():
 @pytest.mark.parametrize(
     "name,build,n",
     [
-        ("add", lambda x: ad.sum_sq_diff(H.add(_m(x, 6, (2, 3)), np.ones(3)), _T6), 6),
-        ("mul", lambda x: ad.sum_sq_diff(H.mul(_m(x, 6, (2, 3)), _C3), _T6), 6),
-        ("scale", lambda x: ad.sum_sq_diff(ad.scale(_m(x, 6, (2, 3)), -1.7), _T6), 6),
-        ("add_scaled", lambda x: ad.sum_sq_diff(H.add_scaled(_m(x, 6, (2, 3)), _C23, 0.3), _T6), 6),
-        ("matmul", lambda x: ad.sum_sq_diff(H.matmul(_m(x, 6, (2, 3)), _W32), _T4), 6),
-        ("linear", lambda x: ad.sum_sq_diff(H.linear(_m(x, 6, (2, 3)), _W23, _B2), _T4), 6),
-        ("tanh", lambda x: ad.sum_sq_diff(H.tanh(_m(x, 6, (2, 3))), _T6), 6),
-        ("one_minus_sq", lambda x: ad.sum_sq_diff(H.one_minus_sq(_m(x, 6, (2, 3))), _T6), 6),
-        ("sum_sq_diff_pair", lambda x: ad.sum_sq_diff(_m(x, 6, (2, 3)), ad.scale(_m(x, 6, (2, 3)), 0.5)), 6),
-        ("concat_cols", lambda x: ad.sum_sq_diff(H.concat_cols([_m(x, 6, (2, 3)), H.tanh(_m(x, 6, (2, 3)))]), _T26), 6),
-        ("slice_cols", lambda x: ad.sum_sq_diff(H.slice_cols(_m(x, 6, (2, 3)), 1, 3), _T4), 6),
-        ("segment", lambda x: ad.sum_sq_diff(H.segment(x, 1, 5, (2, 2)), _T4), 6),
+        ("add", lambda x: H.sum_sq_diff(H.add(_m(x, 6, (2, 3)), np.ones(3)), _T6), 6),
+        ("mul", lambda x: H.sum_sq_diff(H.mul(_m(x, 6, (2, 3)), _C3), _T6), 6),
+        ("scale", lambda x: H.sum_sq_diff(H.scale(_m(x, 6, (2, 3)), -1.7), _T6), 6),
+        ("add_scaled", lambda x: H.sum_sq_diff(H.add_scaled(_m(x, 6, (2, 3)), _C23, 0.3), _T6), 6),
+        ("matmul", lambda x: H.sum_sq_diff(H.matmul(_m(x, 6, (2, 3)), _W32), _T4), 6),
+        ("linear", lambda x: H.sum_sq_diff(H.linear(_m(x, 6, (2, 3)), _W23, _B2), _T4), 6),
+        ("tanh", lambda x: H.sum_sq_diff(H.tanh(_m(x, 6, (2, 3))), _T6), 6),
+        ("one_minus_sq", lambda x: H.sum_sq_diff(H.one_minus_sq(_m(x, 6, (2, 3))), _T6), 6),
+        ("sum_sq_diff_pair", lambda x: H.sum_sq_diff(_m(x, 6, (2, 3)), H.scale(_m(x, 6, (2, 3)), 0.5)), 6),
+        ("concat_cols", lambda x: H.sum_sq_diff(H.concat_cols([_m(x, 6, (2, 3)), H.tanh(_m(x, 6, (2, 3)))]), _T26), 6),
+        ("slice_cols", lambda x: H.sum_sq_diff(H.slice_cols(_m(x, 6, (2, 3)), 1, 3), _T4), 6),
+        ("segment", lambda x: H.sum_sq_diff(H.segment(x, 1, 5, (2, 2)), _T4), 6),
     ],
 )
 def test_backward_matches_finite_differences(name, build, n):
@@ -98,7 +98,7 @@ _B2 = np.array([0.05, -0.15])
 def test_broadcast_bias_gradient_sums_over_batch():
     x = Tensor(np.ones((3, 2)))
     b = Tensor(np.zeros(2), requires_grad=True)
-    loss = ad.scale(ad.sum_sq_diff(H.add(x, b), np.zeros((3, 2))), 0.5)
+    loss = H.scale(H.sum_sq_diff(H.add(x, b), np.zeros((3, 2))), 0.5)
     grad = grad_params_through(loss, b)
     assert np.array_equal(grad, [3.0, 3.0])
 
@@ -106,7 +106,7 @@ def test_broadcast_bias_gradient_sums_over_batch():
 def test_reused_leaf_accumulates_gradient():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = H.add(H.mul(x, x), x)
-    loss = ad.scale(ad.sum_sq_diff(y, np.zeros(1)), 0.5)  # d/dx y^2/2 = y (2x + 1)
+    loss = H.scale(H.sum_sq_diff(y, np.zeros(1)), 0.5)  # d/dx y^2/2 = y (2x + 1)
     grad = grad_params_through(loss, x)
     assert np.allclose(grad, [30.0])
 
@@ -114,8 +114,8 @@ def test_reused_leaf_accumulates_gradient():
 def test_grad_of_unused_leaf_is_zero():
     x = Tensor(np.ones(3), requires_grad=True)
     y = Tensor(np.ones(3), requires_grad=True)
-    loss = ad.sum_sq_diff(x, np.zeros(3))
-    gx, gy = grad_params_through(loss, [x, y])
+    loss = H.sum_sq_diff(x, np.zeros(3))
+    gx, gy = H.leaf_grads(loss, [x, y])
     assert np.array_equal(gx, 2.0 * np.ones(3))
     assert np.array_equal(gy, np.zeros(3))
 
@@ -123,7 +123,7 @@ def test_grad_of_unused_leaf_is_zero():
 def test_backward_rejects_nonscalar_root():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeMismatch):
-        ad.scale(x, 2.0).backward()
+        H.scale(x, 2.0).backward()
 
 
 def test_backward_frees_the_graph_without_the_cycle_collector():
@@ -135,7 +135,7 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
                                  H.segment(theta, 6, 9, (3,))))
         out = H.linear(hidden, H.segment(theta, 9, 12, (1, 3)),
                        H.segment(theta, 12, 13, (1,)))
-        loss = ad.sum_sq_diff(out, np.zeros((4, 1)))
+        loss = H.sum_sq_diff(out, np.zeros((4, 1)))
         # Tensor has no weakref slot; its activation array lives exactly as
         # long as the node and the closures that read it
         node = weakref.ref(hidden.data)
@@ -150,7 +150,7 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
 
 def test_backward_consumes_the_graph():
     x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
-    loss = ad.sum_sq_diff(H.tanh(x), np.zeros(2))
+    loss = H.sum_sq_diff(H.tanh(x), np.zeros(2))
     loss.backward()
     assert loss._prev == () and loss._backward is None
 
@@ -158,9 +158,24 @@ def test_backward_consumes_the_graph():
 def test_first_accumulation_adds_positive_zero():
     # zeros + g and g + 0.0 agree bit for bit, a negative-zero gradient included
     x = Tensor(np.array([1.0, 0.0]), requires_grad=True)
-    grad = grad_params_through(ad.sum_sq_diff(ad.scale(x, -0.0), np.zeros(2)), x)
+    grad = grad_params_through(H.sum_sq_diff(H.scale(x, -0.0), np.zeros(2)), x)
     assert np.array_equal(grad, [0.0, 0.0])
     assert not np.any(np.signbit(grad))
+    # the package's node adds its leaf gradient the same way
+    theta = Tensor(np.zeros(2), requires_grad=True)
+    grad = grad_params_through(ad.node(0.0, theta, lambda g: np.array([-0.0, -1.0])), theta)
+    assert grad.tobytes() == np.array([0.0, -1.0]).tobytes()
+
+
+def test_node_runs_its_backward_once_from_a_unit_gradient():
+    theta = Tensor(np.ones(3), requires_grad=True)
+    seen = []
+    loss = ad.node(2.5, theta, lambda g: seen.append(g) or np.full(3, float(g)))
+    loss.backward()
+    loss.backward()  # single-use: the closure is dropped once it has run
+    assert [float(g) for g in seen] == [1.0]
+    assert np.array_equal(theta.grad, np.ones(3))
+    assert ad.node(2.5, Tensor(np.ones(3)), seen.append)._backward is None
 
 
 def test_deep_chain_backward_is_iterative():
@@ -168,7 +183,7 @@ def test_deep_chain_backward_is_iterative():
     y = x
     for _ in range(3000):
         y = H.add(y, x)
-    grad = grad_params_through(ad.scale(y, 1.0), x)
+    grad = grad_params_through(H.scale(y, 1.0), x)
     assert grad[0] == 3001.0
 
 
@@ -190,7 +205,7 @@ def test_segment_range_mismatch():
 def test_sum_sq_diff_value_against_manual():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[0.0, 1.0], [1.0, 1.0]])
-    assert ad.sum_sq_diff(Tensor(a), b).item() == pytest.approx(
+    assert H.sum_sq_diff(Tensor(a), b).item() == pytest.approx(
         float(np.sum((a - b) ** 2)), rel=1e-15
     )
 
@@ -212,6 +227,6 @@ def test_matmul_gradient_property(rows, inner, seed):
     target = rng.uniform(-1, 1, size=(rows, 2))
 
     def build(x):
-        return ad.sum_sq_diff(H.matmul(H.segment(x, 0, rows * inner, (rows, inner)), Tensor(w)), target)
+        return H.sum_sq_diff(H.matmul(H.segment(x, 0, rows * inner, (rows, inner)), Tensor(w)), target)
 
     assert input_grad_check(build, a0) < 1e-5

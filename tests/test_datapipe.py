@@ -423,6 +423,22 @@ def test_hand_built_round_trip_keeps_every_training_row(tmp_path, k):
             assert np.array_equal(before[name], after[name]), (kind, name)
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({"energy": 0.09}, "record 1 energy 0.09 is not in the config's energies"),
+    ({"dt": 0.2}, r"record 1 dt 0.2 is not the config's coarse step 0.1"),
+    ({"energy": 0.09, "dt": 0.2}, "record 1 energy 0.09"),
+])
+def test_record_off_its_config_is_corrupt(tmp_path, edits, message):
+    # both edits loaded before the energy and the step were checked
+    couplings = [(0.5, 0.5), (0.7, 0.7)]
+    save_dataset(fabricated_dataset([10, 8], couplings=couplings,
+                                    config=_config(couplings, 1)), tmp_path / "d")
+    assert load_dataset(tmp_path / "d").trajectories[1].dt == 0.1
+    _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update(edits))
+    with pytest.raises(CorruptRecord, match=message):
+        load_dataset(tmp_path / "d")
+
+
 @pytest.mark.parametrize("channels", [None, 1, 2])
 def test_beta_apart_from_alpha_is_corrupt_only_with_one_channel(tmp_path, channels):
     couplings = [(0.5, 0.5), (0.7, 0.7)]

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from symplectic_ml import autodiff as ad
 from symplectic_ml import nets
-from symplectic_ml.autodiff import Tensor, grad_params_through
+from symplectic_ml.autodiff import Tensor
 from symplectic_ml.errors import ShapeMismatch
 from symplectic_ml.nets import (
     DenseNetSpec,
-    finite_diff_check,
-    finite_diff_grad,
     flatten_params,
     forward,
     grad_inputs,
@@ -29,7 +27,7 @@ from symplectic_ml.nets import (
 )
 
 import helpers as H
-from helpers import param_grad_check
+from helpers import finite_diff_check, finite_diff_grad, param_grad_check
 
 TANH_HALF = 0.46211715726000974  # tanh(0.5)
 
@@ -214,9 +212,9 @@ def _input_gradient_loss(spec, theta, x, target):
         grads = nets.new_gradients(layers)
         nets.input_gradient_vjp(spec, layers, x, acts, chain, g_out * 2.0 * diff, grads,
                                 need_x=False)
-        return (nets.flatten_params(grads),)
+        return nets.flatten_params(grads)
 
-    return ad.node((diff * diff).sum(), (theta,), backward)
+    return ad.node((diff * diff).sum(), theta, backward)
 
 
 def test_loss_on_input_gradient_backpropagates_into_params():
@@ -269,7 +267,7 @@ def test_numpy_path_matches_tape_bit_for_bit(activation, batch, sizes):
 
 def _costate(t, g):
     """A scalar root that hands ``t`` the costate ``g`` exactly."""
-    return ad.node(0.0, (t,), lambda _: (g,))
+    return H.node(0.0, (t,), lambda _: (g,))
 
 
 _VJP_SIZES = [(3,), (3, 5), (3, 5, 4), (3, 4, 6, 5)]
@@ -285,7 +283,7 @@ def test_forward_vjp_matches_tape_bit_for_bit(activation, hidden, batch):
     x, g_out = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 2))
     theta, xt = Tensor(theta0.copy(), requires_grad=True), Tensor(x, requires_grad=True)
     out, _ = H.taped_value_and_input_gradient(spec, H.taped_layers(spec, theta), xt)
-    ref_theta, ref_x = grad_params_through(_costate(out, g_out), [theta, xt])
+    ref_theta, ref_x = H.leaf_grads(_costate(out, g_out), [theta, xt])
     layers = unflatten_params(spec, theta0)
     grads = nets.new_gradients(layers)
     g_x = nets.forward_vjp(spec, layers, x, hidden_activations(spec, layers, x), g_out,
@@ -305,7 +303,7 @@ def test_input_gradient_vjp_matches_tape_bit_for_bit(activation, hidden, batch):
     x, u = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
     theta, xt = Tensor(theta0.copy(), requires_grad=True), Tensor(x, requires_grad=True)
     _, g = H.taped_value_and_input_gradient(spec, H.taped_layers(spec, theta), xt)
-    ref_theta, ref_x = grad_params_through(_costate(g, u), [theta, xt])
+    ref_theta, ref_x = H.leaf_grads(_costate(g, u), [theta, xt])
     layers = unflatten_params(spec, theta0)
     acts = hidden_activations(spec, layers, x)
     _, chain = input_gradient(spec, layers, x, acts)

@@ -291,9 +291,12 @@ def test_train_baseline_reduces_validation_loss():
     assert report.val_losses[-1] < 0.05
 
 
-def test_train_flags_divergence():
+@pytest.mark.parametrize("kind", ["baseline", "hnn", "asrnn", "encoder"])
+def test_train_flags_divergence(kind):
+    # asrnn's divergence penalty keeps its validation loss finite, so its
+    # non-finite parameters are what give it away
     dataset = small_dataset()
-    config = TrainConfig(model_kind="baseline", epochs=2, batch_size=64,
+    config = TrainConfig(model_kind=kind, epochs=2, batch_size=64,
                          hidden=(8,), lr=1e200, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergedTraining):
