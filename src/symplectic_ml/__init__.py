@@ -32,7 +32,6 @@ from .autodiff import Tensor
 from .dynamics import (
     ESCAPE_RADIUS,
     HH_FIELD,
-    DerivativeField,
     PhaseState,
     PotentialParams,
     Trajectory,

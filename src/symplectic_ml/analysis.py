@@ -5,9 +5,9 @@ orthonormal frame through the flow-map Jacobian over fixed re-normalisation
 intervals, re-orthonormalise by QR, and average the log diagonal of R.  The
 Jacobian of each interval map is measured by central finite differences of
 the flow itself, so the same estimator runs unchanged on the analytic
-integrator and on learned models.  A flow is a force field — anything
-with a ``block_force(params)`` method, the analytic field or a separable
-model — whose probe rows step together as one (4, B) block, in place,
+integrator and on learned models.  A flow is a force field — the analytic
+field or a separable model, through ``block_force(params)``, the one form a
+field has — whose probe rows step together as one (4, B) block, in place,
 through ``dynamics.advance``, carrying the force from step to step within
 each interval; or a callable that steps (B, 4) rows once.  A force field may
 give each seed its own couplings: they are repeated over the seed's probe

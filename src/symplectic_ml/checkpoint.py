@@ -11,7 +11,6 @@ rejects a document whose parameters do not match it.
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -73,7 +72,11 @@ def _activation(model):
 
 
 def build_checkpoint(model, seed=None, training_config=None, metrics=None):
-    """The checkpoint document for a model, as a plain dict."""
+    """The checkpoint document for a model, as a plain dict.  Raises
+    ValueError if a parameter is not finite: JSON has no spelling for it."""
+    bad = np.flatnonzero(~np.isfinite(model.params))
+    if bad.size:
+        raise ValueError(f"parameter {bad[0]} is not finite: {model.params[bad[0]]}")
     return {
         "format_version": FORMAT_VERSION,
         "model_kind": model_kind(model),
@@ -91,7 +94,6 @@ def build_checkpoint(model, seed=None, training_config=None, metrics=None):
 # stands in for the parameter list while the rest of the document is encoded;
 # no key or value before "params" holds a NUL, so its first occurrence is that one
 _PARAMS_SLOT = "\x00params\x00"
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _WRITE_BLOCK = 4096  # parameters formatted per write, so the text held at once stays small
 
 
@@ -107,10 +109,7 @@ def write_checkpoint(doc, path):
         sep = "[\n  "
         for i in range(0, len(params), _WRITE_BLOCK):
             block = params[i : i + _WRITE_BLOCK]
-            items = map(float.__repr__, block)
-            if not all(map(math.isfinite, block)):
-                items = (_JSON_NONFINITE.get(text, text) for text in items)
-            fh.write(sep + ",\n  ".join(items))
+            fh.write(sep + ",\n  ".join(map(float.__repr__, block)))
             sep = ",\n  "
         fh.write(("\n ]" if params else "[]") + tail)
 
@@ -134,6 +133,9 @@ def model_from_checkpoint(doc):
         if not isinstance(spec, dict):
             raise CorruptRecord("checkpoint spec is not a JSON object")
         params = np.array(doc["params"], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(params))
+        if bad.size:
+            raise CorruptRecord(f"checkpoint parameter {bad[0]} is not finite")
         if "params_sha256" not in doc:
             raise CorruptRecord("checkpoint has no params_sha256 checksum")
         if doc["params_sha256"] != params_sha256(params):

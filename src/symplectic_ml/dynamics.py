@@ -1,5 +1,5 @@
 """Ground-truth dynamics: a two-degree-of-freedom oscillator with cubic
-coupling, its conserved energy, and the symplectic leapfrog in its two forms.
+coupling, its conserved energy, and the symplectic leapfrog.
 
 The Hamiltonian is separable, H = K(p) + V(q), with unit masses and unit
 linear frequencies:
@@ -17,23 +17,20 @@ the bounded regime when a component is non-finite or its position lies
 beyond :data:`ESCAPE_RADIUS` in sup-norm; :func:`outside` is that rule, for
 every integrator, training loss and diagnostic of the package.
 
-Every leapfrog in the package, analytic or learned, has one of two forms,
-and the input picks it.  One orbit steps in Python floats through
-:func:`kick_drift_kick`, where a step costs less than one array call.  Every
-batch steps one C-contiguous (4, B) block in place through :func:`advance`:
-rows 0-1 are q, rows 2-3 are p, grad V is carried in a (2, B) buffer, and a
-step makes 11 ufunc calls into preallocated arrays.  Both carry the force, so
-each step evaluates grad V once.  A force field gives both forms:
-``columns(params)`` the float pair ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``
-and ``block_force(params)`` the block pair ``(grad_v, grad_k)`` of binders
-(see :func:`hh_grad_v_block`).  The analytic :data:`HH_FIELD` and a learned
-``models.SeparableModel`` are the two fields.
+Every leapfrog in the package, analytic or learned, steps one C-contiguous
+(4, B) block in place through :func:`advance`: rows 0-1 are q, rows 2-3 are
+p, grad V is carried in a (2, B) buffer, and a step makes 11 ufunc calls
+into preallocated arrays.  A force field has one form, ``block_force(params)``,
+the block pair ``(grad_v, grad_k)`` of binders (see :func:`hh_grad_v_block`).
+The analytic :data:`HH_FIELD` and a learned ``models.SeparableModel`` are the
+two fields.  One orbit of the analytic field alone also steps in Python
+floats, where a step costs less than one array call; :func:`integrate`
+picks that loop by the field's type.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -105,17 +102,6 @@ class PhaseState:
         return cls(q=v[:2], p=v[2:])
 
 
-@dataclass(frozen=True)
-class DerivativeField:
-    """Separable force field in both leapfrog forms: ``columns(params)`` gives
-    ``(grad_v(q_x, q_y), grad_k(p_x, p_y))``, each returning a pair, and
-    ``block_force(params)`` the block binders ``(grad_v, grad_k)`` that
-    :func:`advance` reads, ``grad_k`` None where grad K = p."""
-
-    columns: Callable[[PotentialParams], tuple]
-    block_force: Callable[[PotentialParams], tuple]
-
-
 def hh_potential(q, params):
     """Potential energy at position ``q``."""
     return (
@@ -174,20 +160,14 @@ def hh_grad_v(q, params):
     return np.array(hh_grad_v_columns(params.alpha, params.beta)(q[0], q[1]))
 
 
-def kinetic_grad_columns(px, py):
-    """Gradient of the kinetic energy |p|^2 / 2: the velocity, equal to ``p``."""
-    return px, py
+class AnalyticField:
+    """The analytic force field; its ``grad_k`` None is grad K = p."""
+
+    def block_force(self, params):
+        return hh_grad_v_block(params.alpha, params.beta), None
 
 
-def _hh_columns(params):
-    return hh_grad_v_columns(params.alpha, params.beta), kinetic_grad_columns
-
-
-def _hh_block_force(params):
-    return hh_grad_v_block(params.alpha, params.beta), None
-
-
-HH_FIELD = DerivativeField(columns=_hh_columns, block_force=_hh_block_force)
+HH_FIELD = AnalyticField()
 
 
 class Trajectory:
@@ -237,28 +217,15 @@ def hh_energy_batch(states, params):
     )
 
 
-def kick_drift_kick(qx, qy, px, py, fx, fy, dt, grad_v, grad_k):
-    """One leapfrog step of size ``dt`` of one orbit in floats; ``(fx, fy)``
-    is grad V at ``(qx, qy)``.  Returns the new state and grad V there.
-    Second order, symplectic, and time-reversible for separable fields."""
-    half = 0.5 * dt
-    px = px - half * fx
-    py = py - half * fy
-    vx, vy = grad_k(px, py)
-    qx = qx + dt * vx
-    qy = qy + dt * vy
-    fx, fy = grad_v(qx, qy)
-    return qx, qy, px - half * fx, py - half * fy, fx, fy
-
-
 def advance(block, dt, n_steps, grad_v, grad_k=None, out=None):
     """``n_steps`` leapfrog steps of a C-contiguous (4, B) block, in place.
 
     ``grad_v`` and ``grad_k`` are block binders (see :func:`hh_grad_v_block`)
     of the positions and momenta; ``grad_k`` None means grad K = p.  The
     force is evaluated at the block's start, then carried from step to step,
-    and each step is :func:`kick_drift_kick`'s arithmetic in the same
-    order.  ``out``, an (n_steps, 4, B) array, receives the block after each
+    and each step is a kick of ``dt / 2``, a drift of ``dt`` and a kick of
+    ``dt / 2``: second order, symplectic, and time-reversible for separable
+    fields.  ``out``, an (n_steps, 4, B) array, receives the block after each
     step.  Returns ``block``.
     """
     q, p = block[:2], block[2:]
@@ -285,35 +252,72 @@ def advance(block, dt, n_steps, grad_v, grad_k=None, out=None):
     return block
 
 
-def _orbit(state0, dt, n_steps, field, params, stride):
-    """Every ``stride``-th state of one orbit, stepped in Python floats.
+def _diverged(step, qx, qy):
+    """IntegrationDiverged for an :func:`outside` state at position ``(qx, qy)``."""
+    why = ("momentum became non-finite"
+           if abs(qx) <= ESCAPE_RADIUS and abs(qy) <= ESCAPE_RADIUS
+           else f"position left the bounded regime (|q| > {ESCAPE_RADIUS})")
+    return IntegrationDiverged(f"diverged at step {step}: {why}", step=step)
+
+
+def _analytic_orbit(state0, dt, n_steps, params, stride):
+    """Every ``stride``-th state of one orbit of the analytic field, stepped
+    in Python floats with grad K = p.
 
     Each step is checked against :func:`outside`'s rule, spelled out on the
     four floats: an array call would cost more than the step itself.
     """
-    grad_v, grad_k = field.columns(params)
+    grad_v = hh_grad_v_columns(params.alpha, params.beta)
+    half, huge = 0.5 * dt, sys.float_info.max
     qx, qy, px, py = (float(x) for x in state0.vec())
     rows = [(qx, qy, px, py)]
     with np.errstate(over="ignore", invalid="ignore"):
         fx, fy = grad_v(qx, qy)
         for i in range(1, n_steps + 1):
-            qx, qy, px, py, fx, fy = kick_drift_kick(qx, qy, px, py, fx, fy, dt,
-                                                     grad_v, grad_k)
-            if not (abs(qx) <= ESCAPE_RADIUS and abs(qy) <= ESCAPE_RADIUS):
-                raise IntegrationDiverged(
-                    f"diverged at step {i}: position left the bounded regime "
-                    f"(|q| > {ESCAPE_RADIUS})", step=i)
-            if not (abs(px) <= sys.float_info.max and abs(py) <= sys.float_info.max):
-                raise IntegrationDiverged(
-                    f"diverged at step {i}: momentum became non-finite", step=i)
+            px = px - half * fx
+            py = py - half * fy
+            qx = qx + dt * px
+            qy = qy + dt * py
+            fx, fy = grad_v(qx, qy)
+            px = px - half * fx
+            py = py - half * fy
+            if not (abs(qx) <= ESCAPE_RADIUS and abs(qy) <= ESCAPE_RADIUS
+                    and abs(px) <= huge and abs(py) <= huge):
+                raise _diverged(i, qx, qy)
             if i % stride == 0:
                 rows.append((qx, qy, px, py))
-    return rows
+    return np.array(rows)
+
+
+# steps per advance of a one-orbit block: a diverged orbit stops within one
+# chunk of the step that left the bounded regime
+ORBIT_CHUNK = 64
+
+
+def _orbit(state0, dt, n_steps, field, params, stride):
+    """Every ``stride``-th state of one orbit: the analytic field's stepped
+    in floats, any other's as a (4, 1) block through :func:`advance` in
+    chunks of :data:`ORBIT_CHUNK` steps, each chunk checked by :func:`outside`."""
+    if isinstance(field, AnalyticField):
+        return _analytic_orbit(state0, dt, n_steps, params, stride)
+    grad_v, grad_k = field.block_force(params)
+    data = np.empty((n_steps + 1, 4))
+    data[0] = state0.vec()
+    block = data[0][:, None].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n_steps, ORBIT_CHUNK):
+            steps = data[k + 1 : k + 1 + ORBIT_CHUNK]
+            advance(block, dt, len(steps), grad_v, grad_k, out=steps[:, :, None])
+            bad = outside(steps)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise _diverged(k + 1 + i, steps[i, 0], steps[i, 1])
+    return np.ascontiguousarray(data[::stride])
 
 
 def integrate(state0, dt, n_steps, field, params, stride=1):
     """Integrate ``n_steps`` leapfrog steps of one orbit under ``field``,
-    anything with a ``columns(params)`` method.
+    anything with a ``block_force(params)`` method.
 
     Returns every ``stride``-th state (``n_steps // stride + 1`` samples at
     spacing ``dt * stride``); ``stride`` must divide ``n_steps``.  Raises
@@ -324,14 +328,13 @@ def integrate(state0, dt, n_steps, field, params, stride=1):
         raise ValueError("n_steps must be >= 1")
     if not isinstance(stride, (int, np.integer)) or stride < 1 or n_steps % stride:
         raise BadFactor(f"stride {stride!r} must be a positive divisor of {n_steps}")
-    rows = _orbit(state0, dt, n_steps, field, params, stride)
-    return Trajectory(dt=dt * stride, data=np.array(rows), params=params)
+    return Trajectory(dt=dt * stride, data=_orbit(state0, dt, n_steps, field, params, stride),
+                      params=params)
 
 
 def leapfrog_step(state, dt, field, params):
     """One leapfrog step of one state; diverges as :func:`integrate` does."""
-    last = _orbit(state, dt, 1, field, params, 1)[-1]
-    return PhaseState(q=np.array(last[:2]), p=np.array(last[2:]))
+    return PhaseState.from_vec(_orbit(state, dt, 1, field, params, 1)[-1])
 
 
 def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1):

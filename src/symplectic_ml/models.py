@@ -7,9 +7,9 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
 * ``SeparableModel`` — two scalar networks K(p) and V(q) rolled out with the
   same leapfrog as the ground truth; training matches whole rollout windows,
   so only time series are needed, never derivative labels.  The model is its
-  own force field, as ``dynamics.HH_FIELD`` is: ``columns(pot_params)``
-  gives the float form that steps one orbit, ``block_force(pot_params)`` the
-  block form that steps a batch.
+  own force field, as ``dynamics.HH_FIELD`` is: ``block_force(pot_params)``
+  gives the block binders of :func:`_gradient_block` with which
+  ``dynamics.advance`` steps one orbit or a batch.
 * ``BaselineModel`` — a plain derivative regressor (q, p) -> (dq/dt, dp/dt),
   rolled out with a classic fourth-order Runge-Kutta step.
 
@@ -40,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Tensor
-from .dynamics import Trajectory, advance, integrate, kinetic_grad_columns, outside
+from .dynamics import Trajectory, advance, integrate, outside
 from .errors import (
     EmptyBatch,
     IntegrationDiverged,
@@ -192,14 +192,6 @@ class SeparableModel:
     def potential_params(self):
         return self.params[self.kinetic_count():]
 
-    def columns(self, pot_params):
-        """The learned field in the float form ``(grad_v, grad_k)``."""
-        k_layers, v_layers = _separable_layers(self, self.params)
-        grad_v = _gradient_columns(self.potential_spec, v_layers, _channels(self, pot_params))
-        if self.fixed_kinetic:
-            return grad_v, kinetic_grad_columns
-        return grad_v, _gradient_columns(self.kinetic_spec, k_layers)
-
     def block_force(self, pot_params):
         """The learned field in the block form ``(grad_v, grad_k)`` of
         ``dynamics.advance``; ``grad_k`` None with a fixed kinetic energy."""
@@ -210,9 +202,12 @@ class SeparableModel:
         return grad_v, _gradient_block(self.kinetic_spec, k_layers)
 
 
-def _net_gradient(spec, layers, channels=None, record=None, calls=None):
-    """A scalar net's input gradient as ``grad(x)`` of a fresh (B, 2) array.
+def _gradient_block(spec, layers, channels=None, record=None, calls=None):
+    """A scalar net's input gradient as a block binder for
+    ``dynamics.advance``: the one path by which every learned force is read.
 
+    Each call reads its (2, B) input block through a fresh (B, 2) copy, so a
+    recorded call never holds a view of the block the next step writes.
     ``channels`` — a (k,) vector for every row, or a (B, k) block — fills the
     remaining inputs.  With a ``record``, each call appends its input,
     activations and chain to the record's list ``calls``, in arrays the
@@ -220,38 +215,14 @@ def _net_gradient(spec, layers, channels=None, record=None, calls=None):
     """
     empty = np.empty if record is None else record.empty
 
-    def grad(x):
-        x = _with_channels(x, channels)
-        acts = nets.hidden_activations(spec, layers, x, empty)
-        g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty)
-        if calls is not None:
-            calls.append((x, acts, chain))
-        return g
-
-    return grad
-
-
-def _gradient_columns(spec, layers, channels=None):
-    """Float form of :func:`_net_gradient`: ``(g_x, g_y)`` of two floats,
-    or of two (B,) columns."""
-    grad = _net_gradient(spec, layers, channels)
-
-    def columns(a, b):
-        g = grad(np.column_stack((a, b)))
-        return (g[0, 0], g[0, 1]) if np.ndim(a) == 0 else (g[:, 0], g[:, 1])
-
-    return columns
-
-
-def _gradient_block(spec, layers, channels=None, record=None, calls=None):
-    """Block binder of :func:`_net_gradient` for ``dynamics.advance``.  Each
-    call reads its (2, B) input block through a fresh (B, 2) copy, so a
-    recorded call never holds a view of the block the next step writes."""
-    grad = _net_gradient(spec, layers, channels, record, calls)
-
-    def bind(x, out):
+    def bind(block, out):
         def call():
-            out[...] = grad(x.T.copy())[:, :2].T
+            x = _with_channels(block.T.copy(), channels)
+            acts = nets.hidden_activations(spec, layers, x, empty)
+            g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty)
+            if calls is not None:
+                calls.append((x, acts, chain))
+            out[...] = g[:, :2].T
 
         return call
 

@@ -19,6 +19,7 @@ from symplectic_ml import (
     grad_params_through,
     integrate,
 )
+from symplectic_ml.dynamics import outside
 
 
 # any JSON document a hand-edited or corrupted store could hold
@@ -135,8 +136,8 @@ def fabricated_dataset(n_states_list, dt=0.1, alpha=1.0, energy=1 / 12,
 
 def separable_gradients(model, pot):
     """``(grad_v(q), grad_k(p))`` of a separable model over (B, 2) blocks,
-    through ``nets.grad_inputs``: a reference independent of the column form
-    the kernel calls."""
+    through ``nets.grad_inputs``: a reference independent of the block
+    binders the kernel calls."""
     chan = pot.channels(model.param_channels) if model.param_channels else None
 
     def grad_v(q):
@@ -150,6 +151,35 @@ def separable_gradients(model, pot):
         return nets.grad_inputs(model.kinetic_spec, model.kinetic_params, p)
 
     return grad_v, grad_k
+
+
+def linear_separable(k_w, v_w):
+    """A separable model whose K and V are linear, identity-activated nets:
+    grad K = ``k_w`` and grad V = ``v_w`` everywhere."""
+    spec = nets.DenseNetSpec((2, 1), activation="identity")
+    params = np.concatenate([nets.flatten_params([(np.array([w], dtype=float), np.zeros(1))])
+                             for w in (k_w, v_w)])
+    return models.SeparableModel(kinetic_spec=spec, potential_spec=spec, params=params)
+
+
+def manual_leapfrog(model, state, pot, dt, n_steps):
+    """Kick-drift-kick of one state through :func:`separable_gradients`,
+    each force evaluated afresh.  Returns the (k + 1, 4) states up to the
+    first step ``k`` that is ``outside`` the bounded regime, and ``k`` (None
+    if every step stayed inside)."""
+    grad_v, grad_k = separable_gradients(model, pot)
+    half = 0.5 * dt
+    q, p = state.q[None, :], state.p[None, :]
+    rows = [state.vec()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            p = p - half * grad_v(q)
+            q = q + dt * grad_k(p)
+            p = p - half * grad_v(q)
+            rows.append(np.concatenate([q[0], p[0]]))
+            if outside(rows[-1]):
+                return np.array(rows), i
+    return np.array(rows), None
 
 
 def constant_trajectory(row, n, dt=0.1, params=None):

@@ -70,12 +70,11 @@ ALL_MODELS = [
 ]
 
 
-EDGE_PARAMS = [-0.0, 5e-324, 1e-300, 1e300, float("nan"), float("inf"), -float("inf"),
-               0.1, -2.5]
+EDGE_PARAMS = [-0.0, 5e-324, 1e-300, 1e300, 0.1, -2.5]
 
 
-@pytest.mark.parametrize("params", [EDGE_PARAMS, EDGE_PARAMS[:4], [], None, EDGE_PARAMS * 1000],
-                         ids=["non-finite", "finite", "empty", "fixed-k-model", "several-blocks"])
+@pytest.mark.parametrize("params", [EDGE_PARAMS, [], None, EDGE_PARAMS * 1500],
+                         ids=["finite", "empty", "fixed-k-model", "several-blocks"])
 def test_written_checkpoint_is_byte_identical_to_json_dumps(tmp_path, params):
     doc = build_checkpoint(_separable(adaptable=True, fixed_kinetic=True), seed=4,
                            training_config={"hidden": [4], "note": "x"},
@@ -85,6 +84,27 @@ def test_written_checkpoint_is_byte_identical_to_json_dumps(tmp_path, params):
     path = tmp_path / "model.json"
     write_checkpoint(doc, path)
     assert path.read_bytes() == json.dumps(doc, indent=1).encode()
+
+
+@pytest.mark.parametrize("bad", [np.inf - np.inf, np.inf], ids=["sign-bit-nan", "inf"])
+def test_non_finite_parameters_are_refused_at_save(tmp_path, bad):
+    model = _encoder()
+    model.params[3] = bad
+    with pytest.raises(ValueError, match="parameter 3 is not finite"):
+        save_checkpoint(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_hand_edited_non_finite_parameter_is_corrupt(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(_encoder(), path)
+    doc = json.loads(path.read_text())
+    doc["params"][2] = float("nan")
+    doc["params_sha256"] = hashlib.sha256(np.array(doc["params"], "<f8").tobytes()).hexdigest()
+    path.write_text(json.dumps(doc, indent=1))
+    assert "NaN" in path.read_text()
+    with pytest.raises(CorruptRecord, match="checkpoint parameter 2 is not finite"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("expected_kind, factory, kw", ALL_MODELS)

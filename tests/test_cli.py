@@ -29,9 +29,10 @@ from symplectic_ml import (
     integrate,
     load_checkpoint,
     load_dataset,
+    save_checkpoint,
 )
 
-from helpers import JSON_VALUES
+from helpers import JSON_VALUES, linear_separable
 
 
 def _read_csv(path):
@@ -480,6 +481,21 @@ def test_predict_with_trained_model(ws, asrnn_ckpt):
     _, _, rows = _read_csv(out)
     assert len(rows) == 11
     assert np.all(np.isfinite(np.asarray(rows)))
+
+
+@pytest.mark.parametrize("k_w, v_w, step, why", [
+    ((0.5, 0.0), (0.0, 0.0), 198, "position left the bounded regime (|q| > 10.0)"),
+    ((0.0, 0.0), (1e307, 0.0), 180, "momentum became non-finite"),
+], ids=["position", "momentum"])
+def test_predict_of_a_diverging_learned_model_exits_2(tmp_path, capsys, k_w, v_w, step, why):
+    ckpt, out = tmp_path / "linear.json", tmp_path / "x.csv"
+    save_checkpoint(linear_separable(k_w, v_w), ckpt)
+    rc = cli.main(["predict", "--out", str(out), "--checkpoint", str(ckpt), "--alpha", "1",
+                   "--ic", "0.1,-0.2,0.15,0.3", "--dt", "0.1", "--steps", "1000"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: IntegrationDiverged: diverged at step {step}: {why}\n")
+    assert not out.exists()
 
 
 def test_predict_rejects_non_rollout_checkpoint(ws, encoder_ckpt, capsys):

@@ -1,10 +1,13 @@
 """Ground-truth dynamics: energies, gradients, and the leapfrog integrator."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symplectic_ml import dynamics
 from symplectic_ml import (
     BadFactor,
     HH_FIELD,
@@ -92,8 +95,12 @@ def test_potential_gradient_matches_finite_differences():
 
 
 def test_kinetic_gradient_is_momentum():
-    grad_k = HH_FIELD.columns(UNIT)[1]
-    assert grad_k(0.3, -0.4) == (0.3, -0.4)
+    # grad_k None: advance drifts each position by dt times its momentum
+    grad_v, grad_k = HH_FIELD.block_force(UNIT)
+    assert grad_k is None
+    block = np.array([[0.0], [0.0], [0.3], [-0.4]])  # grad V vanishes at q = 0
+    advance(block, 0.1, 1, grad_v, grad_k)
+    assert block[:2, 0].tolist() == [0.1 * 0.3, 0.1 * -0.4]
 
 
 def test_leapfrog_step_decoupled_oscillator():
@@ -290,6 +297,17 @@ def test_integrate_batch_matches_per_row_reference_with_frozen_rows():
         assert np.array_equal(coarse[i], ref, equal_nan=True)
     assert escaped[0] == escaped[3] == -1 and escaped[1] == 1 and escaped[2] > 1
     assert np.all(coarse[2, escaped[2] + 1:] == 0.0)
+
+
+def test_unpickled_analytic_field_steps_the_same_float_loop(monkeypatch):
+    # lyapunov --jobs pickles the field: the float loop is picked by type
+    clone = pickle.loads(pickle.dumps(HH_FIELD))
+    assert clone is not HH_FIELD
+    state, pot = PhaseState(q=[0.1, -0.2], p=[0.25, 0.1]), PotentialParams(0.6, 0.9)
+    ref = integrate(state, 0.02, 400, HH_FIELD, pot).data
+    monkeypatch.setattr(dynamics, "advance", None)  # the block path would fail
+    assert integrate(state, 0.02, 400, clone, pot).data.tobytes() == ref.tobytes()
+    assert leapfrog_step(state, 0.02, clone, pot).vec().tobytes() == ref[1].tobytes()
 
 
 def test_integrate_rejects_zero_steps():

@@ -9,6 +9,7 @@ from symplectic_ml import models, nets
 from symplectic_ml.autodiff import Tensor
 from symplectic_ml.dynamics import (
     HH_FIELD,
+    ORBIT_CHUNK,
     PhaseState,
     PotentialParams,
     integrate,
@@ -128,8 +129,7 @@ def test_fixed_kinetic_ignores_kinetic_spec_params():
     model = _separable(fixed_kinetic=True)
     assert model.kinetic_count() == 0
     assert model.param_count() == param_count(DenseNetSpec((2, 4, 1)))
-    grad_k = model.columns(POT)[1]
-    assert grad_k(0.3, -0.7) == (0.3, -0.7)
+    assert model.block_force(POT)[1] is None  # dynamics.advance: grad K = p
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,10 @@ def test_linear_potential_gradient_is_constant_row():
         params=flatten_params([(w, np.array([3.0]))]),
         fixed_kinetic=True,
     )
-    gx, gy = model.columns(POT)[0](np.array([0.0, 5.0]), np.array([0.0, -2.0]))
-    assert np.array_equal(np.stack([gx, gy], axis=1), np.tile(w, (2, 1)))
+    q = np.array([[0.0, 5.0], [0.0, -2.0]])
+    f = np.empty_like(q)
+    model.block_force(POT)[0](q, f)()
+    assert np.array_equal(f.T, np.tile(w, (2, 1)))
 
 
 def test_adaptable_potential_gradient_drops_channel_column():
@@ -237,9 +239,9 @@ def test_adaptable_potential_gradient_drops_channel_column():
         param_channels=1,
         fixed_kinetic=True,
     )
-    gx, gy = model.columns(PotentialParams.single(0.7))[0](np.zeros(3), np.zeros(3))
-    assert gx.shape == gy.shape == (3,)
-    assert np.array_equal(np.stack([gx, gy], axis=1), np.tile(w[:, :2], (3, 1)))
+    f = np.empty((2, 3))
+    model.block_force(PotentialParams.single(0.7))[0](np.zeros((2, 3)), f)()
+    assert np.array_equal(f.T, np.tile(w[:, :2], (3, 1)))
 
 
 def test_rollout_matches_manual_leapfrog():
@@ -258,6 +260,61 @@ def test_rollout_matches_manual_leapfrog():
         p = p_half - half * grad_v(q[None, :])[0]
         rows.append(np.concatenate([q, p]))
     assert np.array_equal(traj.data, np.array(rows))
+
+
+@pytest.mark.parametrize("kw, channels", [
+    ({"fixed_kinetic": True}, 0),
+    ({}, 0),
+    ({"adaptable": True, "param_channels": 1}, 1),
+    ({"adaptable": True, "param_channels": 2}, 2),
+])
+@pytest.mark.parametrize("stride", [1, 4])
+def test_integrate_orbit_is_the_window_rollout_bytewise(monkeypatch, kw, channels, stride):
+    model = _separable(v_sizes=(2 + channels, 8, 8, 1), seed=15, scale=0.4, **kw)
+    pot = PotentialParams(alpha=0.7, beta=0.4)
+    state = PhaseState(q=[0.1, -0.2], p=[0.15, 0.3])
+    calls = []
+    block = models._gradient_block
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(models, "_gradient_block", spy)
+    dt, n = 0.05, 2 * ORBIT_CHUNK + 12  # three chunks, the last one short
+    traj = integrate(state, dt, n, model, pot, stride=stride)
+    n_orbit_calls = len(calls)
+    chan = models._channels(model, pot)
+    window = models._window_rollout(model, models._separable_layers(model, model.params),
+                                    state.vec()[None, :], None if chan is None else chan[None],
+                                    dt, n)
+    # both read V (and K, unless fixed) through _gradient_block
+    assert n_orbit_calls == len(calls) - n_orbit_calls == (1 if model.fixed_kinetic else 2)
+    assert traj.data.tobytes() == window[0, ::stride].tobytes()
+
+
+@pytest.mark.parametrize("k_w, v_w, why", [
+    ((0.5, 0.0), (0.0, 0.0), "position left the bounded regime (|q| > 10.0)"),
+    ((0.0, 0.0), (1e307, 0.0), "momentum became non-finite"),
+])
+def test_learned_integrate_diverges_at_the_manual_leapfrog_step(monkeypatch, k_w, v_w, why):
+    model = H.linear_separable(k_w, v_w)
+    state, dt, n = PhaseState(q=[0.1, -0.2], p=[0.15, 0.3]), 0.1, 1000
+    ref, step = H.manual_leapfrog(model, state, POT, dt, n)
+    assert step is not None and step > ORBIT_CHUNK
+    calls = []
+    input_gradient = nets.input_gradient
+    monkeypatch.setattr(nets, "input_gradient",
+                        lambda *a, **kw: calls.append(1) or input_gradient(*a, **kw))
+    with pytest.raises(IntegrationDiverged) as exc:
+        integrate(state, dt, n, model, POT)
+    assert exc.value.step == step
+    assert str(exc.value) == f"diverged at step {step}: {why}"
+    n_diverged = len(calls)
+    stopped = integrate(state, dt, step - 1, model, POT)
+    assert stopped.data.tobytes() == ref[:-1].tobytes()
+    # past the step, at most one chunk's V and K calls and its start force
+    assert n_diverged - (len(calls) - n_diverged) <= 2 * ORBIT_CHUNK + 1
 
 
 def _taped_gradient(spec, params, x):
