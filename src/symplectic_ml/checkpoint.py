@@ -6,7 +6,9 @@ floats with its SHA-256 checksum, and optional training config and metrics.
 Python's shortest-repr float serialization makes the parameter round-trip
 bit-exact.  The checksum covers the parameters' little-endian float64
 bytes, the scheme of a dataset's ``states.bin`` checksum, and loading
-rejects a document whose parameters do not match it.
+rejects a document whose parameters do not match it.  One function,
+``_describe``, names each model class's kind, architecture spec and
+activation; ``model_from_checkpoint`` is its inverse.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from .datapipe import f8_bytes
 from .errors import CorruptRecord, FormatVersionMismatch, ShapeMismatch
 from .lstm import EncoderModel
 from .models import BaselineModel, HnnModel, SeparableModel
-from .nets import DenseNetSpec, param_count
+from .nets import DenseNetSpec
 
 FORMAT_VERSION = 2
 INIT_SCHEME = "scaled-uniform"
@@ -29,46 +31,35 @@ def params_sha256(params):
     return hashlib.sha256(f8_bytes([params])).hexdigest()
 
 
-def model_kind(model):
-    if isinstance(model, HnnModel):
-        return "ahnn" if model.adaptable else "hnn"
+def _describe(model):
+    """``(model_kind, spec, activation)``: how a checkpoint names and stores
+    a model's architecture.  ``model_from_checkpoint`` is its inverse."""
     if isinstance(model, SeparableModel):
-        return "asrnn" if model.adaptable else "srnn"
-    if isinstance(model, BaselineModel):
-        return "baseline"
-    if isinstance(model, EncoderModel):
-        return "lstm-encoder"
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _spec_dict(model):
-    if isinstance(model, HnnModel) or isinstance(model, BaselineModel):
-        return {
-            "layers": list(model.spec.layer_sizes),
-            "param_channels": model.param_channels,
-        }
-    if isinstance(model, SeparableModel):
-        return {
-            "kinetic_layers": (
-                None if model.fixed_kinetic else list(model.kinetic_spec.layer_sizes)
-            ),
+        k_layers = None if model.fixed_kinetic else list(model.kinetic_spec.layer_sizes)
+        return "asrnn" if model.adaptable else "srnn", {
+            "kinetic_layers": k_layers,
             "potential_layers": list(model.potential_spec.layer_sizes),
             "param_channels": model.param_channels,
             "fixed_kinetic": model.fixed_kinetic,
-        }
-    return {
-        "hidden_size": model.hidden_size,
-        "window_len": model.window_len,
-        "param_outputs": model.param_outputs,
-    }
-
-
-def _activation(model):
+        }, model.potential_spec.activation
     if isinstance(model, EncoderModel):
-        return "lstm-gates"
-    if isinstance(model, SeparableModel):
-        return model.potential_spec.activation
-    return model.spec.activation
+        return "lstm-encoder", {
+            "hidden_size": model.hidden_size,
+            "window_len": model.window_len,
+            "param_outputs": model.param_outputs,
+        }, "lstm-gates"
+    if isinstance(model, HnnModel):
+        kind = "ahnn" if model.adaptable else "hnn"
+    elif isinstance(model, BaselineModel):
+        kind = "baseline"
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    spec = {"layers": list(model.spec.layer_sizes), "param_channels": model.param_channels}
+    return kind, spec, model.spec.activation
+
+
+def model_kind(model):
+    return _describe(model)[0]
 
 
 def build_checkpoint(model, seed=None, training_config=None, metrics=None):
@@ -77,11 +68,12 @@ def build_checkpoint(model, seed=None, training_config=None, metrics=None):
     bad = np.flatnonzero(~np.isfinite(model.params))
     if bad.size:
         raise ValueError(f"parameter {bad[0]} is not finite: {model.params[bad[0]]}")
+    kind, spec, activation = _describe(model)
     return {
         "format_version": FORMAT_VERSION,
-        "model_kind": model_kind(model),
-        "spec": _spec_dict(model),
-        "activation": _activation(model),
+        "model_kind": kind,
+        "spec": spec,
+        "activation": activation,
         "init_scheme": INIT_SCHEME,
         "seed": seed,
         "params_sha256": params_sha256(model.params),
@@ -141,32 +133,22 @@ def model_from_checkpoint(doc):
         if doc["params_sha256"] != params_sha256(params):
             raise CorruptRecord("parameters do not match their params_sha256 checksum")
         activation = doc.get("activation", "tanh")
-        if kind in ("hnn", "ahnn"):
-            return HnnModel(
-                spec=DenseNetSpec(tuple(spec["layers"]), activation),
-                params=params,
-                adaptable=kind == "ahnn",
-                param_channels=spec["param_channels"],
-            )
+        if kind in ("hnn", "ahnn", "baseline"):
+            net = DenseNetSpec(tuple(spec["layers"]), activation)
+            channels = spec["param_channels"]
+            adaptable = kind == "ahnn" or kind == "baseline" and channels > 0
+            return (BaselineModel if kind == "baseline" else HnnModel)(
+                spec=net, params=params, adaptable=adaptable, param_channels=channels)
         if kind in ("srnn", "asrnn"):
             fixed = spec.get("fixed_kinetic", False)
             k_layers = spec.get("kinetic_layers")
             return SeparableModel(
-                kinetic_spec=DenseNetSpec(
-                    tuple(k_layers) if k_layers else (2, 1), activation
-                ),
+                kinetic_spec=DenseNetSpec(tuple(k_layers) if k_layers else (2, 1), activation),
                 potential_spec=DenseNetSpec(tuple(spec["potential_layers"]), activation),
                 params=params,
                 adaptable=kind == "asrnn",
                 param_channels=spec["param_channels"],
                 fixed_kinetic=fixed,
-            )
-        if kind == "baseline":
-            return BaselineModel(
-                spec=DenseNetSpec(tuple(spec["layers"]), activation),
-                params=params,
-                adaptable=spec["param_channels"] > 0,
-                param_channels=spec["param_channels"],
             )
         if kind == "lstm-encoder":
             return EncoderModel(

@@ -2,7 +2,8 @@
 
 Subcommands: generate, train, predict, predict-partial, eval-energy,
 lyapunov, poincare, infer-params.  Exit codes: 0 on success, 1 on usage
-errors, 2 on runtime failures (with a structured cause on stderr).
+errors, 2 on runtime failures, a request too large to allocate among them
+(with a structured cause on stderr).
 
 Every CSV output begins with ``# key=value`` metadata lines recording the
 tool version, the seed, and a hash of the effective configuration.  The
@@ -213,7 +214,7 @@ def _cmd_generate(args):
     cfg_dict["seed"] = seed
     try:
         config = datapipe.GenerationConfig.from_dict(cfg_dict)
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise _UsageError(f"bad generation config: {err}")
     dataset = datapipe.generate_dataset(config)
     datapipe.save_dataset(dataset, args.out)
@@ -232,10 +233,8 @@ def _cmd_train(args):
     cfg_dict["model_kind"] = args.model
     cfg_dict["seed"] = seed
     try:
-        if "hidden" in cfg_dict:
-            cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
         config = training.TrainConfig(**cfg_dict)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise _UsageError(f"bad training config: {err}")
     dataset = datapipe.load_dataset(args.dataset)
     report = training.train(config, dataset)
@@ -458,7 +457,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a model on a dataset")
     common(p)
     p.add_argument("--model", required=True,
-                   choices=("baseline", "hnn", "asrnn", "encoder"))
+                   choices=training.MODEL_KINDS)
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--config", help="JSON file of training settings")
     p.add_argument("--history", help="write per-epoch losses to this CSV")
@@ -534,7 +533,7 @@ def main(argv=None):
     except SymplecticMlError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
+    except (OSError, MemoryError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

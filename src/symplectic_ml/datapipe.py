@@ -3,22 +3,24 @@
 Generation integrates finely (default dt 0.001), coarse-grains (default every
 100th sample), drops an initial transient, and audits energy conservation
 (``dynamics.hh_energy_batch``) on everything it keeps.  Initial conditions
-are rejection-sampled on a constant energy surface.  Every trajectory owns an
-independent RNG stream keyed by (dataset seed, trajectory index), so results
-are independent of batching or worker count.  Training rows and windows take
-their parameter channels from each trajectory's own couplings
-(``PotentialParams.channels``).
+are rejection-sampled on a constant energy surface, with the potential taken
+as that energy at rest; an energy whose squared speed would overflow is
+refused.  Every trajectory owns an independent RNG stream keyed by (dataset
+seed, trajectory index), so results are independent of batching or worker
+count.  Training rows and windows take their parameter channels from each
+trajectory's own couplings (``PotentialParams.channels``).
 
-On disk a dataset is a directory: ``manifest.json`` (structured metadata,
-one record per trajectory written from its own couplings, plus a SHA-256
-checksum) and ``states.bin`` (all state rows concatenated,
-little-endian float64, row order ``q_x, q_y, p_x, p_y``).
+On disk a dataset is a directory: ``manifest.json`` (structured metadata:
+the config as ``dataclasses.asdict`` of its fields, one record per
+trajectory written from its own couplings, and a SHA-256 checksum) and
+``states.bin`` (all state rows concatenated, little-endian float64, row
+order ``q_x, q_y, p_x, p_y``).
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -137,23 +139,10 @@ class GenerationConfig:
         ]
 
     def to_dict(self):
-        return {
-            "param_values": [list(v) for v in self.param_values],
-            "energies": list(self.energies),
-            "n_per_cell": self.n_per_cell,
-            "fine_dt": self.fine_dt,
-            "coarse_factor": self.coarse_factor,
-            "series_length": self.series_length,
-            "transient": self.transient,
-            "seed": self.seed,
-            "param_channels": self.param_channels,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["param_values"] = tuple(tuple(v) for v in d["param_values"])
-        d["energies"] = tuple(d["energies"])
         return cls(**d)
 
 
@@ -184,11 +173,15 @@ class Dataset:
 def sample_initial_condition(energy, params, rng):
     """A state on the energy surface: position rejection-sampled uniformly
     over [-1, 1]^2 with V(q) <= E, momentum magnitude fixed by the energy
-    deficit at a uniform angle.  Exact to round-off."""
+    deficit at a uniform angle.  Exact to round-off.  An energy whose squared
+    speed 2 (E - V) would overflow raises RejectionExhausted."""
     if energy < 0:
         raise ValueError("energy must be non-negative")
     if energy == 0:
         return PhaseState(q=np.zeros(2), p=np.zeros(2))
+    if energy > np.finfo(np.float64).max / 2:
+        raise RejectionExhausted(f"energy {energy!r} is too large to sample: "
+                                 "its squared speed overflows float64")
     for _ in range(MAX_REJECTION_TRIES):
         q = rng.uniform(-1.0, 1.0, size=2)
         v = hh_potential(q, params)

@@ -103,12 +103,8 @@ class PhaseState:
 
 
 def hh_potential(q, params):
-    """Potential energy at position ``q``."""
-    return (
-        0.5 * (q[0] * q[0] + q[1] * q[1])
-        + params.alpha * q[0] * q[0] * q[1]
-        - params.beta * (q[1] * q[1] * q[1]) / 3.0
-    )
+    """Potential energy at position ``q``: the energy of ``(q, 0, 0)``."""
+    return hh_energy_batch(np.array([q[0], q[1], 0.0, 0.0]), params)
 
 
 def hh_energy(state, params):

@@ -42,7 +42,8 @@ class DivergedTraining(SymplecticMlError):
 
 
 class RejectionExhausted(SymplecticMlError):
-    """Initial-condition rejection sampling hit its attempt limit."""
+    """Initial-condition sampling hit its attempt limit, or was asked for an
+    energy whose momentum would overflow float64."""
 
 
 class FormatVersionMismatch(SymplecticMlError):

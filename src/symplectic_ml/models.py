@@ -13,6 +13,8 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
 * ``BaselineModel`` — a plain derivative regressor (q, p) -> (dq/dt, dp/dt),
   rolled out with a classic fourth-order Runge-Kutta step.
 
+``HnnModel`` and ``BaselineModel`` share one validated body, one dense net
+over (q, p[, params]); they differ only in the net's name and output count.
 Adaptable variants append the potential parameters to the network input —
 for the separable model only to V's input, so K stays parameter-blind —
 through the one helper :func:`_with_channels`.  Rollouts and the rollout
@@ -57,8 +59,8 @@ def _check_channels(adaptable, param_channels):
 
 
 @dataclass
-class HnnModel:
-    """Scalar energy surrogate H(q, p[, params]) with in-graph derivatives."""
+class _DenseModel:
+    """One dense net over (q, p[, params]); subclasses name it and fix its outputs."""
 
     spec: nets.DenseNetSpec
     params: np.ndarray
@@ -68,14 +70,20 @@ class HnnModel:
     def __post_init__(self):
         _check_channels(self.adaptable, self.param_channels)
         if self.spec.n_inputs != 4 + self.param_channels:
-            raise ShapeMismatch(
-                f"H net needs {4 + self.param_channels} inputs, spec has {self.spec.n_inputs}"
-            )
-        if self.spec.n_outputs != 1:
-            raise ShapeMismatch("H net must have a single output")
+            raise ShapeMismatch(f"{self.net_name} needs {4 + self.param_channels} inputs, "
+                                f"spec has {self.spec.n_inputs}")
+        if self.spec.n_outputs != self.n_outputs:
+            many = "a single output" if self.n_outputs == 1 else f"{self.n_outputs} outputs"
+            raise ShapeMismatch(f"{self.net_name} must have {many}")
         self.params = np.asarray(self.params, dtype=np.float64)
         if self.params.shape != (nets.param_count(self.spec),):
             raise ShapeMismatch("parameter vector does not match the layer sizes")
+
+
+class HnnModel(_DenseModel):
+    """Scalar energy surrogate H(q, p[, params]) with in-graph derivatives."""
+
+    net_name, n_outputs = "H net", 1
 
 
 def _with_channels(x, channels):
@@ -488,27 +496,10 @@ def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
     return ad.node(value, theta, backward), n_diverged
 
 
-@dataclass
-class BaselineModel:
+class BaselineModel(_DenseModel):
     """Unstructured derivative regressor (q, p[, params]) -> (dq/dt, dp/dt)."""
 
-    spec: nets.DenseNetSpec
-    params: np.ndarray
-    adaptable: bool = False
-    param_channels: int = 0
-
-    def __post_init__(self):
-        _check_channels(self.adaptable, self.param_channels)
-        if self.spec.n_inputs != 4 + self.param_channels:
-            raise ShapeMismatch(
-                f"baseline net needs {4 + self.param_channels} inputs, spec has "
-                f"{self.spec.n_inputs}"
-            )
-        if self.spec.n_outputs != 4:
-            raise ShapeMismatch("baseline net must have 4 outputs")
-        self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.shape != (nets.param_count(self.spec),):
-            raise ShapeMismatch("parameter vector does not match the layer sizes")
+    net_name, n_outputs = "baseline net", 4
 
 
 def baseline_derivatives(model, states, pot_params):

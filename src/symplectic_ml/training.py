@@ -10,7 +10,7 @@ bit for bit.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import DivergedTraining, EmptyBatch, ShapeMismatch
 from .nets import DenseNetSpec
 
 GRAD_CLIP_NORM = 10.0
+MODEL_KINDS = ("baseline", "hnn", "asrnn", "encoder")
 
 
 @dataclass
@@ -83,7 +84,7 @@ def split_dataset(items, fraction, seed):
 class TrainConfig:
     """Everything the training loop needs, and nothing trajectory-specific.
 
-    ``model_kind`` is one of ``baseline``, ``hnn``, ``asrnn``, ``encoder``.
+    ``model_kind`` is one of :data:`MODEL_KINDS`.
     ``hidden`` sizes the dense nets; the encoder uses ``encoder_hidden``
     LSTM units instead.  ``adaptable`` appends parameter channels to the
     relevant network input (for the separable model, only the potential's).
@@ -109,7 +110,7 @@ class TrainConfig:
     grad_clip: float = GRAD_CLIP_NORM
 
     def __post_init__(self):
-        if self.model_kind not in ("baseline", "hnn", "asrnn", "encoder"):
+        if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         for name in ("epochs", "batch_size", "encoder_hidden", "encoder_window",
                      "encoder_stride"):
@@ -137,9 +138,7 @@ class TrainConfig:
             for h in self.hidden))
 
     def to_dict(self):
-        d = self.__dict__.copy()
-        d["hidden"] = list(self.hidden)
-        return d
+        return asdict(self)
 
 
 @dataclass

@@ -219,6 +219,16 @@ def test_generate_rejects_zero_denominator_energy(ws, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, message", [
+    ("param_values=[1,2]", "param_values must be a non-empty list of (alpha, beta) pairs"),
+    ("energies=0.1", "energies must be a non-empty list"),
+], ids=["param_values", "energies"])
+def test_generate_config_errors_are_the_configs_own(ws, capsys, override, message):
+    rc = cli.main(["generate", "--out", str(ws / "nope3"), "--set", override])
+    assert rc == 1
+    assert capsys.readouterr().err == f"usage error: bad generation config: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["generate", "train"])
 def test_invalid_json_config_is_a_usage_error(ws, data_dir, tmp_path, capsys, command):
     config = tmp_path / "config.json"
@@ -349,9 +359,27 @@ def test_train_rejects_unknown_config_key(ws, data_dir, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command, override", [
+    ("generate", f"energies=[{_HUGE}]"), ("generate", f"fine_dt={_HUGE}"),
+    ("train", f"lr={_HUGE}"), ("train", f"hidden=[{_HUGE}]"),
+], ids=["energies", "fine_dt", "lr", "hidden"])
+def test_an_integer_beyond_float_range_is_a_usage_error(ws, data_dir, capsys, command,
+                                                        override):
+    # math.isfinite raised OverflowError, which escaped as a traceback
+    extra = ["--model", "asrnn", "--dataset", str(data_dir)] if command == "train" else []
+    rc = cli.main([command, "--out", str(ws / "huge"), *extra, "--set", override])
+    assert rc == 1
+    what = "training" if command == "train" else "generation"
+    assert capsys.readouterr().err == (
+        f"usage error: bad {what} config: int too large to convert to float\n")
+
+
 @pytest.mark.parametrize("override", [
     "epochs=1.5", "batch_size=1e9", "lr=nan", "lr_decay=inf", "window_len=1",
-    "val_fraction=2", "hidden=[0]", "lr=-1", "grad_clip=-1",
+    "val_fraction=2", "hidden=[0]", "hidden=5", "lr=-1", "grad_clip=-1",
 ])
 def test_train_rejects_each_bad_field(ws, data_dir, capsys, override):
     rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "asrnn",
@@ -534,6 +562,40 @@ def test_eval_energy_missing_checkpoint_is_runtime_error(ws, capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--alpha", "0.5", "--steps", "3"],
+    ["poincare", "--alpha", "0.5", "--steps", "3"],
+    ["eval-energy", "--alpha", "0.5", "--steps", "3"],
+    ["lyapunov", "--steps", "300"],
+    ["generate", "--energies"],
+], ids=lambda argv: argv[0])
+def test_an_energy_whose_momentum_overflows_exits_2(ws, asrnn_ckpt, capsys, argv):
+    # 2 (E - V) overflowed to inf, and PhaseState's ValueError escaped as a traceback
+    if argv[0] == "eval-energy":
+        argv = [*argv, "--checkpoint", str(asrnn_ckpt)]
+    energy = [] if argv[0] == "generate" else ["--energy"]
+    rc = cli.main([*argv, *energy, "1e308", "--out", str(ws / "overflow")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: RejectionExhausted: energy 1e+308 is too large "
+                                       "to sample: its squared speed overflows float64\n")
+    assert not (ws / "overflow").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # an array of 2.8 EiB and one of 1.4 EiB: beyond any address space, so
+    # the allocation fails at once and nothing is written
+    ["predict", "--alpha", "0.5", "--energy", "1/12", "--steps", "10" + "0" * 16],
+    ["generate", "--series-length", "10" + "0" * 14],
+], ids=lambda argv: argv[0])
+def test_an_oversized_request_exits_2(ws, asrnn_ckpt, capsys, argv):
+    if argv[0] == "predict":
+        argv = [*argv, "--checkpoint", str(asrnn_ckpt)]
+    rc = cli.main([*argv, "--out", str(ws / "oversized")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: MemoryError: Unable to allocate")
+    assert not (ws / "oversized").exists()
 
 
 # ---------------------------------------------------------------------------

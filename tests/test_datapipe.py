@@ -1,6 +1,7 @@
 """Dataset generation, windowing, and the on-disk format."""
 
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -30,6 +31,7 @@ from symplectic_ml.errors import (
     CorruptRecord,
     EmptyDataset,
     FormatVersionMismatch,
+    RejectionExhausted,
     TooShort,
 )
 
@@ -138,6 +140,15 @@ def test_negative_energy_is_rejected():
     with pytest.raises(ValueError):
         sample_initial_condition(-0.1, PotentialParams.single(1.0),
                                  np.random.default_rng(0))
+
+
+def test_an_energy_whose_momentum_overflows_is_refused():
+    pot = PotentialParams.single(1.0)
+    with pytest.raises(RejectionExhausted, match=r"energy 1e\+308 is too large"):
+        sample_initial_condition(1e308, pot, np.random.default_rng(0))
+    # the largest energy sampled: 2 (E - V) stays finite, and so does the state
+    state = sample_initial_condition(sys.float_info.max / 2, pot, np.random.default_rng(0))
+    assert np.all(np.isfinite(state.vec()))
 
 
 def test_sampling_is_stream_deterministic():
@@ -610,6 +621,13 @@ def test_records_must_cover_every_stored_state(tmp_path):
     save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
     _edit_manifest(tmp_path / "d", lambda m: m["records"].pop())
     with pytest.raises(CorruptRecord, match="cover 10 of the 18"):
+        load_dataset(tmp_path / "d")
+
+
+def test_config_energies_that_are_not_a_list_are_corrupt(tmp_path):
+    save_dataset(small_dataset(n_per_cell=1, series_length=9, transient=2), tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m["config"].update(energies=0.1))
+    with pytest.raises(CorruptRecord, match="energies must be a non-empty list"):
         load_dataset(tmp_path / "d")
 
 
