@@ -13,17 +13,17 @@ activation; ``model_from_checkpoint`` is its inverse.
 
 import hashlib
 import json
+from numbers import Integral
 
 import numpy as np
 
-from .datapipe import f8_bytes
+from .datapipe import check_field, f8_bytes
 from .errors import CorruptRecord, FormatVersionMismatch, ShapeMismatch
 from .lstm import EncoderModel
 from .models import BaselineModel, HnnModel, SeparableModel
-from .nets import DenseNetSpec
+from .nets import INIT_SCHEME, DenseNetSpec
 
 FORMAT_VERSION = 2
-INIT_SCHEME = "scaled-uniform"
 
 
 def params_sha256(params):
@@ -110,6 +110,15 @@ def save_checkpoint(model, path, seed=None, training_config=None, metrics=None):
     write_checkpoint(build_checkpoint(model, seed, training_config, metrics), path)
 
 
+def _int(name, value, what="an integer"):
+    """A spec field that must be an integer, never a bool or a float."""
+    return check_field(name, value, Integral, lambda n: True, what)
+
+
+def _ints(name, values):
+    return tuple(_int(name, n, "a list of integers") for n in values)
+
+
 def model_from_checkpoint(doc):
     """Rebuild the model object described by a checkpoint document."""
     if not isinstance(doc, dict):
@@ -134,27 +143,31 @@ def model_from_checkpoint(doc):
             raise CorruptRecord("parameters do not match their params_sha256 checksum")
         activation = doc.get("activation", "tanh")
         if kind in ("hnn", "ahnn", "baseline"):
-            net = DenseNetSpec(tuple(spec["layers"]), activation)
-            channels = spec["param_channels"]
+            net = DenseNetSpec(_ints("layers", spec["layers"]), activation)
+            channels = _int("param_channels", spec["param_channels"])
             adaptable = kind == "ahnn" or kind == "baseline" and channels > 0
             return (BaselineModel if kind == "baseline" else HnnModel)(
                 spec=net, params=params, adaptable=adaptable, param_channels=channels)
         if kind in ("srnn", "asrnn"):
             fixed = spec.get("fixed_kinetic", False)
+            if not isinstance(fixed, bool):
+                raise ValueError(f"fixed_kinetic must be a bool, got {fixed!r}")
             k_layers = spec.get("kinetic_layers")
             return SeparableModel(
-                kinetic_spec=DenseNetSpec(tuple(k_layers) if k_layers else (2, 1), activation),
-                potential_spec=DenseNetSpec(tuple(spec["potential_layers"]), activation),
+                kinetic_spec=DenseNetSpec(_ints("kinetic_layers", k_layers) if k_layers
+                                          else (2, 1), activation),
+                potential_spec=DenseNetSpec(_ints("potential_layers", spec["potential_layers"]),
+                                            activation),
                 params=params,
                 adaptable=kind == "asrnn",
-                param_channels=spec["param_channels"],
+                param_channels=_int("param_channels", spec["param_channels"]),
                 fixed_kinetic=fixed,
             )
         if kind == "lstm-encoder":
             return EncoderModel(
-                hidden_size=spec["hidden_size"],
-                window_len=spec["window_len"],
-                param_outputs=spec["param_outputs"],
+                hidden_size=_int("hidden_size", spec["hidden_size"]),
+                window_len=_int("window_len", spec["window_len"]),
+                param_outputs=_int("param_outputs", spec["param_outputs"]),
                 params=params,
             )
         raise CorruptRecord(f"unknown model kind {kind!r}")

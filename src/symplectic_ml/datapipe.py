@@ -35,6 +35,7 @@ from .dynamics import (
     hh_grad_v_columns,
     hh_potential,
     integrate_batch,
+    states_array,
 )
 from .errors import (
     CorruptRecord,
@@ -213,7 +214,8 @@ def generate_dataset(config):
         states0[i] = sample_initial_condition(energy, pot, rngs[i]).vec()
 
     n_fine = (config.series_length - 1) * config.coarse_factor
-    stored = np.empty((n, config.stored_length, 4))
+    stored = states_array((n, config.stored_length, 4),
+                          f"series_length {config.series_length}")
     pending = np.arange(n)
     for _attempt in range(MAX_DIVERGENCE_RETRIES + 1):
         coarse, escaped = integrate_batch(

@@ -39,6 +39,17 @@ from .errors import BadFactor, IntegrationDiverged, ShapeMismatch
 ESCAPE_RADIUS = 10.0
 
 
+def states_array(shape, request):
+    """An empty float64 array of ``shape``, a size the user requested; a
+    ShapeMismatch naming ``request`` when its byte count is beyond numpy's
+    index type, where numpy itself raises a bare ValueError."""
+    nbytes = math.prod(shape) * 8
+    if nbytes > np.iinfo(np.intp).max:
+        raise ShapeMismatch(f"{request} needs a {shape} float64 array of {nbytes:.3g} "
+                            "bytes, more than numpy can hold")
+    return np.empty(shape)
+
+
 def outside(states, radius=ESCAPE_RADIUS):
     """Whether each state of a (..., 4) block has left the bounded regime: a
     non-finite component, or a position beyond ``radius`` in sup-norm.  A
@@ -297,7 +308,7 @@ def _orbit(state0, dt, n_steps, field, params, stride):
     if isinstance(field, AnalyticField):
         return _analytic_orbit(state0, dt, n_steps, params, stride)
     grad_v, grad_k = field.block_force(params)
-    data = np.empty((n_steps + 1, 4))
+    data = states_array((n_steps + 1, 4), f"n_steps {n_steps}")
     data[0] = state0.vec()
     block = data[0][:, None].copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,7 +358,7 @@ def integrate_batch(states0, alpha, beta, dt, n_steps, stride=1):
         raise BadFactor(f"stride {stride} must divide n_steps {n_steps}")
     n_coarse = n_steps // stride
     b = states0.shape[0]
-    coarse = np.empty((b, n_coarse + 1, 4))
+    coarse = states_array((b, n_coarse + 1, 4), f"n_steps {n_steps}")
     coarse[:, 0] = states0
     escaped = np.full(b, -1, dtype=np.int64)
     grad_v = hh_grad_v_block(alpha, beta)

@@ -8,15 +8,18 @@ coordinates at the window's last step together with the potential parameters:
 Flat parameter order: for each gate in (forget, input, output, candidate):
 input weights U (hidden x input, row-major), recurrent weights V
 (hidden x hidden, row-major), bias; then the head weights
-(n_outputs x hidden) and head bias.  Hidden and cell states start at zero
-for every window.
+(n_outputs x hidden) and head bias.  :func:`encoder_parts` states it once,
+as views that stack the gates into U (4, h, 2), V (4, h, h) and b (4, 1, h):
+the init writes through them, a step computes all four gates from one
+stacked product (Appleyard, Kocisky & Blunsom, arXiv:1604.01946), and the
+gradient is added into the same views of one zeroed flat vector.  Hidden
+and cell states start at zero for every window.
 
 One numpy cell, :func:`lstm_step`, serves training, validation and
-inference.  For training, the loss on a whole unrolled window batch is one
-node on the flat parameters: its forward keeps each step's gates and its
-backward runs backpropagation through time in closed form (Werbos 1990;
-Hochreiter & Schmidhuber 1997), bit-identical to the same cell built op by
-op on the reference tape of the tests.
+inference.  The training loss on a window batch is one node on the flat
+parameters; its backward runs backpropagation through time in closed form
+(Werbos 1990; Hochreiter & Schmidhuber 1997), bit-identical to the same
+cell built op by op on the reference tape of the tests.
 """
 
 from dataclasses import dataclass
@@ -24,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import nets
 from .autodiff import Tensor
 from .dynamics import PhaseState, PotentialParams
 from .errors import EmptyBatch, ShapeMismatch, TooShort, WindowLengthMismatch
 from .models import asrnn_rollout
 
 INPUT_SIZE = 2
-GATES = ("f", "i", "o", "c")
 
 
 @dataclass
@@ -69,48 +72,39 @@ def encoder_param_count(hidden_size, param_outputs):
 
 
 def init_encoder_params(hidden_size, param_outputs, seed):
-    """Scaled-uniform weights per matrix, zero biases; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    h = hidden_size
-    n_out = 2 + param_outputs
-    flat = []
-    for _ in GATES:
-        r_u = np.sqrt(6.0 / (INPUT_SIZE + h))
-        flat.append(rng.uniform(-r_u, r_u, size=h * INPUT_SIZE))
-        r_v = np.sqrt(6.0 / (h + h))
-        flat.append(rng.uniform(-r_v, r_v, size=h * h))
-        flat.append(np.zeros(h))
-    r_w = np.sqrt(6.0 / (h + n_out))
-    flat.append(rng.uniform(-r_w, r_w, size=n_out * h))
-    flat.append(np.zeros(n_out))
-    return np.concatenate(flat)
+    """Scaled-uniform weights drawn in the flat order, zero biases;
+    deterministic per seed."""
+    flat = np.zeros(encoder_param_count(hidden_size, param_outputs))
+    u, v, _, wh, _ = encoder_parts(flat, hidden_size, param_outputs)
+    nets.fill_scaled_uniform(np.random.default_rng(seed),
+                             [m for pair in zip(u, v) for m in pair] + [wh])
+    return flat
 
 
 def encoder_parts(flat, hidden_size, param_outputs):
-    """Views of a flat parameter array: the gate arrays ``U{g}``, ``V{g}``,
-    ``b{g}`` and the head ``Wh``, ``bh``, in the flat order."""
+    """Views of a flat parameter array, the one statement of its order:
+    the gate stacks ``U`` (4, h, 2), ``V`` (4, h, h) and ``b`` (4, 1, h),
+    gates in the order f, i, o, c, then the head ``Wh`` (n_out, h) and
+    ``bh`` (n_out,)."""
     h, n_out = hidden_size, 2 + param_outputs
-    shapes = {}
-    for gate in GATES:
-        shapes.update({f"U{gate}": (h, INPUT_SIZE), f"V{gate}": (h, h), f"b{gate}": (h,)})
-    shapes.update(Wh=(n_out, h), bh=(n_out,))
-    parts, i = {}, 0
-    for name, shape in shapes.items():
-        n = int(np.prod(shape))
-        parts[name], i = flat[i : i + n].reshape(shape), i + n
-    return parts
-
-
-def _gate(parts, k, x, h):
-    z = (x @ parts[f"U{k}"].T + parts[f"b{k}"]) + h @ parts[f"V{k}"].T
-    return np.tanh(z) if k == "c" else 1.0 / (1.0 + np.exp(-z))
+    nu, nv = h * INPUT_SIZE, h * h
+    gates = flat[: 4 * (nu + nv + h)].reshape(4, nu + nv + h)
+    head = flat[4 * (nu + nv + h) :]
+    return (gates[:, :nu].reshape(4, h, INPUT_SIZE), gates[:, nu : nu + nv].reshape(4, h, h),
+            gates[:, nu + nv :].reshape(4, 1, h), head[: n_out * h].reshape(n_out, h),
+            head[n_out * h :])
 
 
 def lstm_step(parts, x, h, c):
-    """One LSTM cell update on (batch, input) arrays.  Returns ``(h', c',
-    gates)``, where ``gates = (f, i, o, g, tanh(c'))`` are the activations
-    backpropagation through time reuses."""
-    f, i, o, g = (_gate(parts, k, x, h) for k in GATES)
+    """One LSTM cell update on (batch, input) arrays, all four gates from
+    one stacked pre-activation.  Returns ``(h', c', gates)``, where ``gates
+    = (f, i, o, g, tanh(c'))`` are the activations backpropagation through
+    time reuses."""
+    u, v, b = parts[:3]
+    a = (x @ u.transpose(0, 2, 1) + b) + h @ v.transpose(0, 2, 1)
+    a[:3] = 1.0 / (1.0 + np.exp(-a[:3]))
+    np.tanh(a[3], out=a[3])
+    f, i, o, g = a
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, (f, i, o, g, tc)
@@ -136,32 +130,40 @@ def _encode_graph(model, params, windows, need_grad=False):
         if need_grad:
             steps.append((x, h, c, gates))
         h, c = h_new, c_new
-    out = h @ parts["Wh"].T + parts["bh"]
-    return out, (lambda g: _bptt(parts, steps, h, g)) if need_grad else None
+    _, _, _, wh, bh = parts
+    out = h @ wh.T + bh
+    return out, (lambda g: _bptt(model, parts, steps, h, g)) if need_grad else None
 
 
-def _bptt(parts, steps, h_last, g_out):
+def _bptt(model, parts, steps, h_last, g_out):
     """Backpropagation through time: the flat parameter gradient, given the
-    gradient ``g_out`` of the head outputs.
+    gradient ``g_out`` of the head outputs, added into the
+    :func:`encoder_parts` views of one zeroed flat array.
 
     The expressions and their summation order are the taped cell's, so the
     result is bit-identical to it: each parameter's gradient accumulates
     from the last step back to the first, and the gates add to the hidden
     state's gradient in the order o, f, i, c.
     """
-    grads = {"Wh": g_out.T @ h_last, "bh": g_out.sum(axis=0)}
-    dh, dc_next = g_out @ parts["Wh"], 0.0
+    grad = np.zeros(encoder_param_count(model.hidden_size, model.param_outputs))
+    du, dv, db, dwh, dbh = encoder_parts(grad, model.hidden_size, model.param_outputs)
+    _, v, _, wh, _ = parts
+    dwh += g_out.T @ h_last
+    dbh += g_out.sum(axis=0)
+    dh, dc_next = g_out @ wh, 0.0
     for x, h, c, (f, i, o, g, tc) in reversed(steps):
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        dz = {"o": dh * tc * o * (1.0 - o), "f": dc * c * f * (1.0 - f),
-              "i": dc * g * i * (1.0 - i), "c": dc * i * (1.0 - g * g)}
+        dz = np.stack([dc * c * f * (1.0 - f), dc * g * i * (1.0 - i),
+                       dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)])
+        dz_t = dz.transpose(0, 2, 1)
+        du += dz_t @ x
+        db += dz.sum(axis=1, keepdims=True)
+        dv += dz_t @ h
         dh = 0.0
-        for k, z in dz.items():
-            for name, gz in ((f"U{k}", z.T @ x), (f"b{k}", z.sum(axis=0)), (f"V{k}", z.T @ h)):
-                grads[name] = grads[name] + gz if name in grads else gz
-            dh = dh + z @ parts[f"V{k}"]
+        for k in (2, 0, 1, 3):  # o, f, i, c
+            dh = dh + dz[k] @ v[k]
         dc_next = dc * f
-    return np.concatenate([grads[name].ravel() for name in parts])
+    return grad
 
 
 def encode_window(model, window):

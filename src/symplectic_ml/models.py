@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Tensor
-from .dynamics import Trajectory, advance, integrate, outside
+from .dynamics import Trajectory, advance, integrate, outside, states_array
 from .errors import (
     EmptyBatch,
     IntegrationDiverged,
@@ -147,9 +147,10 @@ def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
         u = np.zeros_like(g)
         u[:, 0:2] = scale * d_p
         u[:, 2:4] = scale * d_q
-        grads = nets.new_gradients(layers)
-        nets.input_gradient_vjp(spec, layers, x, acts, chain, u, grads, need_x=False)
-        return nets.flatten_params(grads)
+        grad = np.zeros(theta.data.size)
+        nets.input_gradient_vjp(spec, layers, x, acts, chain, u,
+                                nets.unflatten_params(spec, grad), need_x=False)
+        return grad
 
     return ad.node(((d_q * d_q).sum() + (d_p * d_p).sum()) * c, theta, backward)
 
@@ -358,8 +359,8 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt):
     k_layers, v_layers = layers
     v_calls, k_calls = record.v_calls, record.k_calls
     v_spec, k_spec = model.potential_spec, model.kinetic_spec
-    v_grads = nets.new_gradients(v_layers)
-    k_grads = None if model.fixed_kinetic else nets.new_gradients(k_layers)
+    grad = np.zeros(model.param_count())
+    k_grads, v_grads = _separable_layers(model, grad)
     coupled = v_spec.activation == "tanh" and len(v_layers) > 1
     deferred = []
 
@@ -406,8 +407,7 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt):
     pull(v_spec, v_layers, v_calls[0], padded(-half * lam_h), v_grads, need_x=False)
     for spec, net_layers, (x, acts, chain), u, grads in reversed(deferred):
         nets.input_gradient_vjp(spec, net_layers, x, acts, chain, u, grads, need_x=False)
-    flat = nets.flatten_params(v_grads)
-    return flat if k_grads is None else np.concatenate([nets.flatten_params(k_grads), flat])
+    return grad
 
 
 def srnn_loss(model, window, pot_params, dt):
@@ -530,9 +530,10 @@ def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
     c = 1.0 / (states.shape[0] * 4)
 
     def backward(g_out):
-        grads = nets.new_gradients(layers)
-        nets.forward_vjp(spec, layers, x, acts, g_out * c * 2.0 * diff, grads)
-        return nets.flatten_params(grads)
+        grad = np.zeros(theta.data.size)
+        nets.forward_vjp(spec, layers, x, acts, g_out * c * 2.0 * diff,
+                         nets.unflatten_params(spec, grad))
+        return grad
 
     return ad.node((diff * diff).sum() * c, theta, backward)
 
@@ -541,7 +542,7 @@ def baseline_rollout(model, state0, pot_params, dt, n_steps):
     """Classic RK4 rollout of the learned derivative field."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    data = np.empty((n_steps + 1, 4))
+    data = states_array((n_steps + 1, 4), f"n_steps {n_steps}")
     data[0] = state0.vec()
     cur = data[0][None, :]
     layers = nets.unflatten_params(model.spec, model.params)

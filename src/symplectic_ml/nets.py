@@ -3,6 +3,8 @@
 Canonical flat parameter order, used by every model and checkpoint in this
 package: for each layer from input to output, all entries of the weight
 matrix (shape ``(fan_out, fan_in)``, row-major), then the bias vector.
+:func:`unflatten_params` states it once, as views through which the init
+writes, the forward reads and the reverse sweeps add gradients.
 
 One forward pass serves inference and training: :func:`hidden_activations`
 keeps each hidden layer's output, :func:`numpy_forward` adds the output
@@ -14,10 +16,10 @@ Each training loss is one closed-form node on the flat parameters, its
 backward built on two reverse sweeps: :func:`forward_vjp`, the
 vector-Jacobian product of the output, and :func:`input_gradient_vjp`, the
 second-order one of ``u · ∇ₓf``, which also gives the Hessian-vector product
-H·u (Pearlmutter, Neural Computation 1994).  Both add into per-layer
-accumulators with the expressions, and in the order, of the same network
-built op by op on the reference tape of the tests, so the gradients are
-bit-identical to it.
+H·u (Pearlmutter, Neural Computation 1994).  Both add into the layer
+views of one zeroed flat gradient, with the expressions, and in the order,
+of the same network built op by op on the reference tape of the tests, so
+the gradients are bit-identical to it.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from .autodiff import grad_params_through
 from .errors import ShapeMismatch
 
 ACTIVATIONS = ("tanh", "identity")
+INIT_SCHEME = "scaled-uniform"  # the weights of fill_scaled_uniform, as checkpoints name them
 
 
 @dataclass(frozen=True)
@@ -66,20 +69,24 @@ def param_count(spec):
     return sum(w[0] * w[1] + b[0] for w, b in layer_shapes(spec))
 
 
+def fill_scaled_uniform(rng, weights):
+    """Fill each (fan_out, fan_in) weight matrix in turn, row-major, with
+    draws of U(-r, r) from ``rng``, r = sqrt(6 / (fan_in + fan_out))."""
+    for w in weights:
+        r = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-r, r, size=w.shape)
+
+
 def init_params(spec, seed):
-    """Scaled-uniform weights, U(-r, r) with r = sqrt(6 / (fan_in + fan_out));
-    zero biases.  Deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    flat = []
-    for (fan_out, fan_in), _ in layer_shapes(spec):
-        r = np.sqrt(6.0 / (fan_in + fan_out))
-        flat.append(rng.uniform(-r, r, size=fan_out * fan_in))
-        flat.append(np.zeros(fan_out))
-    return np.concatenate(flat)
+    """Scaled-uniform weights (:func:`fill_scaled_uniform`), input layer
+    first; zero biases.  Deterministic per seed."""
+    flat = np.zeros(param_count(spec))
+    fill_scaled_uniform(np.random.default_rng(seed), [w for w, _ in unflatten_params(spec, flat)])
+    return flat
 
 
 def unflatten_params(spec, flat):
-    """Flat vector -> [(W, b)] ndarray pairs (views where possible)."""
+    """Flat float64 vector -> ``[W, b]`` per layer, views that write through."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != (param_count(spec),):
         raise ShapeMismatch(
@@ -92,20 +99,13 @@ def unflatten_params(spec, flat):
         i += fan_out * fan_in
         b = flat[i : i + fan_out]
         i += fan_out
-        layers.append((w, b))
+        layers.append([w, b])
     return layers
 
 
 def flatten_params(layers):
     """[(W, b)] pairs -> flat vector in canonical order."""
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
-
-
-def new_gradients(layers):
-    """Zeroed per-layer ``[dW, db]`` accumulators for the VJPs below;
-    ``flatten_params`` flattens them.  Adding a first term to zero gives
-    the term itself, a negative zero turned positive as on the tape."""
-    return [[np.zeros_like(w), np.zeros_like(b)] for w, b in layers]
 
 
 def hidden_activations(spec, layers, x, empty=np.empty):
@@ -260,10 +260,11 @@ __all__ = [
     "DenseNetSpec",
     "layer_shapes",
     "param_count",
+    "INIT_SCHEME",
+    "fill_scaled_uniform",
     "init_params",
     "unflatten_params",
     "flatten_params",
-    "new_gradients",
     "hidden_activations",
     "numpy_forward",
     "input_gradient",

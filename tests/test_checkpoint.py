@@ -275,6 +275,29 @@ _FIELDS = sorted({(kind, key) for kind, doc in _DOCS.items() for key in doc}
                  | {(kind, "spec", key) for kind, doc in _DOCS.items() for key in doc["spec"]})
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("asrnn", "potential_layers", [3.9, 4, 1]),
+    ("srnn", "kinetic_layers", [2.0, 4, 1]),
+    ("hnn", "layers", [4, 6, True]),
+    ("baseline", "layers", [5.0, 6, 4]),
+    ("ahnn", "param_channels", True),
+    ("asrnn", "param_channels", True),
+    ("baseline", "param_channels", 1.0),
+    ("lstm-encoder", "hidden_size", 3.0),
+    ("lstm-encoder", "window_len", 7.0),
+    ("lstm-encoder", "param_outputs", 2.0),
+    ("asrnn", "fixed_kinetic", 1),
+    ("asrnn", "fixed_kinetic", "true"),
+])
+def test_spec_field_of_the_wrong_type_is_corrupt(kind, key, value):
+    # each of these used to load: a float layer size was truncated, true
+    # counted as one channel, and a float hidden size failed later
+    doc = json.loads(json.dumps(_DOCS[kind]))
+    doc["spec"][key] = value
+    with pytest.raises(CorruptRecord, match=f"{key} must be"):
+        model_from_checkpoint(doc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(field=st.sampled_from(_FIELDS), value=JSON_VALUES)
 def test_any_checkpoint_field_loads_or_is_rejected(field, value):

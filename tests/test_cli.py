@@ -598,6 +598,26 @@ def test_an_oversized_request_exits_2(ws, asrnn_ckpt, capsys, argv):
     assert not (ws / "oversized").exists()
 
 
+_TOO_BIG_PREDICT = ["predict", "--alpha", "0.5", "--energy", "1/12", "--steps", "10" + "0" * 17]
+
+
+@pytest.mark.parametrize("ckpt, argv", [
+    # 3.2e19 and 1.6e20 bytes: more than numpy's index type holds, where
+    # numpy raises ValueError("array is too big") rather than MemoryError
+    ("asrnn_ckpt", _TOO_BIG_PREDICT),
+    ("baseline_ckpt", _TOO_BIG_PREDICT),
+    (None, ["generate", "--series-length", "10" + "0" * 16]),
+], ids=["predict-asrnn", "predict-baseline", "generate"])
+def test_a_request_beyond_numpys_index_range_exits_2(ws, request, capsys, ckpt, argv):
+    if ckpt:
+        argv = [*argv, "--checkpoint", str(request.getfixturevalue(ckpt))]
+    rc = cli.main([*argv, "--out", str(ws / "too-big")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ShapeMismatch: ") and "more than numpy can hold" in err
+    assert not (ws / "too-big").exists()
+
+
 # ---------------------------------------------------------------------------
 # lyapunov
 
@@ -798,6 +818,21 @@ def test_infer_params_rejects_rollout_checkpoint(ws, asrnn_ckpt, observed_csv,
     )
     assert rc == 2
     assert "lstm-encoder" in capsys.readouterr().err
+
+
+def test_infer_params_rejects_a_float_hidden_size(ws, encoder_ckpt, observed_csv, tmp_path,
+                                                  capsys):
+    # it loaded, and the encoder's first array then raised TypeError
+    doc = json.loads(encoder_ckpt.read_text())
+    doc["spec"]["hidden_size"] = float(doc["spec"]["hidden_size"])
+    edited = tmp_path / "encoder.json"
+    edited.write_text(json.dumps(doc))
+    rc = cli.main(["infer-params", "--out", str(ws / "x.csv"), "--encoder", str(edited),
+                   "--observed", str(observed_csv)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: CorruptRecord: checkpoint is structurally invalid: hidden_size must be an "
+        "integer, got 5.0\n")
 
 
 def test_predict_partial_reconstructs_and_rolls_forward(

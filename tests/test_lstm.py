@@ -121,6 +121,42 @@ def test_init_params_deterministic_with_zero_biases():
     assert np.all(a[zero_mask == 0.0] != 0.0)
 
 
+@pytest.mark.parametrize("hidden", [1, 3, 9])
+@pytest.mark.parametrize("param_outputs", [1, 2])
+def test_init_params_draw_each_weight_matrix_in_flat_order(hidden, param_outputs):
+    # the documented layout: U_f, V_f, b_f, U_i, ... then Wh, bh; each weight
+    # matrix drawn row-major from one default_rng(seed), biases zero
+    rng = np.random.default_rng(17)
+    ref = []
+    for _gate in "fioc":
+        for fan_in in (2, hidden):
+            r = np.sqrt(6.0 / (fan_in + hidden))
+            ref.append(rng.uniform(-r, r, size=hidden * fan_in))
+        ref.append(np.zeros(hidden))
+    n_out = 2 + param_outputs
+    r = np.sqrt(6.0 / (hidden + n_out))
+    ref += [rng.uniform(-r, r, size=n_out * hidden), np.zeros(n_out)]
+    assert (init_encoder_params(hidden, param_outputs, 17).tobytes()
+            == np.concatenate(ref).tobytes())
+
+
+@pytest.mark.parametrize("hidden", [1, 4])
+@pytest.mark.parametrize("param_outputs", [1, 2])
+def test_encoder_parts_are_views_covering_the_flat_order(hidden, param_outputs):
+    flat = np.arange(float(encoder_param_count(hidden, param_outputs)))
+    parts = u, v, b, wh, bh = lstm.encoder_parts(flat, hidden, param_outputs)
+    n_out = 2 + param_outputs
+    assert [p.shape for p in parts] == [(4, hidden, 2), (4, hidden, hidden), (4, 1, hidden),
+                                        (n_out, hidden), (n_out,)]
+    # per gate (f, i, o, c) U, V and b, then the head: every entry once, in order
+    order = [m[k].ravel() for k in range(4) for m in (u, v, b)] + [wh.ravel(), bh]
+    assert np.array_equal(np.concatenate(order), flat)
+    for p in parts:
+        assert np.shares_memory(p, flat)
+        p[...] = -1.0
+    assert np.all(flat == -1.0)
+
+
 # ---------------------------------------------------------------------------
 # cell arithmetic
 

@@ -97,6 +97,29 @@ def test_init_params_scaled_uniform_with_zero_biases():
         assert np.array_equal(b, np.zeros(fan_out))
 
 
+@pytest.mark.parametrize("sizes", [(4, 1), (3, 5, 1), (2, 16, 8, 1), (5, 7, 4), (6, 3, 3, 4)])
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_init_params_draws_each_weight_matrix_in_flat_order(sizes, seed):
+    # the documented layout: layers input to output, each weight matrix
+    # drawn row-major from one default_rng(seed), then a zero bias
+    rng = np.random.default_rng(seed)
+    ref = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        r = np.sqrt(6.0 / (fan_in + fan_out))
+        ref += [rng.uniform(-r, r, size=fan_out * fan_in), np.zeros(fan_out)]
+    assert init_params(DenseNetSpec(sizes), seed).tobytes() == np.concatenate(ref).tobytes()
+
+
+def test_unflatten_params_gives_writable_views():
+    spec = DenseNetSpec((3, 5, 2))
+    flat = np.zeros(param_count(spec))
+    layers = unflatten_params(spec, flat)
+    for layer in layers:
+        layer[0] += 1.0
+        layer[1] += 1.0
+    assert np.array_equal(flat, np.ones(param_count(spec)))
+
+
 def test_flatten_unflatten_round_trip():
     spec = DenseNetSpec((3, 5, 2))
     flat = init_params(spec, 11)
@@ -209,10 +232,10 @@ def _input_gradient_loss(spec, theta, x, target):
     diff = g - target
 
     def backward(g_out):
-        grads = nets.new_gradients(layers)
-        nets.input_gradient_vjp(spec, layers, x, acts, chain, g_out * 2.0 * diff, grads,
-                                need_x=False)
-        return nets.flatten_params(grads)
+        grad = np.zeros(param_count(spec))
+        nets.input_gradient_vjp(spec, layers, x, acts, chain, g_out * 2.0 * diff,
+                                unflatten_params(spec, grad), need_x=False)
+        return grad
 
     return ad.node((diff * diff).sum(), theta, backward)
 
@@ -285,7 +308,7 @@ def test_forward_vjp_matches_tape_bit_for_bit(activation, hidden, batch):
     out, _ = H.taped_value_and_input_gradient(spec, H.taped_layers(spec, theta), xt)
     ref_theta, ref_x = H.leaf_grads(_costate(out, g_out), [theta, xt])
     layers = unflatten_params(spec, theta0)
-    grads = nets.new_gradients(layers)
+    grads = unflatten_params(spec, np.zeros(param_count(spec)))
     g_x = nets.forward_vjp(spec, layers, x, hidden_activations(spec, layers, x), g_out,
                            grads, need_x=True)
     assert nets.flatten_params(grads).tobytes() == ref_theta.tobytes()
@@ -307,7 +330,7 @@ def test_input_gradient_vjp_matches_tape_bit_for_bit(activation, hidden, batch):
     layers = unflatten_params(spec, theta0)
     acts = hidden_activations(spec, layers, x)
     _, chain = input_gradient(spec, layers, x, acts)
-    grads = nets.new_gradients(layers)
+    grads = unflatten_params(spec, np.zeros(param_count(spec)))
     hu = nets.input_gradient_vjp(spec, layers, x, acts, chain, u, grads)
     assert nets.flatten_params(grads).tobytes() == ref_theta.tobytes()
     if hu is None:
