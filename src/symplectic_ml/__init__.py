@@ -54,14 +54,11 @@ from .models import (
     BaselineModel,
     HnnModel,
     SeparableModel,
-    asrnn_rollout,
-    baseline_derivatives,
     baseline_loss,
-    baseline_rollout,
     conserved_quantity,
-    hnn_derivatives,
     hnn_energy,
     hnn_loss,
+    rollout,
     srnn_loss,
 )
 from .lstm import (

@@ -3,7 +3,9 @@
 Subcommands: generate, train, predict, predict-partial, eval-energy,
 lyapunov, poincare, infer-params.  Exit codes: 0 on success, 1 on usage
 errors, 2 on runtime failures, a request too large to allocate among them
-(with a structured cause on stderr).
+(with a structured cause on stderr).  A ``--checkpoint`` may hold any model
+``models.rollout`` steps, not an encoder; ``lyapunov`` needs an asrnn's
+force field.
 
 Every CSV output begins with ``# key=value`` metadata lines recording the
 tool version, the seed, and a hash of the effective configuration.  The
@@ -260,6 +262,15 @@ def _state_from_args(args, pot, seed):
     return _sample_state(_parse_energy(args.energy), pot, seed)
 
 
+def _rollout_model(path):
+    """The ``--checkpoint`` model, one that ``models.rollout`` steps."""
+    model, _ = checkpoint.load_checkpoint(path)
+    if not (hasattr(model, "block_force") or hasattr(model, "derivative_field")):
+        raise SymplecticMlError(
+            f"checkpoint holds a {checkpoint.model_kind(model)}; need a rollout model")
+    return model
+
+
 def _rollout(args):
     """The shared start of ``predict``, ``poincare`` and ``eval-energy``:
     ``(state0, pot, traj, meta)``, the initial state and couplings, their
@@ -270,14 +281,8 @@ def _rollout(args):
     if not args.checkpoint:
         traj = integrate(state0, args.dt, args.steps, HH_FIELD, pot)
     else:
-        model, _ = checkpoint.load_checkpoint(args.checkpoint)
-        if isinstance(model, models.SeparableModel):
-            traj = models.asrnn_rollout(model, state0, pot, args.dt, args.steps)
-        elif isinstance(model, models.BaselineModel):
-            traj = models.baseline_rollout(model, state0, pot, args.dt, args.steps)
-        else:
-            raise SymplecticMlError(
-                f"checkpoint holds a {checkpoint.model_kind(model)}; need a rollout model")
+        traj = models.rollout(_rollout_model(args.checkpoint), state0, pot, args.dt,
+                              args.steps)
     cfg = {
         "checkpoint": args.checkpoint, "alpha": pot.alpha, "beta": pot.beta,
         "dt": args.dt, "steps": args.steps,
@@ -409,9 +414,7 @@ def _cmd_infer_params(args):
 def _cmd_predict_partial(args):
     seed = _resolve_seed(args)
     encoder = _load_encoder(args.encoder)
-    model, _ = checkpoint.load_checkpoint(args.checkpoint)
-    if not isinstance(model, models.SeparableModel):
-        raise SymplecticMlError("--checkpoint must point at a rollout model")
+    model = _rollout_model(args.checkpoint)
     observed = _read_observed(args.observed)
     pred = lstm.predict_from_partial(
         encoder, model, observed, args.dt, args.horizon, stride=args.stride)

@@ -267,33 +267,30 @@ def _diverged(step, qx, qy):
     return IntegrationDiverged(f"diverged at step {step}: {why}", step=step)
 
 
-def _analytic_orbit(state0, dt, n_steps, params, stride):
+def _analytic_orbit(data, dt, n_steps, params, stride):
     """Every ``stride``-th state of one orbit of the analytic field, stepped
-    in Python floats with grad K = p.
+    in Python floats with grad K = p, written into ``data`` after its start.
 
     Each step is checked against :func:`outside`'s rule, spelled out on the
     four floats: an array call would cost more than the step itself.
     """
     grad_v = hh_grad_v_columns(params.alpha, params.beta)
     half, huge = 0.5 * dt, sys.float_info.max
-    qx, qy, px, py = (float(x) for x in state0.vec())
-    rows = [(qx, qy, px, py)]
-    with np.errstate(over="ignore", invalid="ignore"):
+    qx, qy, px, py = data[0].tolist()
+    fx, fy = grad_v(qx, qy)
+    for i in range(1, n_steps + 1):
+        px = px - half * fx
+        py = py - half * fy
+        qx = qx + dt * px
+        qy = qy + dt * py
         fx, fy = grad_v(qx, qy)
-        for i in range(1, n_steps + 1):
-            px = px - half * fx
-            py = py - half * fy
-            qx = qx + dt * px
-            qy = qy + dt * py
-            fx, fy = grad_v(qx, qy)
-            px = px - half * fx
-            py = py - half * fy
-            if not (abs(qx) <= ESCAPE_RADIUS and abs(qy) <= ESCAPE_RADIUS
-                    and abs(px) <= huge and abs(py) <= huge):
-                raise _diverged(i, qx, qy)
-            if i % stride == 0:
-                rows.append((qx, qy, px, py))
-    return np.array(rows)
+        px = px - half * fx
+        py = py - half * fy
+        if not (abs(qx) <= ESCAPE_RADIUS and abs(qy) <= ESCAPE_RADIUS
+                and abs(px) <= huge and abs(py) <= huge):
+            raise _diverged(i, qx, qy)
+        if i % stride == 0:
+            data[i // stride] = qx, qy, px, py
 
 
 # steps per advance of a one-orbit block: a diverged orbit stops within one
@@ -302,24 +299,29 @@ ORBIT_CHUNK = 64
 
 
 def _orbit(state0, dt, n_steps, field, params, stride):
-    """Every ``stride``-th state of one orbit: the analytic field's stepped
-    in floats, any other's as a (4, 1) block through :func:`advance` in
-    chunks of :data:`ORBIT_CHUNK` steps, each chunk checked by :func:`outside`."""
-    if isinstance(field, AnalyticField):
-        return _analytic_orbit(state0, dt, n_steps, params, stride)
-    grad_v, grad_k = field.block_force(params)
-    data = states_array((n_steps + 1, 4), f"n_steps {n_steps}")
+    """Every ``stride``-th state of one orbit, in an array sized before the
+    first step: the analytic field's stepped in floats, any other's as a
+    (4, 1) block through :func:`advance` in chunks of :data:`ORBIT_CHUNK`
+    steps, each chunk checked by :func:`outside`."""
+    data = states_array((n_steps // stride + 1, 4), f"n_steps {n_steps}")
     data[0] = state0.vec()
-    block = data[0][:, None].copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, n_steps, ORBIT_CHUNK):
-            steps = data[k + 1 : k + 1 + ORBIT_CHUNK]
-            advance(block, dt, len(steps), grad_v, grad_k, out=steps[:, :, None])
-            bad = outside(steps)
+        if isinstance(field, AnalyticField):
+            _analytic_orbit(data, dt, n_steps, params, stride)
+            return data
+        grad_v, grad_k = field.block_force(params)
+        block = data[0][:, None].copy()
+        size = stride * max(1, ORBIT_CHUNK // stride)  # whole strides per chunk
+        steps = np.empty((min(size, n_steps), 4))
+        for k in range(0, n_steps, size):
+            chunk = steps[: n_steps - k]
+            advance(block, dt, len(chunk), grad_v, grad_k, out=chunk[:, :, None])
+            bad = outside(chunk)
             if bad.any():
                 i = int(np.argmax(bad))
-                raise _diverged(k + 1 + i, steps[i, 0], steps[i, 1])
-    return np.ascontiguousarray(data[::stride])
+                raise _diverged(k + 1 + i, chunk[i, 0], chunk[i, 1])
+            data[k // stride + 1 : (k + len(chunk)) // stride + 1] = chunk[stride - 1 :: stride]
+    return data
 
 
 def integrate(state0, dt, n_steps, field, params, stride=1):

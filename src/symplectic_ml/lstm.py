@@ -31,7 +31,7 @@ from . import nets
 from .autodiff import Tensor
 from .dynamics import PhaseState, PotentialParams
 from .errors import EmptyBatch, ShapeMismatch, TooShort, WindowLengthMismatch
-from .models import asrnn_rollout
+from .models import rollout
 
 INPUT_SIZE = 2
 
@@ -257,8 +257,9 @@ def predict_from_partial(encoder, model, observed, dt, horizon, stride=1):
 
     The parameter estimate is the ensemble mean over all observation windows;
     the hidden coordinates come from the final window (targets sit at the
-    window's last step, i.e. the last observed time).  The rollout then runs
-    ``horizon`` leapfrog steps under the learned Hamiltonian.
+    window's last step, i.e. the last observed time).  The model then rolls
+    ``horizon`` steps forward through ``models.rollout``: the leapfrog for a
+    force field, RK4 for a derivative model.
     """
     observed = np.asarray(observed, dtype=np.float64)
     estimate = infer_param_ensemble(encoder, observed, stride)
@@ -270,5 +271,5 @@ def predict_from_partial(encoder, model, observed, dt, horizon, stride=1):
         pot = PotentialParams.single(estimate.mean[0])
     else:
         pot = PotentialParams(alpha=float(estimate.mean[0]), beta=float(estimate.mean[1]))
-    traj = asrnn_rollout(model, state0, pot, dt, horizon)
+    traj = rollout(model, state0, pot, dt, horizon)
     return PartialPrediction(state0=state0, estimate=estimate, trajectory=traj)

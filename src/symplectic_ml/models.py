@@ -10,16 +10,18 @@ Three families, all operating on the ``(q_x, q_y, p_x, p_y)`` state layout:
   own force field, as ``dynamics.HH_FIELD`` is: ``block_force(pot_params)``
   gives the block binders of :func:`_gradient_block` with which
   ``dynamics.advance`` steps one orbit or a batch.
-* ``BaselineModel`` — a plain derivative regressor (q, p) -> (dq/dt, dp/dt),
-  rolled out with a classic fourth-order Runge-Kutta step.
+* ``BaselineModel`` — a plain derivative regressor (q, p) -> (dq/dt, dp/dt).
 
 ``HnnModel`` and ``BaselineModel`` share one validated body, one dense net
-over (q, p[, params]); they differ only in the net's name and output count.
-Adaptable variants append the potential parameters to the network input —
-for the separable model only to V's input, so K stays parameter-blind —
-through the one helper :func:`_with_channels`.  Rollouts and the rollout
-loss judge divergence by ``dynamics.outside``, the package's one
-bounded-regime rule.
+over (q, p[, params]); they differ only in the net's name, output count and
+the (dq/dt, dp/dt) their ``derivative_field`` reads from it.  :func:`rollout`
+steps every model: a force field by the leapfrog of ``dynamics.integrate``,
+the other two by classic fourth-order Runge-Kutta, as Greydanus, Dzamba &
+Yosinski (NeurIPS 2019) roll out HNNs.  Adaptable variants append the
+potential parameters to the network input — for the separable model only to
+V's input, so K stays parameter-blind — through the one helper
+:func:`_with_channels`.  Rollouts and the rollout loss judge divergence by
+``dynamics.outside``, the package's one bounded-regime rule.
 
 Inference (derivatives, energies, rollouts) runs the numpy networks of
 ``nets``.  Each training loss is one closed-form node on the flat
@@ -42,13 +44,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Tensor
-from .dynamics import Trajectory, advance, integrate, outside, states_array
-from .errors import (
-    EmptyBatch,
-    IntegrationDiverged,
-    ShapeMismatch,
-    WindowLengthMismatch,
-)
+from .dynamics import Trajectory, _diverged, advance, integrate, outside, states_array
+from .errors import EmptyBatch, ShapeMismatch, WindowLengthMismatch
 
 
 def _check_channels(adaptable, param_channels):
@@ -79,11 +76,24 @@ class _DenseModel:
         if self.params.shape != (nets.param_count(self.spec),):
             raise ShapeMismatch("parameter vector does not match the layer sizes")
 
+    def derivative_field(self, pot_params):
+        """The learned field as ``f(states)``: the (B, 4) block of
+        (dq/dt, dp/dt) at a (B, 4) block of states, with the layers and
+        parameter channels bound once."""
+        layers = nets.unflatten_params(self.spec, self.params)
+        chan = _channels(self, pot_params)
+        return lambda states: self._derivatives(layers, _with_channels(states, chan))
+
 
 class HnnModel(_DenseModel):
-    """Scalar energy surrogate H(q, p[, params]) with in-graph derivatives."""
+    """Scalar energy surrogate H(q, p[, params]); its derivatives are the
+    symplectic gradient of H."""
 
     net_name, n_outputs = "H net", 1
+
+    def _derivatives(self, layers, x):
+        g = nets.numpy_input_gradient(self.spec, layers, x)
+        return np.concatenate([g[:, 2:4], -g[:, 0:2]], axis=1)
 
 
 def _with_channels(x, channels):
@@ -99,13 +109,6 @@ def _with_channels(x, channels):
 def _channels(model, pot_params):
     """The parameter channels ``model`` reads under ``pot_params``, or None."""
     return pot_params.channels(model.param_channels) if model.param_channels else None
-
-
-def hnn_derivatives(model, state, pot_params):
-    """(dq/dt, dp/dt) of one state under the learned Hamiltonian."""
-    x = _with_channels(state.vec()[None, :], _channels(model, pot_params))
-    g = nets.grad_inputs(model.spec, model.params, x)[0]
-    return g[2:4].copy(), -g[0:2]
 
 
 def hnn_energy(model, states, pot_params):
@@ -244,12 +247,6 @@ def _separable_layers(model, flat):
     k_layers = (None if model.fixed_kinetic
                 else nets.unflatten_params(model.kinetic_spec, flat[:nk]))
     return k_layers, nets.unflatten_params(model.potential_spec, flat[nk:])
-
-
-def asrnn_rollout(model, state0, pot_params, dt, n_steps):
-    """Leapfrog rollout under the learned K and V; the ground truth's kernel,
-    so for analytic stand-ins the sequences match exactly."""
-    return integrate(state0, dt, n_steps, model, pot_params)
 
 
 def conserved_quantity(model, traj, pot_params):
@@ -501,11 +498,8 @@ class BaselineModel(_DenseModel):
 
     net_name, n_outputs = "baseline net", 4
 
-
-def baseline_derivatives(model, states, pot_params):
-    """Predicted (B, 4) derivatives for a (B, 4) block of states."""
-    x = _with_channels(np.asarray(states, dtype=np.float64), _channels(model, pot_params))
-    return nets.forward(model.spec, model.params, x)
+    def _derivatives(self, layers, x):
+        return nets.numpy_forward(self.spec, layers, x)
 
 
 def baseline_loss(model, states, derivs, channels=None):
@@ -538,19 +532,19 @@ def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
     return ad.node((diff * diff).sum() * c, theta, backward)
 
 
-def baseline_rollout(model, state0, pot_params, dt, n_steps):
-    """Classic RK4 rollout of the learned derivative field."""
+def rollout(model, state0, pot_params, dt, n_steps):
+    """One orbit of a model: a force field (with ``block_force``) by the
+    leapfrog of :func:`integrate`, a derivative model by classic RK4 over its
+    ``derivative_field``.  Both raise IntegrationDiverged, ``diverged at step
+    i: <why>``, at the first state :func:`outside` the bounded regime."""
+    if hasattr(model, "block_force"):
+        return integrate(state0, dt, n_steps, model, pot_params)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     data = states_array((n_steps + 1, 4), f"n_steps {n_steps}")
     data[0] = state0.vec()
     cur = data[0][None, :]
-    layers = nets.unflatten_params(model.spec, model.params)
-    chan = _channels(model, pot_params)
-
-    def f(x):
-        return nets.numpy_forward(model.spec, layers, _with_channels(x, chan))
-
+    f = model.derivative_field(pot_params)
     for i in range(1, n_steps + 1):
         k1 = f(cur)
         k2 = f(cur + 0.5 * dt * k1)
@@ -559,6 +553,6 @@ def baseline_rollout(model, state0, pot_params, dt, n_steps):
         cur = cur + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         row = cur[0]
         if outside(row):
-            raise IntegrationDiverged(f"baseline rollout diverged at step {i}", step=i)
+            raise _diverged(i, row[0], row[1])
         data[i] = row
     return Trajectory(dt=dt, data=data, params=pot_params)

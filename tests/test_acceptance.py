@@ -139,7 +139,7 @@ def _train_encoder(dataset):
     return training.train(config, dataset)
 
 
-def _rollout_rows(model, rollout_fn, n=10):
+def _rollout_rows(model, n=10):
     """1000-step rollouts from held-out initial conditions at alpha=0.5."""
     pot = PotentialParams.single(HELD_OUT_ALPHA)
     rows = []
@@ -147,7 +147,7 @@ def _rollout_rows(model, rollout_fn, n=10):
         rng = np.random.default_rng([202, i])
         state0 = sample_initial_condition(1 / 12, pot, rng)
         truth = integrate(state0, 0.1, 1000, HH_FIELD, pot)
-        pred = rollout_fn(model, state0, pot, 0.1, 1000)
+        pred = models.rollout(model, state0, pot, 0.1, 1000)
         err = analysis.relative_energy_error(pred, truth)
         rows.append(
             (
@@ -241,7 +241,7 @@ def asrnn(train_dataset):
 
 @pytest.fixture(scope="module")
 def asrnn_rollouts(asrnn):
-    return _rollout_rows(asrnn.model, models.asrnn_rollout)
+    return _rollout_rows(asrnn.model)
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +415,7 @@ def test_criterion_04_rollout_energy_error(asrnn, asrnn_rollouts):
 def test_criterion_05_baseline_contrast(train_dataset, asrnn_rollouts):
     """Direct derivative regression drifts where the rollout model does not."""
     baseline = _train_baseline(train_dataset)
-    base_rows = _rollout_rows(baseline.model, models.baseline_rollout)
+    base_rows = _rollout_rows(baseline.model)
     n_secular_base = sum(row[2] > SECULAR_RATIO for row in base_rows)
     n_secular_asrnn = sum(row[2] > SECULAR_RATIO for row in asrnn_rollouts)
 
@@ -569,7 +569,7 @@ def test_criterion_10_determinism(
     encoder2 = _train_encoder(dataset)
     second = {
         "conservation": _conservation_csv(_conservation_rows()),
-        "rollouts": _rollout_csv(asrnn2, _rollout_rows(asrnn2.model, models.asrnn_rollout)),
+        "rollouts": _rollout_csv(asrnn2, _rollout_rows(asrnn2.model)),
         "estimates": _encoder_csv(encoder2, _encoder_rows(encoder2.model)),
     }
 

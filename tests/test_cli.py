@@ -4,8 +4,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from symplectic_ml import (
     cli,
     datapipe,
     models,
+    nets,
     training,
     integrate,
     load_checkpoint,
@@ -87,6 +92,12 @@ def _train(data_dir, out, model, overrides):
 def hnn_ckpt(ws, data_dir):
     return _train(data_dir, ws / "hnn.json", "hnn",
                   ["epochs=2", "batch_size=64", "hidden=[8]"])
+
+
+@pytest.fixture(scope="module")
+def plain_hnn_ckpt(ws, data_dir):
+    return _train(data_dir, ws / "plain-hnn.json", "hnn",
+                  ["epochs=2", "batch_size=64", "hidden=[8]", "adaptable=false"])
 
 
 @pytest.fixture(scope="module")
@@ -526,13 +537,60 @@ def test_predict_of_a_diverging_learned_model_exits_2(tmp_path, capsys, k_w, v_w
     assert not out.exists()
 
 
-def test_predict_rejects_non_rollout_checkpoint(ws, encoder_ckpt, capsys):
-    rc = cli.main(
-        ["predict", "--out", str(ws / "x.csv"), "--checkpoint",
-         str(encoder_ckpt), "--alpha", "0.4", "--ic", "0.1,0.0,0.2,0.0"]
-    )
+def test_predict_of_a_diverging_baseline_exits_2(tmp_path, capsys):
+    # dq_x/dt = 100 everywhere: the first RK4 step of 1 leaves |q| <= 10
+    spec = nets.DenseNetSpec((4, 4), activation="identity")
+    ckpt, out = tmp_path / "baseline.json", tmp_path / "x.csv"
+    save_checkpoint(models.BaselineModel(spec=spec, params=nets.flatten_params(
+        [(np.zeros((4, 4)), np.array([100.0, 0.0, 0.0, 0.0]))])), ckpt)
+    rc = cli.main(["predict", "--out", str(out), "--checkpoint", str(ckpt), "--alpha", "1",
+                   "--ic", "0,0,0,0", "--dt", "1", "--steps", "5"])
     assert rc == 2
-    assert "rollout model" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: IntegrationDiverged: diverged at step 1: "
+                                       "position left the bounded regime (|q| > 10.0)\n")
+    assert not out.exists()
+
+
+# The exit code of each command that reads --checkpoint, for each kind of
+# model ``train`` writes (by its stored kind, and the fixture that trains
+# it); the README's checkpoint contract is this table.
+CHECKPOINT_CONTRACT = {
+    ("baseline", "baseline_ckpt"): {"predict": 0, "eval-energy": 0, "poincare": 0,
+                                    "lyapunov": 2, "predict-partial": 0},
+    ("hnn", "plain_hnn_ckpt"): {"predict": 0, "eval-energy": 0, "poincare": 0,
+                                "lyapunov": 2, "predict-partial": 0},
+    ("ahnn", "hnn_ckpt"): {"predict": 0, "eval-energy": 0, "poincare": 0,
+                           "lyapunov": 2, "predict-partial": 0},
+    ("asrnn", "asrnn_ckpt"): {"predict": 0, "eval-energy": 0, "poincare": 0,
+                              "lyapunov": 0, "predict-partial": 0},
+    ("lstm-encoder", "encoder_ckpt"): {"predict": 2, "eval-energy": 2, "poincare": 2,
+                                       "lyapunov": 2, "predict-partial": 2},
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "eval-energy", "poincare", "lyapunov",
+                                     "predict-partial"])
+@pytest.mark.parametrize("kind, fixture", CHECKPOINT_CONTRACT, ids=lambda k: k)
+def test_checkpoint_command_contract(ws, request, encoder_ckpt, observed_csv, capsys,
+                                     kind, fixture, command):
+    ckpt = request.getfixturevalue(fixture)
+    out = ws / f"contract-{kind}-{command}.csv"
+    if command == "lyapunov":
+        argv = ["--alphas", "0.4", "--energy", "1/12", "--dt", "0.05", "--steps", "40",
+                "--renorm", "0.5"]
+    elif command == "predict-partial":
+        argv = ["--encoder", str(encoder_ckpt), "--observed", str(observed_csv),
+                "--horizon", "20"]
+    else:
+        argv = ["--alpha", "0.4", "--energy", "1/12", "--steps", "60"]
+    rc = cli.main([command, *argv, "--checkpoint", str(ckpt), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == CHECKPOINT_CONTRACT[kind, fixture][command], err
+    assert out.exists() == (rc == 0)
+    if rc:
+        need = "lyapunov needs a separable" if command == "lyapunov" else "need a"
+        assert err == (f"error: SymplecticMlError: checkpoint holds a {kind}; "
+                       f"{need} rollout model\n")
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +674,23 @@ def test_a_request_beyond_numpys_index_range_exits_2(ws, request, capsys, ckpt, 
     err = capsys.readouterr().err
     assert err.startswith("error: ShapeMismatch: ") and "more than numpy can hold" in err
     assert not (ws / "too-big").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "poincare"])
+def test_an_analytic_orbit_beyond_numpys_index_range_exits_2_at_once(tmp_path, command):
+    # the orbit's array is sized before the first step, so the request fails at
+    # once; a subprocess with a timeout keeps a hang from stalling the suite
+    out = tmp_path / "too-big.csv"
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symplectic_ml.cli", command, "--alpha", "0.5",
+         "--energy", "1/12", "--steps", "10" + "0" * 17, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=5)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ShapeMismatch: ")
+    assert "more than numpy can hold" in proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from symplectic_ml.lstm import (
     lstm_step,
     predict_from_partial,
 )
-from symplectic_ml.models import SeparableModel, asrnn_rollout
+from symplectic_ml.models import SeparableModel, rollout
 from symplectic_ml.nets import DenseNetSpec, param_count
 
 import helpers as H
@@ -472,8 +472,7 @@ def test_reconstruction_assembles_state_and_rolls_forward():
     assert np.array_equal(pred.estimate.mean, [0.8])
     assert np.array_equal(pred.estimate.std, [0.0])
 
-    manual = asrnn_rollout(model, pred.state0, PotentialParams.single(0.8),
-                           0.1, 5)
+    manual = rollout(model, pred.state0, PotentialParams.single(0.8), 0.1, 5)
     assert np.array_equal(pred.trajectory.data, manual.data)
     # zero learned potential: momenta frozen, positions drift linearly
     assert np.array_equal(pred.trajectory.p[-1], pred.state0.p)

@@ -25,14 +25,11 @@ from symplectic_ml.models import (
     DIVERGENCE_PENALTY,
     HnnModel,
     SeparableModel,
-    asrnn_rollout,
-    baseline_derivatives,
     baseline_loss,
-    baseline_rollout,
     conserved_quantity,
-    hnn_derivatives,
     hnn_energy,
     hnn_loss,
+    rollout,
     srnn_loss,
 )
 from symplectic_ml.nets import DenseNetSpec, flatten_params, init_params, param_count
@@ -65,6 +62,12 @@ def _separable(k_sizes=(2, 4, 1), v_sizes=(2, 4, 1), seed=0, scale=1.0, **kw):
 def _baseline(sizes=(4, 8, 4), seed=0, **kw):
     spec = DenseNetSpec(sizes)
     return BaselineModel(spec=spec, params=init_params(spec, seed), **kw)
+
+
+def _derivatives(model, state, pot):
+    """(dq/dt, dp/dt) of one state through the model's derivative field."""
+    d = model.derivative_field(pot)(state.vec()[None, :])[0]
+    return d[:2], d[2:]
 
 
 def _true_window(length, dt=0.1, alpha=1.0, q=(0.1, -0.05), p=(0.2, 0.1)):
@@ -141,7 +144,7 @@ def test_linear_energy_gives_constant_derivatives():
     spec = DenseNetSpec((4, 1), activation="identity")
     w = np.array([[0.7, -0.3, 1.5, 0.25]])
     model = HnnModel(spec=spec, params=flatten_params([(w, np.array([2.0]))]))
-    qdot, pdot = hnn_derivatives(model, PhaseState(q=[0.1, 0.2], p=[0.3, 0.4]), POT)
+    qdot, pdot = _derivatives(model, PhaseState(q=[0.1, 0.2], p=[0.3, 0.4]), POT)
     assert np.array_equal(qdot, [1.5, 0.25])
     assert np.array_equal(pdot, [-0.7, 0.3])
 
@@ -195,12 +198,37 @@ def test_adaptable_hnn_loss_gradient_matches_finite_differences():
 def test_adaptable_derivatives_vary_smoothly_with_parameter():
     model = _hnn(sizes=(5, 16, 1), seed=7, adaptable=True, param_channels=1)
     state = PhaseState(q=[0.1, -0.2], p=[0.3, 0.05])
-    qdot_a, pdot_a = hnn_derivatives(model, state, PotentialParams.single(0.5))
-    qdot_b, pdot_b = hnn_derivatives(model, state, PotentialParams.single(0.5 + 1e-6))
+    qdot_a, pdot_a = _derivatives(model, state, PotentialParams.single(0.5))
+    qdot_b, pdot_b = _derivatives(model, state, PotentialParams.single(0.5 + 1e-6))
     assert np.max(np.abs(qdot_b - qdot_a)) <= 1e-3
     assert np.max(np.abs(pdot_b - pdot_a)) <= 1e-3
-    qdot_c, _ = hnn_derivatives(model, state, PotentialParams.single(2.0))
+    qdot_c, _ = _derivatives(model, state, PotentialParams.single(2.0))
     assert not np.array_equal(qdot_a, qdot_c)
+
+
+@pytest.mark.parametrize("channels", [0, 1])
+def test_hnn_rollout_is_rk4_on_the_symplectic_gradient(channels):
+    model = _hnn(sizes=(4 + channels, 16, 16, 1), seed=3, adaptable=bool(channels),
+                 param_channels=channels)
+    pot = PotentialParams.single(0.7)
+    dt, n = 0.1, 40
+    state0 = PhaseState(q=[0.1, -0.2], p=[0.15, 0.3])
+    traj = rollout(model, state0, pot, dt, n)
+
+    def f(x):  # dq/dt = dH/dp, dp/dt = -dH/dq
+        g = nets.grad_inputs(model.spec, model.params, np.append(x, [0.7] * channels))
+        return np.concatenate([g[2:4], -g[0:2]])
+
+    cur = state0.vec()
+    rows = [cur]
+    for _ in range(n):
+        k1 = f(cur)
+        k2 = f(cur + 0.5 * dt * k1)
+        k3 = f(cur + 0.5 * dt * k2)
+        k4 = f(cur + dt * k3)
+        cur = cur + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(cur)
+    assert np.array_equal(traj.data, np.array(rows))
 
 
 def test_hnn_loss_rejects_empty_batch():
@@ -249,7 +277,7 @@ def test_rollout_matches_manual_leapfrog():
     dt, n = 0.05, 20
     q = np.array([0.1, -0.2])
     p = np.array([0.15, 0.3])
-    traj = asrnn_rollout(model, PhaseState(q=q, p=p), POT, dt, n)
+    traj = rollout(model, PhaseState(q=q, p=p), POT, dt, n)
 
     grad_v, grad_k = H.separable_gradients(model, POT)
     half = 0.5 * dt
@@ -268,7 +296,7 @@ def test_rollout_matches_manual_leapfrog():
     ({"adaptable": True, "param_channels": 1}, 1),
     ({"adaptable": True, "param_channels": 2}, 2),
 ])
-@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("stride", [1, 4, 7, 70])  # 7 and 70 do not divide a chunk
 def test_integrate_orbit_is_the_window_rollout_bytewise(monkeypatch, kw, channels, stride):
     model = _separable(v_sizes=(2 + channels, 8, 8, 1), seed=15, scale=0.4, **kw)
     pot = PotentialParams(alpha=0.7, beta=0.4)
@@ -331,7 +359,7 @@ def test_rollout_carrying_the_force_matches_three_gradient_stepper(fixed_kinetic
     pot = PotentialParams.single(0.7)
     dt, n = 0.05, 40
     q, p = np.array([0.1, -0.2]), np.array([0.15, 0.3])
-    traj = asrnn_rollout(model, PhaseState(q=q, p=p), pot, dt, n)
+    traj = rollout(model, PhaseState(q=q, p=p), pot, dt, n)
 
     def grad_v(q):
         x = np.array([[q[0], q[1], 0.7]])
@@ -355,8 +383,8 @@ def test_rollout_carrying_the_force_matches_three_gradient_stepper(fixed_kinetic
 def test_conserved_quantity_is_kinetic_plus_potential():
     model = _separable(seed=6, fixed_kinetic=True)
     window, pot = _true_window(8)
-    traj = asrnn_rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]),
-                         pot, 0.02, 35)
+    traj = rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]),
+                   pot, 0.02, 35)
     values = conserved_quantity(model, traj, pot)
     v = nets.forward(model.potential_spec, model.potential_params, traj.q)[:, 0]
     k = 0.5 * np.sum(traj.p**2, axis=1)
@@ -368,8 +396,8 @@ def test_conserved_quantity_is_kinetic_plus_potential():
 def test_rollout_conserves_surrogate_not_true_energy():
     model = _separable(seed=13, scale=0.5)
     window, pot = _true_window(3)
-    traj = asrnn_rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]),
-                         pot, 0.1, 40)
+    traj = rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]),
+                   pot, 0.1, 40)
     surrogate = conserved_quantity(model, traj, pot)
     assert np.max(np.abs(surrogate - surrogate[0])) < 1e-2
 
@@ -381,8 +409,7 @@ def test_rollout_conserves_surrogate_not_true_energy():
 def test_rollout_loss_on_own_trajectory_is_zero():
     model = _separable(seed=21, scale=0.4)
     window, pot = _true_window(6)
-    own = asrnn_rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]),
-                        pot, 0.1, 5)
+    own = rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]), pot, 0.1, 5)
     assert srnn_loss(model, own.data, pot, 0.1) <= 1e-20
 
 
@@ -714,7 +741,7 @@ def test_baseline_linear_net_is_exact_on_linear_field():
     model = BaselineModel(spec=spec, params=flatten_params([(w, np.zeros(4))]))
     states = np.random.default_rng(3).normal(size=(6, 4))
     derivs = np.concatenate([states[:, 2:], -states[:, :2]], axis=1)
-    assert np.allclose(baseline_derivatives(model, states, POT), derivs,
+    assert np.allclose(model.derivative_field(POT)(states), derivs,
                        rtol=1e-15, atol=1e-15)
     assert baseline_loss(model, states, derivs) <= 1e-28
 
@@ -742,8 +769,8 @@ def test_baseline_rollout_single_step_matches_fourth_order_taylor():
     ])
     model = BaselineModel(spec=spec, params=flatten_params([(w, np.zeros(4))]))
     dt = 0.1
-    traj = baseline_rollout(model, PhaseState(q=[1.0, 0.0], p=[0.0, 0.0]),
-                            POT, dt, 1)
+    traj = rollout(model, PhaseState(q=[1.0, 0.0], p=[0.0, 0.0]),
+                   POT, dt, 1)
     # the classic four-stage step on a linear field reproduces the
     # fourth-order Taylor polynomial of the rotation exactly
     q_x = 1.0 - dt**2 / 2.0 + dt**4 / 24.0
@@ -760,14 +787,14 @@ def test_baseline_rollout_reports_divergence_step():
     model = BaselineModel(spec=spec,
                           params=flatten_params([(w, np.array([100.0, 0.0, 0.0, 0.0]))]))
     with pytest.raises(IntegrationDiverged) as exc:
-        baseline_rollout(model, PhaseState(q=[0.0, 0.0], p=[0.0, 0.0]), POT, 1.0, 5)
+        rollout(model, PhaseState(q=[0.0, 0.0], p=[0.0, 0.0]), POT, 1.0, 5)
     assert exc.value.step == 1
 
 
 def test_baseline_rollout_rejects_zero_steps():
     with pytest.raises(ValueError):
-        baseline_rollout(_baseline(sizes=(4, 4, 4)), PhaseState(q=[0, 0], p=[0, 0]),
-                         POT, 0.1, 0)
+        rollout(_baseline(sizes=(4, 4, 4)), PhaseState(q=[0, 0], p=[0, 0]),
+                POT, 0.1, 0)
 
 
 def test_baseline_loss_rejects_empty_batch():
