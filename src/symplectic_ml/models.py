@@ -28,13 +28,14 @@ Inference (derivatives, energies, rollouts) runs the numpy networks of
 parameter vector (``autodiff.node``): its value and a backward that returns
 the flat gradient.  The rollout loss steps its windows as one (4, B) block,
 in place, through ``dynamics.advance``, keeping each network call's input
-(a fresh copy of the block's rows), activations and chain.  Its backward is
-the discrete adjoint of the leapfrog — itself a reverse kick-drift-kick on
-the costates (Sanz-Serna, SIAM Review 58, 2016) — with each call pulled
-back through ``nets.input_gradient_vjp``.  Chen et al. (ICLR 2020) train the
-same model by backpropagation through the unrolled leapfrog, which this
-reproduces bit for bit; the op-by-op tape it is checked against is in the
-tests.
+(a fresh copy of the block's rows), activations and chain, the chain only
+what took a matrix product.  Its backward is the discrete adjoint of the
+leapfrog — itself a reverse kick-drift-kick on the costates (Sanz-Serna,
+SIAM Review 58, 2016) — with each call pulled back through
+``nets.input_gradient_vjp``, which rebuilds the call's elementwise terms.
+Chen et al. (ICLR 2020) train the same model by backpropagation through the
+unrolled leapfrog, which this reproduces bit for bit; the op-by-op tape it
+is checked against is in the tests.
 """
 
 from dataclasses import dataclass
@@ -96,14 +97,20 @@ class HnnModel(_DenseModel):
         return np.concatenate([g[:, 2:4], -g[:, 0:2]], axis=1)
 
 
-def _with_channels(x, channels):
+def _with_channels(x, channels, out=None):
     """A (B, n) array with parameter channels appended to each row:
     ``channels`` is None (none appended), a (k,) vector for every row, or a
-    (B, k) block."""
-    if channels is None:
-        return x
-    return np.concatenate(
-        [x, np.broadcast_to(channels, (x.shape[0], np.shape(channels)[-1]))], axis=1)
+    (B, k) block.  Written into ``out`` when given, a copy even without
+    channels."""
+    if out is None:
+        if channels is None:
+            return x
+        out = np.empty((x.shape[0], x.shape[1] + np.shape(channels)[-1]))
+    n = x.shape[1]
+    out[:, :n] = x
+    if channels is not None:
+        out[:, n:] = channels
+    return out
 
 
 def _channels(model, pot_params):
@@ -218,18 +225,19 @@ def _gradient_block(spec, layers, channels=None, record=None, calls=None):
     """A scalar net's input gradient as a block binder for
     ``dynamics.advance``: the one path by which every learned force is read.
 
-    Each call reads its (2, B) input block through a fresh (B, 2) copy, so a
-    recorded call never holds a view of the block the next step writes.
-    ``channels`` — a (k,) vector for every row, or a (B, k) block — fills the
-    remaining inputs.  With a ``record``, each call appends its input,
-    activations and chain to the record's list ``calls``, in arrays the
-    record supplies, for the rollout's adjoint.
+    Each call copies its (2, B) input block into the first two columns of
+    a fresh (B, n_inputs) input, so a recorded call never holds a view of
+    the block the next step writes.  ``channels`` — a (k,) vector for every
+    row, or a (B, k) block — fills the remaining columns.  With a
+    ``record``, each call appends its input, activations and chain to the
+    record's list ``calls``, in arrays the record supplies, for the
+    rollout's adjoint.
     """
     empty = np.empty if record is None else record.empty
 
     def bind(block, out):
         def call():
-            x = _with_channels(block.T.copy(), channels)
+            x = _with_channels(block.T, channels, empty((block.shape[1], spec.n_inputs)))
             acts = nets.hidden_activations(spec, layers, x, empty)
             g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty)
             if calls is not None:
@@ -264,11 +272,13 @@ def conserved_quantity(model, traj, pot_params):
 class ArrayPool:
     """Arrays recycled from one training step to the next.
 
-    A rollout node keeps about 50 MB of activations at the acceptance size.
-    Freed all at once after each backward, that memory goes back to the
-    system and the next step faults every page in again, which cost more
-    than the node saved.  Borrowed from a pool through a lease, the arrays
-    are allocated once per run.
+    A rollout node keeps about 16 MB at the acceptance size: for each of a
+    window-11 loss's 21 network calls at batch 128, hidden (256, 256), its
+    input, two activations and one product ``g @ W``.  Freed all at once
+    after each backward, that memory goes back to the system and the next
+    step faults every page in again, which cost more than the node saved.
+    Borrowed from a pool through a lease, the arrays are allocated once per
+    run.
     """
 
     def __init__(self):

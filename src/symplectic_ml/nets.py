@@ -19,7 +19,14 @@ second-order one of ``u · ∇ₓf``, which also gives the Hessian-vector produc
 H·u (Pearlmutter, Neural Computation 1994).  Both add into the layer
 views of one zeroed flat gradient, with the expressions, and in the order,
 of the same network built op by op on the reference tape of the tests, so
-the gradients are bit-identical to it.
+the gradients are bit-identical to it.  Between the two passes a training
+node keeps the input, the hidden activations and the chain of
+:func:`input_gradient`, which holds only what took a matrix product: the
+one-hot output row and one product ``g @ W`` per hidden layer.  The
+elementwise rest, each ``1 - h*h`` and left operand, is rebuilt by
+:func:`input_gradient_vjp` with the forward's own operations — the usual
+reverse-mode trade of storing products and recomputing elementwise terms
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008).
 """
 
 from dataclasses import dataclass
@@ -138,30 +145,38 @@ def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty):
     and the chain that :func:`input_gradient_vjp` reads.
 
     A one-hot row on the output is pulled back through each layer as
-    ``g @ W`` times the activation derivative ``1 - h*h``.  The chain holds
-    each layer's left operand in that product and, per hidden layer, the
-    product and the derivative it was multiplied by; ``empty(shape)``
-    supplies their arrays.
+    ``g @ W`` times the activation derivative ``1 - h*h``.  The chain keeps
+    only what took a matrix product: the one-hot row and, per hidden layer,
+    the product ``g @ W``, which under the identity is the layer's left
+    operand itself; ``empty(shape)`` supplies the products below the top
+    hidden layer.  Each derivative, and the left operand it makes, is
+    written into a transient array that :func:`input_gradient_vjp` rebuilds.
     """
     n = len(layers)
-    lefts, products, derivs = [None] * n, [None] * (n - 1), [None] * (n - 1)
-    g = np.zeros((x.shape[0], spec.n_outputs))
-    g[:, output_index] = 1.0
-    lefts[n - 1] = g
+    tanh = spec.activation == "tanh"
+    one_hot = np.zeros((x.shape[0], spec.n_outputs))
+    one_hot[:, output_index] = 1.0
+    products = [None] * (n - 1)
+    g = one_hot
     for i in range(n - 2, -1, -1):
         w = layers[i + 1][0]
         if i < n - 2:
             g = np.matmul(g, w, out=empty(acts[i].shape))
-        elif spec.activation == "tanh":
+        elif tanh:
             g = w[output_index]  # the one-hot row times w, bit for bit
         else:
             g = np.broadcast_to(w[output_index], acts[i].shape).copy()
-        if spec.activation == "tanh":
-            m = np.multiply(acts[i], acts[i], out=empty(acts[i].shape))
-            products[i], derivs[i] = g, np.subtract(1.0, m, out=m)
-            g = np.multiply(g, m, out=empty(acts[i].shape))
-        lefts[i] = g
-    return g @ layers[0][0], (lefts, products, derivs)
+        products[i] = g
+        if tanh:
+            m = _tanh_derivative(acts[i], np.empty(acts[i].shape))
+            g = np.multiply(g, m, out=m)
+    return g @ layers[0][0], (one_hot, products)
+
+
+def _tanh_derivative(h, out):
+    """``1 - h*h`` written into ``out``."""
+    np.multiply(h, h, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def numpy_input_gradient(spec, layers, x, output_index=0):
@@ -185,27 +200,33 @@ def input_gradient_vjp(spec, layers, x, acts, chain, u, grads, need_x=True,
     the product's term first, then the forward layer's — and returns the
     Hessian-vector product H·u, (batch, n_inputs).  It returns None when the
     input gradient does not depend on the input (no hidden layer, or the
-    identity activation) or without ``need_x``.  ``empty(shape)`` supplies
-    the temporaries, none of which is returned.
+    identity activation) or without ``need_x``.  Layer by layer, it rebuilds
+    what the chain does not keep, each hidden layer's derivative ``1 - h*h``
+    and left operand ``(g @ W)·(1 - h*h)``, by the forward's own operations,
+    so the bits are the forward's.  ``empty(shape)`` supplies those arrays
+    and the temporaries, none of which is returned.
     """
-    lefts, products, derivs = chain
+    one_hot, products = chain
     n = len(layers)
     tanh = spec.activation == "tanh"
+    derivs = [None] * (n - 1)
     pulled = [None] * (n - 1)  # costates of the hidden outputs through 1 - h*h
     g = u
-    for i in range(n):
+    for i in range(n - 1):
         w = layers[i][0]
-        if i < n - 1:
-            g_left = np.matmul(g, w.T, out=empty((g.shape[0], w.shape[0])))
-        grads[i][0] += np.matmul(lefts[i].T, g, out=empty(w.shape))
-        if i == n - 1:
-            break
+        left = products[i]
+        if tanh:
+            derivs[i] = _tanh_derivative(acts[i], empty(acts[i].shape))
+            left = np.multiply(left, derivs[i], out=empty(acts[i].shape))
+        g_left = np.matmul(g, w.T, out=empty((g.shape[0], w.shape[0])))
+        grads[i][0] += np.matmul(left.T, g, out=empty(w.shape))
         if tanh:
             pulled[i] = np.multiply(g_left, products[i], out=empty(g_left.shape))
             pulled[i] *= -2.0
             pulled[i] *= acts[i]
             g_left *= derivs[i]
         g = g_left
+    grads[-1][0] += np.matmul(one_hot.T, g, out=empty(layers[-1][0].shape))
     if not (tanh and n > 1):
         return None
     return _sweep(spec, layers, x, acts, n - 2, pulled[-1], grads, need_x, empty,

@@ -47,15 +47,29 @@ def init_adam(n_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def adam_step(state, params, grad):
-    """One Adam update; mutates and returns the state, returns new params."""
+    """One Adam update; mutates and returns the state, returns new params.
+
+    The moments are updated in place and the step is formed in two work
+    arrays, with the operations of ``m = β₁·m + (1-β₁)·g``,
+    ``v = β₂·v + (1-β₂)·g·g`` and ``lr·m̂ / (√v̂ + ε)`` in their order, so
+    the bits are those of the out-of-place formula."""
     if grad.shape != params.shape or grad.shape != state.m.shape:
         raise ValueError("gradient, parameters, and state sizes disagree")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return state, params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    term = np.multiply(1.0 - state.beta1, grad)
+    state.m *= state.beta1
+    state.m += term
+    np.multiply(1.0 - state.beta2, grad, out=term)
+    term *= grad
+    state.v *= state.beta2
+    state.v += term
+    np.divide(state.v, 1.0 - state.beta2 ** state.t, out=term)
+    np.sqrt(term, out=term)
+    term += state.eps
+    step = state.m / (1.0 - state.beta1 ** state.t)
+    step *= state.lr
+    step /= term
+    return state, params - step
 
 
 def clip_gradient(grad, max_norm=GRAD_CLIP_NORM):

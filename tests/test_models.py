@@ -572,6 +572,29 @@ def test_recorded_rollout_calls_never_hold_a_view_of_the_block(monkeypatch, fixe
         assert not np.shares_memory(x, block)
 
 
+@pytest.mark.parametrize("fixed_kinetic", [False, True])
+@pytest.mark.parametrize("hidden", [(16, 16), (8, 8, 8)])
+def test_rollout_record_keeps_activations_and_products_only(hidden, fixed_kinetic):
+    # per call: the input, each hidden activation, and the product g @ W of
+    # each hidden layer below the top one; the elementwise rest is rebuilt
+    model = _separable(k_sizes=(2, *hidden, 1), v_sizes=(3, *hidden, 1), seed=5,
+                       scale=0.3, adaptable=True, param_channels=1,
+                       fixed_kinetic=fixed_kinetic)
+    batch, n_steps = 6, 4
+    starts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(batch, 4))
+    record = models._CallRecord()
+    models._window_rollout(model, models._separable_layers(model, model.params),
+                           starts, np.full((batch, 1), 0.7), 0.1, n_steps, record)
+    n_v, n_k = n_steps + 1, 0 if fixed_kinetic else n_steps
+    assert (len(record.v_calls), len(record.k_calls)) == (n_v, n_k)
+
+    def per_call(n_inputs):
+        return batch * 8 * (n_inputs + sum(hidden) + sum(hidden[:-1]))
+
+    assert len(record._lent) == (n_v + n_k) * 2 * len(hidden)
+    assert sum(a.nbytes for a in record._lent) == n_v * per_call(3) + n_k * per_call(2)
+
+
 @pytest.mark.parametrize("batch", ["finite", "diverged"])
 def test_training_and_validation_losses_agree(batch):
     model = _separable(seed=33, scale=0.3)

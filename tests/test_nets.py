@@ -339,6 +339,59 @@ def test_input_gradient_vjp_matches_tape_bit_for_bit(activation, hidden, batch):
         assert np.add(hu, 0.0).tobytes() == ref_x.tobytes()
 
 
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("hidden", _VJP_SIZES)
+@pytest.mark.parametrize("batch", [1, 3, 100])
+def test_input_gradient_vjp_of_a_second_output_matches_tape_bit_for_bit(activation, hidden,
+                                                                         batch):
+    # output_index=1 selects the one-hot row and the top weight row the
+    # chain keeps
+    spec = DenseNetSpec((*hidden, 2), activation)
+    rng = np.random.default_rng(batch + len(hidden))
+    theta0 = 0.5 * rng.normal(size=param_count(spec))
+    x, u = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
+    theta, xt = Tensor(theta0.copy(), requires_grad=True), Tensor(x, requires_grad=True)
+    _, g = H.taped_value_and_input_gradient(spec, H.taped_layers(spec, theta), xt, 1)
+    ref_theta, ref_x = H.leaf_grads(_costate(g, u), [theta, xt])
+    layers = unflatten_params(spec, theta0)
+    acts = hidden_activations(spec, layers, x)
+    _, chain = input_gradient(spec, layers, x, acts, output_index=1)
+    grads = unflatten_params(spec, np.zeros(param_count(spec)))
+    hu = nets.input_gradient_vjp(spec, layers, x, acts, chain, u, grads)
+    assert nets.flatten_params(grads).tobytes() == ref_theta.tobytes()
+    if hu is None:
+        assert not np.any(ref_x)
+    else:
+        assert np.add(hu, 0.0).tobytes() == ref_x.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("hidden", _VJP_SIZES)
+def test_input_gradient_vjp_twice_gives_the_same_bytes_and_keeps_the_record(activation,
+                                                                            hidden):
+    # the rebuild writes only into arrays from ``empty``, which hands out
+    # NaN-filled ones here, so a read of an unwritten entry would show too
+    spec = DenseNetSpec((*hidden, 1), activation)
+    rng = np.random.default_rng(len(hidden))
+    layers = unflatten_params(spec, 0.5 * rng.normal(size=param_count(spec)))
+    x, u = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    acts = hidden_activations(spec, layers, x)
+    _, chain = input_gradient(spec, layers, x, acts)
+    one_hot, products = chain
+    kept = [x, *acts, one_hot, *products]
+    before = [a.tobytes() for a in kept]
+    pulls = []
+    for _ in range(2):
+        grads = unflatten_params(spec, np.zeros(param_count(spec)))
+        hu = nets.input_gradient_vjp(spec, layers, x, acts, chain, u, grads,
+                                     empty=lambda shape: np.full(shape, np.nan))
+        pulls.append((nets.flatten_params(grads).tobytes(),
+                       None if hu is None else hu.tobytes()))
+        assert [a.tobytes() for a in kept] == before
+    assert pulls[0] == pulls[1]
+    assert not np.isnan(np.frombuffer(pulls[0][0])).any()
+
+
 # ---------------------------------------------------------------------------
 # the finite-difference harness itself
 

@@ -63,6 +63,25 @@ def test_adam_is_deterministic():
     assert np.array_equal(run(), run())
 
 
+def test_adam_in_place_moments_match_the_out_of_place_formula_bytewise():
+    rng = np.random.default_rng(12)
+    state = init_adam(50, lr=0.01)
+    params = rng.normal(size=50)
+    m, v, ref = np.zeros(50), np.zeros(50), params.copy()
+    for t, lr in enumerate([0.01, 0.003, 0.02, 1e-4, 0.5], start=1):
+        g = rng.normal(scale=10.0 ** rng.integers(-4, 4), size=50)
+        state.lr = lr
+        state, params = adam_step(state, params, g)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        ref = ref - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert params.tobytes() == ref.tobytes()
+
+
 def test_adam_rejects_mismatched_shapes():
     state = init_adam(3)
     with pytest.raises(ValueError):
