@@ -155,7 +155,8 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     SymplecticMlError).  ``n_steps`` counts integrator steps; the frame is
     re-orthonormalised every ``renorm_interval`` time units (at least one
     step).  Intervals that do not fit are dropped.  Raises DegenerateR if a
-    probe row turns non-finite or any re-orthonormalisation loses rank.
+    probe row turns non-finite, any re-orthonormalisation loses rank, or an
+    exponent is not finite.
     """
     states0 = np.atleast_2d(np.asarray(states0, dtype=np.float64))
     if states0.ndim != 2 or states0.shape[1] != 4:
@@ -193,7 +194,11 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
         sums += np.log(diag * signs)
         frames = q
         rows = _seed_rows(rows[0::block])
-    spectra = sums / (n_intervals * interval_steps * dt)
+    span = n_intervals * interval_steps * dt
+    with np.errstate(over="ignore"):  # a span near the float64 floor overflows
+        spectra = sums / span
+    if not np.all(np.isfinite(spectra)):
+        raise DegenerateR(f"an exponent is not finite over a span of {span!r} time units")
     return -np.sort(-spectra, axis=1)
 
 

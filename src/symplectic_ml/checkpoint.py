@@ -8,7 +8,8 @@ bit-exact.  The checksum covers the parameters' little-endian float64
 bytes, the scheme of a dataset's ``states.bin`` checksum, and loading
 rejects a document whose parameters do not match it.  One function,
 ``_describe``, names each model class's kind, architecture spec and
-activation; ``model_from_checkpoint`` is its inverse.
+activation: ``"tanh"`` for every dense net, ``"lstm-gates"`` for the
+encoder; ``model_from_checkpoint`` is its inverse.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from .models import BaselineModel, HnnModel, SeparableModel
 from .nets import INIT_SCHEME, DenseNetSpec
 
 FORMAT_VERSION = 2
+DENSE_ACTIVATION = "tanh"  # the hidden layers of every dense net, as checkpoints name them
 
 
 def params_sha256(params):
@@ -41,7 +43,7 @@ def _describe(model):
             "potential_layers": list(model.potential_spec.layer_sizes),
             "param_channels": model.param_channels,
             "fixed_kinetic": model.fixed_kinetic,
-        }, model.potential_spec.activation
+        }, DENSE_ACTIVATION
     if isinstance(model, EncoderModel):
         return "lstm-encoder", {
             "hidden_size": model.hidden_size,
@@ -55,7 +57,7 @@ def _describe(model):
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     spec = {"layers": list(model.spec.layer_sizes), "param_channels": model.param_channels}
-    return kind, spec, model.spec.activation
+    return kind, spec, DENSE_ACTIVATION
 
 
 def model_kind(model):
@@ -141,9 +143,12 @@ def model_from_checkpoint(doc):
             raise CorruptRecord("checkpoint has no params_sha256 checksum")
         if doc["params_sha256"] != params_sha256(params):
             raise CorruptRecord("parameters do not match their params_sha256 checksum")
-        activation = doc.get("activation", "tanh")
+        activation = doc.get("activation", DENSE_ACTIVATION)
+        if kind != "lstm-encoder" and activation != DENSE_ACTIVATION:
+            raise ValueError(f"a dense net's activation must be {DENSE_ACTIVATION!r}, "
+                             f"got {activation!r}")
         if kind in ("hnn", "ahnn", "baseline"):
-            net = DenseNetSpec(_ints("layers", spec["layers"]), activation)
+            net = DenseNetSpec(_ints("layers", spec["layers"]))
             channels = _int("param_channels", spec["param_channels"])
             adaptable = kind == "ahnn" or kind == "baseline" and channels > 0
             return (BaselineModel if kind == "baseline" else HnnModel)(
@@ -155,9 +160,8 @@ def model_from_checkpoint(doc):
             k_layers = spec.get("kinetic_layers")
             return SeparableModel(
                 kinetic_spec=DenseNetSpec(_ints("kinetic_layers", k_layers) if k_layers
-                                          else (2, 1), activation),
-                potential_spec=DenseNetSpec(_ints("potential_layers", spec["potential_layers"]),
-                                            activation),
+                                          else (2, 1)),
+                potential_spec=DenseNetSpec(_ints("potential_layers", spec["potential_layers"])),
                 params=params,
                 adaptable=kind == "asrnn",
                 param_channels=_int("param_channels", spec["param_channels"]),

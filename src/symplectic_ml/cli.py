@@ -262,13 +262,20 @@ def _state_from_args(args, pot, seed):
     return _sample_state(_parse_energy(args.energy), pot, seed)
 
 
+def _checkpoint_model(path, fits, need):
+    """The ``--checkpoint`` model, which ``fits(model)`` must accept; ``need``
+    says what the command needs when it does not."""
+    model, _ = checkpoint.load_checkpoint(path)
+    if not fits(model):
+        raise SymplecticMlError(f"checkpoint holds a {checkpoint.model_kind(model)}; {need}")
+    return model
+
+
 def _rollout_model(path):
     """The ``--checkpoint`` model, one that ``models.rollout`` steps."""
-    model, _ = checkpoint.load_checkpoint(path)
-    if not (hasattr(model, "block_force") or hasattr(model, "derivative_field")):
-        raise SymplecticMlError(
-            f"checkpoint holds a {checkpoint.model_kind(model)}; need a rollout model")
-    return model
+    return _checkpoint_model(
+        path, lambda m: hasattr(m, "block_force") or hasattr(m, "derivative_field"),
+        "need a rollout model")
 
 
 def _rollout(args):
@@ -278,11 +285,8 @@ def _rollout(args):
     seed = _resolve_seed(args)
     pot = _pot_from_args(args)
     state0 = _state_from_args(args, pot, seed)
-    if not args.checkpoint:
-        traj = integrate(state0, args.dt, args.steps, HH_FIELD, pot)
-    else:
-        traj = models.rollout(_rollout_model(args.checkpoint), state0, pot, args.dt,
-                              args.steps)
+    model = _rollout_model(args.checkpoint) if args.checkpoint else HH_FIELD
+    traj = models.rollout(model, state0, pot, args.dt, args.steps)
     cfg = {
         "checkpoint": args.checkpoint, "alpha": pot.alpha, "beta": pot.beta,
         "dt": args.dt, "steps": args.steps,
@@ -350,11 +354,8 @@ def _cmd_lyapunov(args):
             f"--steps {args.steps} is shorter than one renorm interval ({interval} steps)")
     flow = HH_FIELD
     if args.checkpoint:
-        flow = checkpoint.load_checkpoint(args.checkpoint)[0]
-        if not hasattr(flow, "block_force"):
-            raise SymplecticMlError(
-                f"checkpoint holds a {checkpoint.model_kind(flow)}; "
-                "lyapunov needs a separable rollout model")
+        flow = _checkpoint_model(args.checkpoint, lambda m: hasattr(m, "block_force"),
+                                 "lyapunov needs a separable rollout model")
     tasks = [
         (alphas[i : i + LYAPUNOV_CHUNK], i, energy, seed, args.dt, args.steps,
          args.renorm, flow)

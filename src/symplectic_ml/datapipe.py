@@ -204,8 +204,10 @@ def generate_dataset(config):
     resampled from their own RNG stream a bounded number of times.
     """
     cells = config.cells()
+    n = len(cells) * config.n_per_cell
+    stored = states_array((n, config.stored_length, 4),
+                          f"series_length {config.series_length}")
     entries = [(pot, e) for (pot, e) in cells for _ in range(config.n_per_cell)]
-    n = len(entries)
     rngs = [np.random.default_rng([config.seed, i]) for i in range(n)]
     alpha = np.array([pot.alpha for pot, _ in entries])
     beta = np.array([pot.beta for pot, _ in entries])
@@ -214,8 +216,6 @@ def generate_dataset(config):
         states0[i] = sample_initial_condition(energy, pot, rngs[i]).vec()
 
     n_fine = (config.series_length - 1) * config.coarse_factor
-    stored = states_array((n, config.stored_length, 4),
-                          f"series_length {config.series_length}")
     pending = np.arange(n)
     for _attempt in range(MAX_DIVERGENCE_RETRIES + 1):
         coarse, escaped = integrate_batch(

@@ -158,8 +158,8 @@ def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
         u[:, 0:2] = scale * d_p
         u[:, 2:4] = scale * d_q
         grad = np.zeros(theta.data.size)
-        nets.input_gradient_vjp(spec, layers, x, acts, chain, u,
-                                nets.unflatten_params(spec, grad), need_x=False)
+        nets.input_gradient_vjp(layers, x, acts, chain, u, nets.unflatten_params(spec, grad),
+                                need_x=False)
         return grad
 
     return ad.node(((d_q * d_q).sum() + (d_p * d_p).sum()) * c, theta, backward)
@@ -361,31 +361,31 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt):
     the order of the op-by-op tape, so the gradient is bit-identical to it:
     the position costate adds the target's term, the next position's and
     then V's; the calls accumulate newest first when each gradient depends
-    on the state, and oldest first otherwise.
+    on the state (V has a hidden layer), and oldest first otherwise.
     """
     k_layers, v_layers = layers
     v_calls, k_calls = record.v_calls, record.k_calls
-    v_spec, k_spec = model.potential_spec, model.kinetic_spec
+    n_v_inputs = model.potential_spec.n_inputs
     grad = np.zeros(model.param_count())
     k_grads, v_grads = _separable_layers(model, grad)
-    coupled = v_spec.activation == "tanh" and len(v_layers) > 1
+    coupled = len(v_layers) > 1
     deferred = []
 
-    def pull(spec, net_layers, call, u, grads, need_x=True):
+    def pull(net_layers, call, u, grads, need_x=True):
         if not coupled:
-            deferred.append((spec, net_layers, call, u, grads))
+            deferred.append((net_layers, call, u, grads))
             return None
         scratch = _Lease(record.pool)
         x, acts, chain = call
-        hu = nets.input_gradient_vjp(spec, net_layers, x, acts, chain, u, grads, need_x,
+        hu = nets.input_gradient_vjp(net_layers, x, acts, chain, u, grads, need_x,
                                      scratch.empty)
         scratch.release()
         return hu
 
     def padded(g):  # V's gradient output costate, zero in the channel columns
-        if v_spec.n_inputs == 2:
+        if n_v_inputs == 2:
             return g
-        u = np.zeros((g.shape[0], v_spec.n_inputs))
+        u = np.zeros((g.shape[0], n_v_inputs))
         u[:, :2] = g
         return u
 
@@ -398,7 +398,7 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt):
         g_f = -half * g_p
         if lam_h is not None:
             g_f = g_f + -half * lam_h
-        hu = pull(v_spec, v_layers, v_calls[t], padded(g_f), v_grads)
+        hu = pull(v_layers, v_calls[t], padded(g_f), v_grads)
         g_q = scale * resid[:, t, :2]
         if lam_q is not None:
             g_q = g_q + lam_q
@@ -408,12 +408,12 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt):
         if model.fixed_kinetic:
             lam_h = g_p + g_k
         else:
-            hk = pull(k_spec, k_layers, k_calls[t - 1], g_k, k_grads)
+            hk = pull(k_layers, k_calls[t - 1], g_k, k_grads)
             lam_h = g_p if hk is None else g_p + hk
         lam_q = g_q
-    pull(v_spec, v_layers, v_calls[0], padded(-half * lam_h), v_grads, need_x=False)
-    for spec, net_layers, (x, acts, chain), u, grads in reversed(deferred):
-        nets.input_gradient_vjp(spec, net_layers, x, acts, chain, u, grads, need_x=False)
+    pull(v_layers, v_calls[0], padded(-half * lam_h), v_grads, need_x=False)
+    for net_layers, (x, acts, chain), u, grads in reversed(deferred):
+        nets.input_gradient_vjp(net_layers, x, acts, chain, u, grads, need_x=False)
     return grad
 
 
@@ -535,7 +535,7 @@ def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
 
     def backward(g_out):
         grad = np.zeros(theta.data.size)
-        nets.forward_vjp(spec, layers, x, acts, g_out * c * 2.0 * diff,
+        nets.forward_vjp(layers, x, acts, g_out * c * 2.0 * diff,
                          nets.unflatten_params(spec, grad))
         return grad
 

@@ -6,11 +6,12 @@ matrix (shape ``(fan_out, fan_in)``, row-major), then the bias vector.
 :func:`unflatten_params` states it once, as views through which the init
 writes, the forward reads and the reverse sweeps add gradients.
 
-One forward pass serves inference and training: :func:`hidden_activations`
+Every hidden layer is tanh, as in every network this package trains.  One
+forward pass serves inference and training: :func:`hidden_activations`
 keeps each hidden layer's output, :func:`numpy_forward` adds the output
 layer, and :func:`input_gradient` gives the gradient of one output in the
 inputs in closed form — the reverse sweep of the chain rule written as
-successive matrix products with activation derivatives.
+successive matrix products with the tanh derivatives ``1 - h*h``.
 
 Each training loss is one closed-form node on the flat parameters, its
 backward built on two reverse sweeps: :func:`forward_vjp`, the
@@ -36,16 +37,14 @@ import numpy as np
 from .autodiff import grad_params_through
 from .errors import ShapeMismatch
 
-ACTIVATIONS = ("tanh", "identity")
 INIT_SCHEME = "scaled-uniform"  # the weights of fill_scaled_uniform, as checkpoints name them
 
 
 @dataclass(frozen=True)
 class DenseNetSpec:
-    """Layer widths (input first, output last) and hidden activation."""
+    """Layer widths, input first, output last; every hidden layer is tanh."""
 
     layer_sizes: tuple
-    activation: str = "tanh"
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.layer_sizes)
@@ -54,8 +53,6 @@ class DenseNetSpec:
             raise ValueError("a network needs at least input and output layers")
         if any(n < 1 for n in sizes):
             raise ValueError(f"layer sizes must be >= 1, got {sizes}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def n_inputs(self):
@@ -125,8 +122,7 @@ def hidden_activations(spec, layers, x, empty=np.empty):
     for w, b in layers[:-1]:
         h = np.matmul(h, w.T, out=empty((x.shape[0], w.shape[0])))
         h += b
-        if spec.activation == "tanh":
-            np.tanh(h, out=h)
+        np.tanh(h, out=h)
         acts.append(h)
     return acts
 
@@ -147,13 +143,11 @@ def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty):
     A one-hot row on the output is pulled back through each layer as
     ``g @ W`` times the activation derivative ``1 - h*h``.  The chain keeps
     only what took a matrix product: the one-hot row and, per hidden layer,
-    the product ``g @ W``, which under the identity is the layer's left
-    operand itself; ``empty(shape)`` supplies the products below the top
-    hidden layer.  Each derivative, and the left operand it makes, is
+    the product ``g @ W``; ``empty(shape)`` supplies the products below the
+    top hidden layer.  Each derivative, and the left operand it makes, is
     written into a transient array that :func:`input_gradient_vjp` rebuilds.
     """
     n = len(layers)
-    tanh = spec.activation == "tanh"
     one_hot = np.zeros((x.shape[0], spec.n_outputs))
     one_hot[:, output_index] = 1.0
     products = [None] * (n - 1)
@@ -162,14 +156,11 @@ def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty):
         w = layers[i + 1][0]
         if i < n - 2:
             g = np.matmul(g, w, out=empty(acts[i].shape))
-        elif tanh:
-            g = w[output_index]  # the one-hot row times w, bit for bit
         else:
-            g = np.broadcast_to(w[output_index], acts[i].shape).copy()
+            g = w[output_index]  # the one-hot row times w, bit for bit
         products[i] = g
-        if tanh:
-            m = _tanh_derivative(acts[i], np.empty(acts[i].shape))
-            g = np.multiply(g, m, out=m)
+        m = _tanh_derivative(acts[i], np.empty(acts[i].shape))
+        g = np.multiply(g, m, out=m)
     return g @ layers[0][0], (one_hot, products)
 
 
@@ -185,61 +176,55 @@ def numpy_input_gradient(spec, layers, x, output_index=0):
                           output_index)[0]
 
 
-def forward_vjp(spec, layers, x, acts, g_out, grads, need_x=False):
+def forward_vjp(layers, x, acts, g_out, grads, need_x=False):
     """Pull the output costate ``g_out`` back through the net: adds the
     parameter gradient into ``grads`` and returns the input costate, or
     None without ``need_x``."""
-    return _sweep(spec, layers, x, acts, len(layers) - 1, g_out, grads, need_x, np.empty)
+    return _sweep(layers, x, acts, len(layers) - 1, g_out, grads, need_x, np.empty)
 
 
-def input_gradient_vjp(spec, layers, x, acts, chain, u, grads, need_x=True,
-                       empty=np.empty):
+def input_gradient_vjp(layers, x, acts, chain, u, grads, need_x=True, empty=np.empty):
     """Second-order VJP: pull back the costate ``u`` of :func:`input_gradient`.
 
     Adds the parameter gradient of ``u · ∇ₓf`` into ``grads`` — per layer,
     the product's term first, then the forward layer's — and returns the
     Hessian-vector product H·u, (batch, n_inputs).  It returns None when the
-    input gradient does not depend on the input (no hidden layer, or the
-    identity activation) or without ``need_x``.  Layer by layer, it rebuilds
-    what the chain does not keep, each hidden layer's derivative ``1 - h*h``
-    and left operand ``(g @ W)·(1 - h*h)``, by the forward's own operations,
-    so the bits are the forward's.  ``empty(shape)`` supplies those arrays
+    input gradient does not depend on the input (no hidden layer) or without
+    ``need_x``.  Layer by layer, it rebuilds what the chain does not keep,
+    each hidden layer's derivative ``1 - h*h`` and left operand
+    ``(g @ W)·(1 - h*h)``, by the forward's own operations, so the bits are
+    the forward's.  ``empty(shape)`` supplies those arrays
     and the temporaries, none of which is returned.
     """
     one_hot, products = chain
     n = len(layers)
-    tanh = spec.activation == "tanh"
     derivs = [None] * (n - 1)
     pulled = [None] * (n - 1)  # costates of the hidden outputs through 1 - h*h
     g = u
     for i in range(n - 1):
         w = layers[i][0]
-        left = products[i]
-        if tanh:
-            derivs[i] = _tanh_derivative(acts[i], empty(acts[i].shape))
-            left = np.multiply(left, derivs[i], out=empty(acts[i].shape))
+        derivs[i] = _tanh_derivative(acts[i], empty(acts[i].shape))
+        left = np.multiply(products[i], derivs[i], out=empty(acts[i].shape))
         g_left = np.matmul(g, w.T, out=empty((g.shape[0], w.shape[0])))
         grads[i][0] += np.matmul(left.T, g, out=empty(w.shape))
-        if tanh:
-            pulled[i] = np.multiply(g_left, products[i], out=empty(g_left.shape))
-            pulled[i] *= -2.0
-            pulled[i] *= acts[i]
-            g_left *= derivs[i]
+        pulled[i] = np.multiply(g_left, products[i], out=empty(g_left.shape))
+        pulled[i] *= -2.0
+        pulled[i] *= acts[i]
+        g_left *= derivs[i]
         g = g_left
     grads[-1][0] += np.matmul(one_hot.T, g, out=empty(layers[-1][0].shape))
-    if not (tanh and n > 1):
+    if n == 1:
         return None
-    return _sweep(spec, layers, x, acts, n - 2, pulled[-1], grads, need_x, empty,
-                  pulled, derivs)
+    return _sweep(layers, x, acts, n - 2, pulled[-1], grads, need_x, empty, pulled, derivs)
 
 
-def _sweep(spec, layers, x, acts, top, g, grads, need_x, empty, pulled=None, derivs=None):
+def _sweep(layers, x, acts, top, g, grads, need_x, empty, pulled=None, derivs=None):
     """Reverse sweep of the forward pass from layer ``top`` down, ``g`` the
     costate of that layer's output; ``pulled`` adds the costates that reach
     the hidden outputs from elsewhere."""
     for i in range(top, -1, -1):
         w = layers[i][0]
-        if i < len(acts) and spec.activation == "tanh":
+        if i < len(acts):
             m = derivs[i] if derivs is not None else 1.0 - acts[i] * acts[i]
             g = np.multiply(g, m, out=g if i < top else empty(g.shape))
         grads[i][0] += np.matmul(g.T, acts[i - 1] if i else x, out=empty(w.shape))
@@ -277,7 +262,6 @@ def grad_inputs(spec, params, x, output_index=0):
 
 
 __all__ = [
-    "ACTIVATIONS",
     "DenseNetSpec",
     "layer_shapes",
     "param_count",

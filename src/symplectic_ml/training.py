@@ -283,16 +283,18 @@ def train(config, dataset):
         adam.lr = config.lr * (config.lr_decay ** epoch)
         perm = shuffle_rng.permutation(train_idx.size)
         total = 0.0
-        for s in range(0, train_idx.size, config.batch_size):
-            batch = train_idx[perm[s : s + config.batch_size]]
-            theta_t = Tensor(theta, requires_grad=True)
-            loss = loss_graph(theta_t, batch)
-            grad = nets.grad_params_through(loss, theta_t)
-            grad = clip_gradient(grad, config.grad_clip)
-            adam, theta = adam_step(adam, theta, grad)
-            total += loss.item() * batch.size
-        train_losses.append(total / train_idx.size)
-        val_losses.append(_eval_loss(loss_graph, theta, val_idx))
+        # a diverging run overflows on its way out; the checks below report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, train_idx.size, config.batch_size):
+                batch = train_idx[perm[s : s + config.batch_size]]
+                theta_t = Tensor(theta, requires_grad=True)
+                loss = loss_graph(theta_t, batch)
+                grad = nets.grad_params_through(loss, theta_t)
+                grad = clip_gradient(grad, config.grad_clip)
+                adam, theta = adam_step(adam, theta, grad)
+                total += loss.item() * batch.size
+            train_losses.append(total / train_idx.size)
+            val_losses.append(_eval_loss(loss_graph, theta, val_idx))
         if not np.isfinite(val_losses[-1]):
             raise DivergedTraining(
                 f"validation loss became non-finite at epoch {epoch + 1}"

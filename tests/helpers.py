@@ -154,9 +154,9 @@ def separable_gradients(model, pot):
 
 
 def linear_separable(k_w, v_w):
-    """A separable model whose K and V are linear, identity-activated nets:
+    """A separable model whose K and V are linear nets, with no hidden layer:
     grad K = ``k_w`` and grad V = ``v_w`` everywhere."""
-    spec = nets.DenseNetSpec((2, 1), activation="identity")
+    spec = nets.DenseNetSpec((2, 1))
     params = np.concatenate([nets.flatten_params([(np.array([w], dtype=float), np.zeros(1))])
                              for w in (k_w, v_w)])
     return models.SeparableModel(kinetic_spec=spec, potential_spec=spec, params=params)
@@ -187,6 +187,12 @@ def constant_trajectory(row, n, dt=0.1, params=None):
     params = params or PotentialParams.single(0.0)
     data = np.tile(np.asarray(row, dtype=np.float64), (n, 1))
     return Trajectory(dt=dt, data=data, params=params)
+
+
+def tanh_ids(name, cases):
+    """Parametrize ids ``<name><i>-tanh``, one per case: each case is a tanh
+    net, and its id names the activation."""
+    return [f"{name}{i}-tanh" for i in range(len(cases))]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +400,7 @@ def taped_value_and_input_gradient(spec, layers, x, output_index=0):
     acts, h = [], _t(x)
     for w, b in layers[:-1]:
         z = linear(h, w, b)
-        h = tanh(z) if spec.activation == "tanh" else z
+        h = tanh(z)
         acts.append(h)
     out = linear(h, *layers[-1])
     seed = np.zeros((x.shape[0], spec.n_outputs))
@@ -402,8 +408,7 @@ def taped_value_and_input_gradient(spec, layers, x, output_index=0):
     g = Tensor(seed)
     for (w, _), h in zip(reversed(layers[1:]), reversed(acts)):
         g = matmul(g, w)
-        if spec.activation == "tanh":
-            g = mul(g, one_minus_sq(h))
+        g = mul(g, one_minus_sq(h))
     return out, matmul(g, layers[0][0])
 
 

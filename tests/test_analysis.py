@@ -418,6 +418,13 @@ def test_nonfinite_flow_raises():
                          dt=0.1, n_steps=10)
 
 
+def test_an_exponent_that_overflows_raises():
+    # a span of 1e-319 time units: log growth over it overflows float64
+    with pytest.raises(DegenerateR, match="not finite"):
+        lyapunov_spectra(HH_FIELD, np.array([0.1, 0.0, 0.0, 0.3]), COUPLED,
+                         dt=1e-320, n_steps=10, renorm_interval=1e-320)
+
+
 def test_uninterpretable_flow_raises_type_error():
     with pytest.raises(TypeError):
         lyapunov_spectra(42, np.zeros(4) + 0.1, FREE, dt=0.1, n_steps=10)

@@ -250,6 +250,15 @@ def test_unknown_activation():
         model_from_checkpoint(doc)
 
 
+@pytest.mark.parametrize("build", [_hnn, _separable, _baseline])
+def test_a_dense_net_is_tanh_and_the_identity_is_rejected(build):
+    doc = build_checkpoint(build())
+    assert doc["activation"] == "tanh"
+    doc["activation"] = "identity"
+    with pytest.raises(CorruptRecord, match="activation must be 'tanh', got 'identity'"):
+        model_from_checkpoint(doc)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(CorruptRecord):
         load_checkpoint(tmp_path / "nothing.json")

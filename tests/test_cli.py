@@ -356,6 +356,19 @@ def test_train_param_channels_must_match_the_dataset(ws, data_dir, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["baseline", "hnn", "asrnn", "encoder"])
+def test_diverging_training_exits_2_with_one_line(ws, data_dir, capsys, model):
+    # the run overflows on its way out; numpy's warnings stay quiet, and
+    # under this suite's warnings-as-errors would escape as a traceback
+    out = ws / f"diverging-{model}.json"
+    rc = cli.main(["train", "--out", str(out), "--model", model, "--dataset", str(data_dir),
+                   "--set", "lr=1e300", "--set", "epochs=2", "--set", "hidden=[8]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DivergedTraining: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_train_rejects_bad_config_value(ws, data_dir, capsys):
     rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "hnn",
                    "--dataset", str(data_dir), "--set", "epochs=0"])
@@ -539,7 +552,7 @@ def test_predict_of_a_diverging_learned_model_exits_2(tmp_path, capsys, k_w, v_w
 
 def test_predict_of_a_diverging_baseline_exits_2(tmp_path, capsys):
     # dq_x/dt = 100 everywhere: the first RK4 step of 1 leaves |q| <= 10
-    spec = nets.DenseNetSpec((4, 4), activation="identity")
+    spec = nets.DenseNetSpec((4, 4))
     ckpt, out = tmp_path / "baseline.json", tmp_path / "x.csv"
     save_checkpoint(models.BaselineModel(spec=spec, params=nets.flatten_params(
         [(np.zeros((4, 4)), np.array([100.0, 0.0, 0.0, 0.0]))])), ckpt)
@@ -548,6 +561,21 @@ def test_predict_of_a_diverging_baseline_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == ("error: IntegrationDiverged: diverged at step 1: "
                                        "position left the bounded regime (|q| > 10.0)\n")
+    assert not out.exists()
+
+
+def test_a_checkpoint_declaring_the_identity_activation_exits_2(tmp_path, capsys):
+    ckpt, out = tmp_path / "identity.json", tmp_path / "x.csv"
+    save_checkpoint(linear_separable([1.0, 0.0], [0.0, 1.0]), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["activation"] = "identity"
+    ckpt.write_text(json.dumps(doc))
+    rc = cli.main(["predict", "--out", str(out), "--checkpoint", str(ckpt), "--alpha", "1",
+                   "--ic", "0,0,0,0", "--steps", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: CorruptRecord: checkpoint is structurally invalid: a dense net's "
+        "activation must be 'tanh', got 'identity'\n")
     assert not out.exists()
 
 
@@ -676,15 +704,22 @@ def test_a_request_beyond_numpys_index_range_exits_2(ws, request, capsys, ckpt, 
     assert not (ws / "too-big").exists()
 
 
-@pytest.mark.parametrize("command", ["predict", "poincare"])
-def test_an_analytic_orbit_beyond_numpys_index_range_exits_2_at_once(tmp_path, command):
-    # the orbit's array is sized before the first step, so the request fails at
-    # once; a subprocess with a timeout keeps a hang from stalling the suite
+_TOO_BIG_ORBIT = ["--alpha", "0.5", "--energy", "1/12", "--steps", "10" + "0" * 17]
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", *_TOO_BIG_ORBIT],
+    ["poincare", *_TOO_BIG_ORBIT],
+    ["generate", "--n-per-cell", "1" + "0" * 20],
+], ids=lambda argv: argv[0])
+def test_an_analytic_orbit_beyond_numpys_index_range_exits_2_at_once(tmp_path, argv):
+    # the orbit's, or the dataset's, array is sized before the first step or
+    # sample, so the request fails at once; a subprocess with a timeout keeps
+    # a hang from stalling the suite
     out = tmp_path / "too-big.csv"
     src = Path(cli.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "symplectic_ml.cli", command, "--alpha", "0.5",
-         "--energy", "1/12", "--steps", "10" + "0" * 17, "--out", str(out)],
+        [sys.executable, "-m", "symplectic_ml.cli", *argv, "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=5)
     assert proc.returncode == 2
@@ -767,6 +802,18 @@ def test_lyapunov_escaping_orbit_reports_only_the_structured_error(ws, capsys):
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == (
         "error: DegenerateR: flow produced non-finite probe rows\n")
+    assert not out.exists()
+
+
+def test_lyapunov_with_an_overflowing_exponent_exits_2(ws, capsys):
+    # ten steps of 1e-320 span 1e-319 time units, and the log growth
+    # divided by that overflows
+    out = ws / "lyap-overflow.csv"
+    rc = cli.main(["lyapunov", "--alphas", "1", "--energy", "1/8", "--dt", "1e-320",
+                   "--renorm", "1e-320", "--steps", "10", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: DegenerateR: an exponent is not finite over a span of 1e-319 time units\n")
     assert not out.exists()
 
 
@@ -1147,13 +1194,18 @@ def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
                      "--transient", "2"]) == 0
     assert cli.main(["predict", *rollout]) == 0
     assert cli.main(["predict", "--checkpoint", str(asrnn_ckpt), *rollout]) == 0
+    assert cli.main(["eval-energy", "--checkpoint", str(asrnn_ckpt), *rollout]) == 0
     assert cli.main(lyap) == 0
     assert cli.main([*lyap, "--checkpoint", str(asrnn_ckpt)]) == 0
 
-    (args, _), = calls["symplectic_ml.models.integrate"]
-    assert args[2] == 30 and isinstance(args[3], SeparableModel)
+    # every rollout, analytic or learned, steps through models.rollout; only
+    # eval-energy's reference orbit calls integrate from the cli
+    (analytic, _), (learned, _), (evaluated, _) = calls["symplectic_ml.models.integrate"]
+    assert analytic[2] == 30 and analytic[3] is HH_FIELD
+    for args in (learned, evaluated):
+        assert args[2] == 30 and isinstance(args[3], SeparableModel)
     (args, _), = calls["symplectic_ml.cli.integrate"]
-    assert args[2] == 30 and args[3] is HH_FIELD
+    assert args[2] == 30 * 100 and args[3] is HH_FIELD
     args, _ = calls["symplectic_ml.datapipe.integrate_batch"][0]
     assert args[0].shape == (2, 4) and isinstance(args[4], int)
     # one batched call per chunk of grid points, each seed with its own couplings

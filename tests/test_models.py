@@ -141,7 +141,7 @@ def test_fixed_kinetic_ignores_kinetic_spec_params():
 
 def test_linear_energy_gives_constant_derivatives():
     # H = a*q_x + b*q_y + c*p_x + d*p_y + e  =>  dq/dt = (c, d), dp/dt = (-a, -b)
-    spec = DenseNetSpec((4, 1), activation="identity")
+    spec = DenseNetSpec((4, 1))
     w = np.array([[0.7, -0.3, 1.5, 0.25]])
     model = HnnModel(spec=spec, params=flatten_params([(w, np.array([2.0]))]))
     qdot, pdot = _derivatives(model, PhaseState(q=[0.1, 0.2], p=[0.3, 0.4]), POT)
@@ -241,7 +241,7 @@ def test_hnn_loss_rejects_empty_batch():
 
 
 def test_linear_potential_gradient_is_constant_row():
-    v_spec = DenseNetSpec((2, 1), activation="identity")
+    v_spec = DenseNetSpec((2, 1))
     w = np.array([[0.4, -1.1]])
     k_spec = DenseNetSpec((2, 4, 1))
     model = SeparableModel(
@@ -257,7 +257,7 @@ def test_linear_potential_gradient_is_constant_row():
 
 
 def test_adaptable_potential_gradient_drops_channel_column():
-    v_spec = DenseNetSpec((3, 1), activation="identity")
+    v_spec = DenseNetSpec((3, 1))
     w = np.array([[0.4, -1.1, 9.9]])
     model = SeparableModel(
         kinetic_spec=DenseNetSpec((2, 4, 1)),
@@ -615,45 +615,40 @@ def _diverging_start(fixed_kinetic, length):
     return [10.5, 0.0, 0.0, 0.0]
 
 
-# (hidden, activation, fixed_kinetic, channels, window length, batch, diverged)
-_SRNN_CASES = [
-    ((), "tanh", False, 1, 11, 3, 0),
-    ((6,), "tanh", False, 1, 11, 3, 0),
-    ((6, 6), "tanh", False, 1, 11, 3, 0),
-    ((4, 5, 6), "tanh", False, 1, 11, 3, 0),
-    ((), "identity", False, 1, 11, 3, 0),
-    ((6,), "identity", False, 1, 11, 3, 0),
-    ((4, 5, 6), "identity", True, 1, 11, 3, 0),
-    ((6, 6), "tanh", False, 0, 11, 3, 0),
-    ((6, 6), "tanh", False, 2, 11, 3, 0),
-    ((6, 6), "tanh", True, 0, 11, 3, 0),
-    ((6, 6), "tanh", True, 2, 2, 3, 0),
-    ((6, 6), "identity", True, 2, 2, 3, 0),
-    ((6, 6), "tanh", False, 1, 2, 3, 0),
-    ((6, 6), "tanh", False, 1, 11, 1, 0),
-    ((6, 6), "tanh", False, 1, 11, 1, 1),
-    ((6, 6), "tanh", False, 1, 11, 3, 1),
-    ((6, 6), "tanh", True, 1, 11, 3, 2),
-    ((6, 6), "identity", False, 0, 11, 3, 2),
-    ((6, 6), "tanh", False, 1, 11, 100, 0),
-    ((6, 6), "tanh", True, 2, 11, 100, 1),
-    ((6, 6), "tanh", False, 1, 11, 100, 30),
-    ((6,), "identity", True, 2, 2, 100, 30),
-    ((16, 16), "tanh", False, 1, 11, 128, 0),
-    ((16, 16), "tanh", False, 1, 11, 128, 1),
-    ((4, 5, 6), "tanh", True, 2, 11, 128, 50),
-    ((), "identity", False, 0, 2, 128, 50),
-]
+# case number: (hidden, fixed_kinetic, channels, window length, batch, diverged);
+# a case's id is hidden<number>-tanh-<values>, so the numbers, gaps and all,
+# keep each id stable
+_SRNN_CASES = {
+    0: ((), False, 1, 11, 3, 0),
+    1: ((6,), False, 1, 11, 3, 0),
+    2: ((6, 6), False, 1, 11, 3, 0),
+    3: ((4, 5, 6), False, 1, 11, 3, 0),
+    7: ((6, 6), False, 0, 11, 3, 0),
+    8: ((6, 6), False, 2, 11, 3, 0),
+    9: ((6, 6), True, 0, 11, 3, 0),
+    10: ((6, 6), True, 2, 2, 3, 0),
+    12: ((6, 6), False, 1, 2, 3, 0),
+    13: ((6, 6), False, 1, 11, 1, 0),
+    14: ((6, 6), False, 1, 11, 1, 1),
+    15: ((6, 6), False, 1, 11, 3, 1),
+    16: ((6, 6), True, 1, 11, 3, 2),
+    18: ((6, 6), False, 1, 11, 100, 0),
+    19: ((6, 6), True, 2, 11, 100, 1),
+    20: ((6, 6), False, 1, 11, 100, 30),
+    22: ((16, 16), False, 1, 11, 128, 0),
+    23: ((16, 16), False, 1, 11, 128, 1),
+    24: ((4, 5, 6), True, 2, 11, 128, 50),
+    25: ((), False, 0, 2, 128, 50),
+}
 
 
-@pytest.mark.parametrize("hidden,activation,fixed,channels,length,batch,n_div", _SRNN_CASES)
-def test_rollout_loss_matches_tape_bit_for_bit(hidden, activation, fixed, channels, length,
-                                              batch, n_div):
+@pytest.mark.parametrize(
+    "hidden,fixed,channels,length,batch,n_div", _SRNN_CASES.values(),
+    ids=[f"hidden{i}-tanh-" + "-".join(map(str, case[1:])) for i, case in _SRNN_CASES.items()])
+def test_rollout_loss_matches_tape_bit_for_bit(hidden, fixed, channels, length, batch, n_div):
     model = _separable(k_sizes=(2, *hidden, 1), v_sizes=(2 + channels, *hidden, 1),
                        seed=batch + length + len(hidden), scale=0.3, fixed_kinetic=fixed,
                        adaptable=channels > 0, param_channels=channels)
-    model.kinetic_spec = DenseNetSpec(model.kinetic_spec.layer_sizes, activation)
-    model.potential_spec = DenseNetSpec(model.potential_spec.layer_sizes, activation)
     rng = np.random.default_rng(batch * length)
     windows = rng.uniform(-0.5, 0.5, size=(batch, length, 4))
     windows[rng.permutation(batch)[:n_div], 0] = _diverging_start(fixed, length)
@@ -702,16 +697,18 @@ def test_array_pool_keeps_only_shapes_in_use():
     assert pool.take((5, 2)) is not b
 
 
+_DERIVATIVE_HIDDEN = [(), (6,), (6, 6), (4, 5, 6)]
+
+
 @pytest.mark.parametrize("kind", ["hnn", "baseline"])
-@pytest.mark.parametrize("activation", ["tanh", "identity"])
-@pytest.mark.parametrize("hidden", [(), (6,), (6, 6), (4, 5, 6)])
-def test_derivative_losses_match_tape_bit_for_bit(kind, activation, hidden):
+@pytest.mark.parametrize("hidden", _DERIVATIVE_HIDDEN,
+                         ids=H.tanh_ids("hidden", _DERIVATIVE_HIDDEN))
+def test_derivative_losses_match_tape_bit_for_bit(kind, hidden):
     node, taped = {"hnn": (models._hnn_loss_graph, H.taped_hnn_loss),
                    "baseline": (models._baseline_loss_graph, H.taped_baseline_loss)}[kind]
     for channels in (0, 1, 2):
         for batch in (1, 3, 100, 128):
-            spec = DenseNetSpec((4 + channels, *hidden, 1 if kind == "hnn" else 4),
-                                activation)
+            spec = DenseNetSpec((4 + channels, *hidden, 1 if kind == "hnn" else 4))
             rng = np.random.default_rng(batch + 7 * channels)
             theta0 = 0.5 * rng.normal(size=param_count(spec))
             states, derivs = rng.normal(size=(batch, 4)), rng.normal(size=(batch, 4))
@@ -754,7 +751,7 @@ def test_baseline_loss_of_zero_net_is_mean_square_target():
 
 def test_baseline_linear_net_is_exact_on_linear_field():
     # weights hard-coded to the simple-oscillator field dq/dt = p, dp/dt = -q
-    spec = DenseNetSpec((4, 4), activation="identity")
+    spec = DenseNetSpec((4, 4))
     w = np.array([
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
@@ -783,7 +780,7 @@ def test_baseline_loss_gradient_matches_finite_differences():
 
 
 def test_baseline_rollout_single_step_matches_fourth_order_taylor():
-    spec = DenseNetSpec((4, 4), activation="identity")
+    spec = DenseNetSpec((4, 4))
     w = np.array([
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
@@ -805,7 +802,7 @@ def test_baseline_rollout_single_step_matches_fourth_order_taylor():
 
 
 def test_baseline_rollout_reports_divergence_step():
-    spec = DenseNetSpec((4, 4), activation="identity")
+    spec = DenseNetSpec((4, 4))
     w = np.zeros((4, 4))
     model = BaselineModel(spec=spec,
                           params=flatten_params([(w, np.array([100.0, 0.0, 0.0, 0.0]))]))
