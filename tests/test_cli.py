@@ -1135,8 +1135,12 @@ def _stub_work(mp):
     so a valid command costs nothing whatever numbers it was given."""
     state = PhaseState(q=np.array([0.1, 0.0]), p=np.array([0.0, 0.1]))
     mp.setattr(cli.datapipe, "sample_initial_condition", lambda energy, pot, rng: state)
-    mp.setattr(cli, "integrate", lambda state0, dt, n, field, pot, **kw: Trajectory(
-        dt=dt, data=state0.vec()[None, :] * 0.0, params=pot))
+    def integrate(state0, dt, n, field, pot, **kw):
+        return Trajectory(dt=dt, data=state0.vec()[None, :] * 0.0, params=pot)
+
+    # the analytic predict steps through models.rollout, lyapunov through cli
+    mp.setattr(cli, "integrate", integrate)
+    mp.setattr(cli.models, "integrate", integrate)
     mp.setattr(cli.analysis, "lyapunov_spectra",
                lambda flow, states, *a: np.zeros((len(states), 4)))
 
