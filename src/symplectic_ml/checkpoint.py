@@ -79,7 +79,7 @@ def build_checkpoint(model, seed=None, training_config=None, metrics=None):
         "init_scheme": INIT_SCHEME,
         "seed": seed,
         "params_sha256": params_sha256(model.params),
-        "params": [float(x) for x in model.params],
+        "params": model.params.tolist(),
         "training_config": training_config,
         "metrics": metrics,
     }

@@ -28,11 +28,15 @@ Inference (derivatives, energies, rollouts) runs the numpy networks of
 parameter vector (``autodiff.node``): its value and a backward that returns
 the flat gradient.  The rollout loss steps its windows as one (4, B) block,
 in place, through ``dynamics.advance``, keeping each network call's input
-(a fresh copy of the block's rows), activations and chain, the chain only
-what took a matrix product.  Its backward is the discrete adjoint of the
-leapfrog — itself a reverse kick-drift-kick on the costates (Sanz-Serna,
-SIAM Review 58, 2016) — with each call pulled back through
-``nets.input_gradient_vjp``, which rebuilds the call's elementwise terms.
+(a copy of the block's rows), activations and chain, the chain only what
+took a matrix product.  Every learned-force call takes its arrays from
+:class:`Workspace` objects, which hand the same arrays out again pass after
+pass: the bound force's transient one, reset at each call, and in training
+the loss's kept one, reset at each rollout, for what the backward reads.
+The rollout loss's backward is the discrete adjoint of the leapfrog —
+itself a reverse kick-drift-kick on the costates (Sanz-Serna, SIAM Review
+58, 2016) — with each call pulled back through ``nets.input_gradient_vjp``,
+which rebuilds the call's elementwise terms.
 Chen et al. (ICLR 2020) train the same model by backpropagation through the
 unrolled leapfrog, which this reproduces bit for bit; the op-by-op tape it
 is checked against is in the tests.
@@ -214,32 +218,62 @@ class SeparableModel:
     def block_force(self, pot_params):
         """The learned field in the block form ``(grad_v, grad_k)`` of
         ``dynamics.advance``; ``grad_k`` None with a fixed kinetic energy."""
-        k_layers, v_layers = _separable_layers(self, self.params)
-        grad_v = _gradient_block(self.potential_spec, v_layers, _channels(self, pot_params))
-        if self.fixed_kinetic:
-            return grad_v, None
-        return grad_v, _gradient_block(self.kinetic_spec, k_layers)
+        return _bound_force(self, _separable_layers(self, self.params),
+                            _channels(self, pot_params))
 
 
-def _gradient_block(spec, layers, channels=None, record=None, calls=None):
+class Workspace:
+    """Work arrays reused by position from one pass to the next.
+
+    After :meth:`reset`, the k-th :meth:`empty` request returns the array
+    the k-th request got in the previous pass when the shapes agree, and a
+    new array otherwise (after a divergence rerun, or on a short last
+    batch); a reset drops the arrays the previous pass did not request.  An
+    array is valid until the next reset.  Allocated anew at every call,
+    arrays of the acceptance size can go back to the system when freed and
+    have every page faulted in again: a 320-row rollout at hidden
+    (256, 256) took about 16 000 minor faults that way.
+    """
+
+    def __init__(self):
+        self.arrays, self.n_taken = [], 0
+
+    def reset(self):
+        del self.arrays[self.n_taken:]
+        self.n_taken = 0
+
+    def empty(self, shape):
+        k = self.n_taken
+        self.n_taken += 1
+        if k == len(self.arrays):
+            self.arrays.append(np.empty(shape))
+        elif self.arrays[k].shape != shape:
+            self.arrays[k] = np.empty(shape)
+        return self.arrays[k]
+
+
+def _gradient_block(spec, layers, work, channels=None, record=None, calls=None):
     """A scalar net's input gradient as a block binder for
     ``dynamics.advance``: the one path by which every learned force is read.
 
-    Each call copies its (2, B) input block into the first two columns of
-    a fresh (B, n_inputs) input, so a recorded call never holds a view of
-    the block the next step writes.  ``channels`` — a (k,) vector for every
-    row, or a (B, k) block — fills the remaining columns.  With a
-    ``record``, each call appends its input, activations and chain to the
-    record's list ``calls``, in arrays the record supplies, for the
-    rollout's adjoint.
+    Each call resets ``work``, its bound force's transient workspace, and
+    copies its (2, B) input block into the first two columns of a
+    (B, n_inputs) input; ``channels`` — a (k,) vector for every row, or a
+    (B, k) block — fills the remaining columns.  The input, activations and
+    chain come from ``work`` too, unless a ``record`` (a
+    :class:`_CallRecord`) keeps them: then they come from its kept
+    workspace, so a recorded call never holds a view of the block the next
+    step writes, and the call appends them to the record's list ``calls``
+    for the rollout's adjoint.
     """
-    empty = np.empty if record is None else record.empty
+    empty = work.empty if record is None else record.kept.empty
 
     def bind(block, out):
         def call():
+            work.reset()
             x = _with_channels(block.T, channels, empty((block.shape[1], spec.n_inputs)))
             acts = nets.hidden_activations(spec, layers, x, empty)
-            g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty)
+            g, chain = nets.input_gradient(spec, layers, x, acts, empty=empty, work=work.empty)
             if calls is not None:
                 calls.append((x, acts, chain))
             out[...] = g[:, :2].T
@@ -247,6 +281,20 @@ def _gradient_block(spec, layers, channels=None, record=None, calls=None):
         return call
 
     return bind
+
+
+def _bound_force(model, layers, channels, record=None):
+    """``(grad_v, grad_k)`` of a separable ``model`` at ``(K layers, V
+    layers)``: block binders sharing one transient workspace, for they are
+    called one at a time; ``grad_k`` None with a fixed kinetic energy.  A
+    ``record`` receives each V and K call."""
+    k_layers, v_layers = layers
+    work = Workspace()
+    v_calls, k_calls = (None, None) if record is None else (record.v_calls, record.k_calls)
+    grad_v = _gradient_block(model.potential_spec, v_layers, work, channels, record, v_calls)
+    if model.fixed_kinetic:
+        return grad_v, None
+    return grad_v, _gradient_block(model.kinetic_spec, k_layers, work, None, record, k_calls)
 
 
 def _separable_layers(model, flat):
@@ -269,67 +317,14 @@ def conserved_quantity(model, traj, pot_params):
     return k + v
 
 
-class ArrayPool:
-    """Arrays recycled from one training step to the next.
-
-    A rollout node keeps about 16 MB at the acceptance size: for each of a
-    window-11 loss's 21 network calls at batch 128, hidden (256, 256), its
-    input, two activations and one product ``g @ W``.  Freed all at once
-    after each backward, that memory goes back to the system and the next
-    step faults every page in again, which cost more than the node saved.
-    Borrowed from a pool through a lease, the arrays are allocated once per
-    run.
-    """
-
-    def __init__(self):
-        self._free, self._taken = {}, set()
-
-    def take(self, shape):
-        self._taken.add(shape)
-        stack = self._free.get(shape)
-        return stack.pop() if stack else np.empty(shape)
-
-    def give_back(self, arrays):
-        for a in arrays:
-            self._free.setdefault(a.shape, []).append(a)
-
-    def prune(self):
-        """Drop the kept arrays of shapes not taken since the last prune."""
-        self._free = {s: v for s, v in self._free.items() if s in self._taken}
-        self._taken = set()
-
-
-class _Lease:
-    """Arrays borrowed from ``pool`` (plain new arrays without one), all
-    handed back by ``release``, after which they must not be read."""
-
-    def __init__(self, pool=None):
-        self.pool, self._lent = pool, []
-
-    def empty(self, shape):
-        a = np.empty(shape) if self.pool is None else self.pool.take(shape)
-        self._lent.append(a)
-        return a
-
-    def release(self):
-        if self.pool is not None:
-            self.pool.give_back(self._lent)
-        self._lent = []
-
-
-class _CallRecord(_Lease):
+class _CallRecord:
     """The V and K gradient calls of one training rollout in time order;
-    their arrays are borrowed through this lease."""
+    their inputs, activations and chains live in the workspace ``kept``,
+    which a new record resets."""
 
-    def __init__(self, pool=None):
-        super().__init__(pool)
-        self.v_calls, self.k_calls = [], []
-
-    def release(self):
-        self.v_calls, self.k_calls = [], []
-        super().release()
-        if self.pool is not None:
-            self.pool.prune()
+    def __init__(self, kept):
+        kept.reset()
+        self.kept, self.v_calls, self.k_calls = kept, [], []
 
 
 def _window_rollout(model, layers, starts, channels, dt, n_steps, record=None):
@@ -338,11 +333,7 @@ def _window_rollout(model, layers, starts, channels, dt, n_steps, record=None):
     A ``_CallRecord`` receives each V and K gradient call for
     :func:`_rollout_adjoint`.
     """
-    k_layers, v_layers = layers
-    v_calls, k_calls = (None, None) if record is None else (record.v_calls, record.k_calls)
-    grad_v = _gradient_block(model.potential_spec, v_layers, channels, record, v_calls)
-    grad_k = (None if model.fixed_kinetic
-              else _gradient_block(model.kinetic_spec, k_layers, None, record, k_calls))
+    grad_v, grad_k = _bound_force(model, layers, channels, record)
     block = starts.T.copy()
     states = np.empty((n_steps + 1,) + block.shape)
     states[0] = block
@@ -350,7 +341,7 @@ def _window_rollout(model, layers, starts, channels, dt, n_steps, record=None):
     return np.ascontiguousarray(states.transpose(2, 0, 1))
 
 
-def _rollout_adjoint(model, layers, record, resid, scale, dt):
+def _rollout_adjoint(model, layers, record, resid, scale, dt, scratch):
     """Flat parameter gradient of the window loss by the discrete adjoint of
     the leapfrog: a reverse kick-drift-kick on the costates of (q, p).
 
@@ -360,27 +351,25 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt):
     the costate of the position or momentum the call read.  The sums keep
     the order of the op-by-op tape, so the gradient is bit-identical to it:
     the position costate adds the target's term, the next position's and
-    then V's; the calls accumulate newest first when each gradient depends
-    on the state (V has a hidden layer), and oldest first otherwise.
+    then V's.  The rule is per net: a call of a net with a hidden layer is
+    pulled as the sweep reaches it, newest first, each pull's temporaries in
+    the workspace ``scratch``, which it resets; a linear net's input
+    gradient does not depend on its input, so its H·u is zero, and its calls
+    are pulled after the sweep, oldest first.
     """
     k_layers, v_layers = layers
     v_calls, k_calls = record.v_calls, record.k_calls
     n_v_inputs = model.potential_spec.n_inputs
     grad = np.zeros(model.param_count())
     k_grads, v_grads = _separable_layers(model, grad)
-    coupled = len(v_layers) > 1
     deferred = []
 
     def pull(net_layers, call, u, grads, need_x=True):
-        if not coupled:
+        if len(net_layers) == 1:
             deferred.append((net_layers, call, u, grads))
             return None
-        scratch = _Lease(record.pool)
-        x, acts, chain = call
-        hu = nets.input_gradient_vjp(net_layers, x, acts, chain, u, grads, need_x,
-                                     scratch.empty)
-        scratch.release()
-        return hu
+        scratch.reset()
+        return nets.input_gradient_vjp(net_layers, *call, u, grads, need_x, scratch.empty)
 
     def padded(g):  # V's gradient output costate, zero in the channel columns
         if n_v_inputs == 2:
@@ -412,8 +401,8 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt):
             lam_h = g_p if hk is None else g_p + hk
         lam_q = g_q
     pull(v_layers, v_calls[0], padded(-half * lam_h), v_grads, need_x=False)
-    for net_layers, (x, acts, chain), u, grads in reversed(deferred):
-        nets.input_gradient_vjp(net_layers, x, acts, chain, u, grads, need_x=False)
+    for net_layers, call, u, grads in reversed(deferred):
+        nets.input_gradient_vjp(net_layers, *call, u, grads, need_x=False)
     return grad
 
 
@@ -438,7 +427,7 @@ def srnn_loss(model, window, pot_params, dt):
 DIVERGENCE_PENALTY = 1e6
 
 
-def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
+def _srnn_loss_graph(model, theta, windows, channels, dt, kept=None, scratch=None):
     """Batched rollout loss as one node on ``theta``.  ``windows`` is
     (B, L, 4).
 
@@ -449,9 +438,11 @@ def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
     and gradient of the finite rows are those of a batch without them.  The
     loss sums each step's squared position and momentum errors in time
     order; training and validation read the same value.  The node's
-    backward is :func:`_rollout_adjoint`; ``pool``, an :class:`ArrayPool`,
-    lends the arrays that keep the activations between forward and
-    backward.  Returns (loss, n_diverged).
+    backward is :func:`_rollout_adjoint`.  Two workspaces (new ones when not
+    given) hold its arrays: ``kept``, reset at each recorded rollout, the
+    record the backward reads; ``scratch``, reset at each adjoint pull, that
+    pull's temporaries.  Passed from one step to the next, they are
+    allocated once per run.  Returns (loss, n_diverged).
     """
     b, length, _ = windows.shape
     if b == 0:
@@ -459,9 +450,11 @@ def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
     n_steps = length - 1
     layers = _separable_layers(model, theta.data)
     chan = None if channels is None else np.asarray(channels, dtype=np.float64)
+    kept = Workspace() if kept is None else kept
+    scratch = Workspace() if scratch is None else scratch
 
     def rollout(rows):
-        record = _CallRecord(pool) if theta.requires_grad else None
+        record = _CallRecord(kept) if theta.requires_grad else None
         with np.errstate(over="ignore", invalid="ignore"):
             pred = _window_rollout(model, layers, windows[rows, 0],
                                    None if chan is None else chan[rows], dt, n_steps, record)
@@ -481,8 +474,6 @@ def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
     if idx.size == 0:
         return Tensor(penalty / b), n_diverged
     if n_diverged:
-        if record is not None:
-            record.release()
         pred, record = rollout(idx)
     resid = pred - windows[idx]
     total = None
@@ -496,9 +487,7 @@ def _srnn_loss_graph(model, theta, windows, channels, dt, pool=None):
         value = value + penalty / b
 
     def backward(g_out):
-        grad = _rollout_adjoint(model, layers, record, resid, g_out * c * 2.0, dt)
-        record.release()
-        return grad
+        return _rollout_adjoint(model, layers, record, resid, g_out * c * 2.0, dt, scratch)
 
     return ad.node(value, theta, backward), n_diverged
 

@@ -136,7 +136,7 @@ def numpy_forward(spec, layers, x, acts=None):
     return (acts[-1] if acts else x) @ w.T + b
 
 
-def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty):
+def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty, work=np.empty):
     """Gradient of one output component in the inputs, (batch, n_inputs),
     and the chain that :func:`input_gradient_vjp` reads.
 
@@ -144,8 +144,9 @@ def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty):
     ``g @ W`` times the activation derivative ``1 - h*h``.  The chain keeps
     only what took a matrix product: the one-hot row and, per hidden layer,
     the product ``g @ W``; ``empty(shape)`` supplies the products below the
-    top hidden layer.  Each derivative, and the left operand it makes, is
-    written into a transient array that :func:`input_gradient_vjp` rebuilds.
+    top hidden layer.  ``work(shape)`` supplies the transient arrays: each
+    derivative, with the left operand it makes, which
+    :func:`input_gradient_vjp` rebuilds, and the returned gradient.
     """
     n = len(layers)
     one_hot = np.zeros((x.shape[0], spec.n_outputs))
@@ -159,9 +160,9 @@ def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty):
         else:
             g = w[output_index]  # the one-hot row times w, bit for bit
         products[i] = g
-        m = _tanh_derivative(acts[i], np.empty(acts[i].shape))
+        m = _tanh_derivative(acts[i], work(acts[i].shape))
         g = np.multiply(g, m, out=m)
-    return g @ layers[0][0], (one_hot, products)
+    return np.matmul(g, layers[0][0], out=work(x.shape)), (one_hot, products)
 
 
 def _tanh_derivative(h, out):

@@ -222,12 +222,12 @@ def _build_problem(config, dataset):
             adaptable=config.adaptable, param_channels=k,
             fixed_kinetic=config.fixed_kinetic,
         )
-        pool = models.ArrayPool()
+        kept, scratch = models.Workspace(), models.Workspace()
 
         def loss_graph(theta, idx):
             loss, _ = models._srnn_loss_graph(
                 template, theta, wins.windows[idx],
-                None if chan is None else chan[idx], wins.dt, pool=pool)
+                None if chan is None else chan[idx], wins.dt, kept, scratch)
             return loss
 
     else:

@@ -1,6 +1,8 @@
 """Learned-dynamics models: energy-surrogate derivatives, separable rollouts
 with the divergence penalty, and the unstructured baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from symplectic_ml.dynamics import (
     ORBIT_CHUNK,
     PhaseState,
     PotentialParams,
+    advance,
     integrate,
 )
 from symplectic_ml.errors import (
@@ -562,7 +565,7 @@ def test_recorded_rollout_calls_never_hold_a_view_of_the_block(monkeypatch, fixe
 
     monkeypatch.setattr(models, "advance", spy)
     windows = _finite_and_diverged_batches()["finite"]
-    record = models._CallRecord()
+    record = models._CallRecord(models.Workspace())
     models._window_rollout(model, models._separable_layers(model, model.params),
                            windows[:, 0], None, 0.1, 4, record)
     (block,) = blocks
@@ -582,7 +585,8 @@ def test_rollout_record_keeps_activations_and_products_only(hidden, fixed_kineti
                        fixed_kinetic=fixed_kinetic)
     batch, n_steps = 6, 4
     starts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(batch, 4))
-    record = models._CallRecord()
+    kept = models.Workspace()
+    record = models._CallRecord(kept)
     models._window_rollout(model, models._separable_layers(model, model.params),
                            starts, np.full((batch, 1), 0.7), 0.1, n_steps, record)
     n_v, n_k = n_steps + 1, 0 if fixed_kinetic else n_steps
@@ -591,8 +595,8 @@ def test_rollout_record_keeps_activations_and_products_only(hidden, fixed_kineti
     def per_call(n_inputs):
         return batch * 8 * (n_inputs + sum(hidden) + sum(hidden[:-1]))
 
-    assert len(record._lent) == (n_v + n_k) * 2 * len(hidden)
-    assert sum(a.nbytes for a in record._lent) == n_v * per_call(3) + n_k * per_call(2)
+    assert len(kept.arrays) == (n_v + n_k) * 2 * len(hidden)
+    assert sum(a.nbytes for a in kept.arrays) == n_v * per_call(3) + n_k * per_call(2)
 
 
 @pytest.mark.parametrize("batch", ["finite", "diverged"])
@@ -665,20 +669,21 @@ def test_rollout_loss_matches_tape_bit_for_bit(hidden, fixed, channels, length, 
     assert n_div == batch or np.any(grad != 0.0)
 
 
-def test_pooled_steps_match_unpooled_bit_for_bit():
-    # one pool across steps that reuse its arrays, rerun after divergence
-    # and change the batch size; a reused array read too late would show
+def test_reused_workspaces_match_fresh_arrays_bit_for_bit():
+    # one pair of workspaces across steps that reuse their arrays, rerun
+    # after divergence and change the batch size; a reused array read too
+    # late would show
     model = _separable(k_sizes=(2, 8, 8, 1), v_sizes=(3, 8, 8, 1), seed=40, scale=0.3,
                        adaptable=True, param_channels=1)
     rng = np.random.default_rng(41)
-    pool = models.ArrayPool()
+    reused = {"kept": models.Workspace(), "scratch": models.Workspace()}
     for step, (batch, n_div) in enumerate([(6, 0), (6, 0), (6, 2), (4, 0), (6, 0)]):
         windows = rng.uniform(-0.5, 0.5, size=(batch, 11, 4))
         windows[:n_div, 0] = [10.5, 0.0, 0.0, 0.0]
         chan = rng.uniform(0.2, 1.0, size=(batch, 1))
         params = model.params + 0.01 * step
         results = []
-        for kw in ({"pool": pool}, {}):
+        for kw in (reused, {}):
             theta = Tensor(params.copy(), requires_grad=True)
             loss, _ = models._srnn_loss_graph(model, theta, windows, chan, 0.1, **kw)
             grad = ad.grad_params_through(loss, theta)
@@ -686,15 +691,66 @@ def test_pooled_steps_match_unpooled_bit_for_bit():
         assert results[0] == results[1], step
 
 
-def test_array_pool_keeps_only_shapes_in_use():
-    pool = models.ArrayPool()
-    a, b = pool.take((3, 2)), pool.take((5, 2))
-    pool.give_back([a, b])
-    pool.prune()
-    assert pool.take((3, 2)) is a
-    pool.give_back([a])
-    pool.prune()  # (5, 2) was not taken since the last prune
-    assert pool.take((5, 2)) is not b
+def test_workspace_reuses_arrays_by_position():
+    work = models.Workspace()
+    a, b = work.empty((3, 2)), work.empty((5, 2))
+    work.reset()
+    assert work.empty((3, 2)) is a and work.empty((5, 2)) is b
+    work.reset()
+    c = work.empty((4, 2))  # a shape change gives a new array
+    assert c is not a and c.shape == (4, 2)
+    work.reset()  # the last pass did not request (5, 2): dropped
+    assert work.empty((4, 2)) is c
+    assert work.empty((5, 2)) is not b
+
+
+def test_an_unrecorded_rollout_reuses_one_shared_workspace(monkeypatch):
+    # a (B, h) array of 128 kB: above numpy's own broadcast buffer, at most 64 kB
+    hidden, batch = (128, 128), 128
+    model = _separable(k_sizes=(2, *hidden, 1), v_sizes=(3, *hidden, 1), seed=42, scale=0.3,
+                       adaptable=True, param_channels=1)
+    pot = PotentialParams.single(0.7)
+    grad_v, grad_k = model.block_force(pot)
+    block = np.random.default_rng(43).uniform(-0.5, 0.5, size=(4, batch))
+    advance(block, 0.01, 1, grad_v, grad_k)  # the first calls allocate
+    tracemalloc.start()
+    try:
+        advance(block, 0.01, 5, grad_v, grad_k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch * hidden[0] * 8  # not one new (B, h) array
+
+    works = []
+    real = models._gradient_block
+
+    def spy(spec, layers, work, *args):
+        works.append(work)
+        return real(spec, layers, work, *args)
+
+    monkeypatch.setattr(models, "_gradient_block", spy)
+    model.block_force(pot)
+    models._window_rollout(model, models._separable_layers(model, model.params),
+                           block.T.copy(), np.full((batch, 1), 0.7), 0.01, 3)
+    assert len(works) == 4 and works[0] is works[1] and works[2] is works[3]
+
+
+@pytest.mark.parametrize("channels", [0, 1, 2])
+@pytest.mark.parametrize("v_hidden", [(), (6,), (6, 6)])
+@pytest.mark.parametrize("k_hidden", [(), (6,), (6, 6), None])  # None: fixed K
+def test_rollout_loss_gradient_matches_finite_differences_for_any_depths(
+        k_hidden, v_hidden, channels):
+    model = _separable(k_sizes=(2, *(k_hidden or ()), 1), v_sizes=(2 + channels, *v_hidden, 1),
+                       seed=44, scale=0.3, fixed_kinetic=k_hidden is None,
+                       adaptable=channels > 0, param_channels=channels)
+    rng = np.random.default_rng(45)
+    windows = rng.uniform(-0.5, 0.5, size=(3, 6, 4))
+    chan = rng.uniform(0.2, 1.0, size=(3, channels)) if channels else None
+
+    def build(theta):
+        return models._srnn_loss_graph(model, theta, windows, chan, 0.1)[0]
+
+    assert param_grad_check(build, model.params.copy()) <= 1e-4
 
 
 _DERIVATIVE_HIDDEN = [(), (6,), (6, 6), (4, 5, 6)]
