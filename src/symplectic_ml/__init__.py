@@ -5,7 +5,8 @@ two-degree-of-freedom oscillator with cubic coupling, train symplectic
 rollout models (and baselines) on them, each loss one node on the flat
 parameters with a closed-form backward, reconstruct hidden coordinates from
 partial observations with an LSTM encoder, and diagnose the results through
-energy drift, Lyapunov spectra, and surface sections.
+energy drift, Lyapunov spectra of any force field, analytic or learned, and
+surface sections.
 """
 
 __version__ = "0.1.0"
@@ -54,19 +55,14 @@ from .models import (
     BaselineModel,
     HnnModel,
     SeparableModel,
-    baseline_loss,
     conserved_quantity,
-    hnn_energy,
-    hnn_loss,
     rollout,
-    srnn_loss,
 )
 from .lstm import (
     EncoderModel,
     ParamEstimate,
     PartialPrediction,
     encode_window,
-    encoder_loss,
     encoder_param_count,
     infer_param_ensemble,
     init_encoder_params,
@@ -95,13 +91,10 @@ from .datapipe import (
 )
 from .checkpoint import build_checkpoint, load_checkpoint, save_checkpoint
 from .analysis import (
-    LyapunovResult,
     SectionPoints,
     boundedness_check,
     energy_drift,
     lyapunov_spectra,
-    lyapunov_spectrum,
-    maximal_lyapunov,
     mean_energy_error,
     poincare_section,
     relative_energy_error,

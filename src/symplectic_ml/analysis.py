@@ -9,18 +9,17 @@ integrator and on learned models.  A flow is a force field — the analytic
 field or a separable model, through ``block_force(params)``, the one form a
 field has — whose probe rows step together as one (4, B) block, in place,
 through ``dynamics.advance``, carrying the force from step to step within
-each interval; or a callable that steps (B, 4) rows once.  A force field may
-give each seed its own couplings: they are repeated over the seed's probe
-rows, so the analytic field and the networks see one coupling pair per row.
+each interval.  Each seed may have its own couplings: they are repeated over
+the seed's probe rows, so the analytic field and the networks see one
+coupling pair per row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ESCAPE_RADIUS, PhaseState, PotentialParams, advance, outside
-from .errors import (DegenerateR, LengthMismatch, ShapeMismatch, SymplecticMlError,
-                     ZeroEnergy)
+from .dynamics import ESCAPE_RADIUS, PotentialParams, advance, outside
+from .errors import DegenerateR, LengthMismatch, ShapeMismatch, ZeroEnergy
 
 FD_EPS = 1e-7
 
@@ -83,20 +82,6 @@ def boundedness_check(traj, radius=ESCAPE_RADIUS):
     return False, int(np.argmax(bad))
 
 
-@dataclass(frozen=True)
-class LyapunovResult:
-    """Estimated spectrum (descending) and the estimation settings."""
-
-    exponents: np.ndarray
-    dt: float
-    n_steps: int
-    renorm_interval: float
-
-    @property
-    def maximal(self):
-        return float(self.exponents[0])
-
-
 def _row_params(params, block):
     """Each seed's couplings repeated over its ``block`` probe rows, as one
     PotentialParams of (rows,) arrays; ``params`` itself when it is one pair
@@ -105,31 +90,6 @@ def _row_params(params, block):
         return params
     return PotentialParams(alpha=np.repeat([p.alpha for p in params], block),
                            beta=np.repeat([p.beta for p in params], block))
-
-
-def _advancer(flow, params, dt, block):
-    """Normalise a flow argument into ``advance(rows, n)``: (B, 4) rows after
-    ``n`` steps."""
-    if hasattr(flow, "block_force"):
-        grad_v, grad_k = flow.block_force(_row_params(params, block))
-
-        def step(rows, n):
-            return advance(rows.T.copy(), dt, n, grad_v, grad_k).T
-
-        return step
-    if callable(flow):
-        if not isinstance(params, PotentialParams):
-            raise SymplecticMlError(
-                "a callable flow steps rows under its own couplings; per-seed "
-                "potential params need a force field")
-
-        def repeat(rows, n):
-            for _ in range(n):
-                rows = flow(rows)
-            return rows
-
-        return repeat
-    raise TypeError(f"cannot interpret {type(flow).__name__} as a flow")
 
 
 def renorm_steps(dt, renorm_interval):
@@ -150,9 +110,9 @@ def _seed_rows(states):
 def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     """Lyapunov spectra of several seeds at once; returns (S, 4) exponents.
 
+    ``flow`` is a force field, an object with ``block_force(params)``;
     ``params`` is one PotentialParams for every seed, or a sequence of one
-    per seed (a force field only: a callable flow raises
-    SymplecticMlError).  ``n_steps`` counts integrator steps; the frame is
+    per seed.  ``n_steps`` counts integrator steps; the frame is
     re-orthonormalised every ``renorm_interval`` time units (at least one
     step).  Intervals that do not fit are dropped.  Raises DegenerateR if a
     probe row turns non-finite, any re-orthonormalisation loses rank, or an
@@ -164,8 +124,10 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     s, d = states0.shape
     if not isinstance(params, PotentialParams) and len(params) != s:
         raise ShapeMismatch(f"got {len(params)} potential params for {s} seeds")
+    if not hasattr(flow, "block_force"):
+        raise TypeError(f"cannot interpret {type(flow).__name__} as a flow")
     block = 1 + 2 * d
-    advance_rows = _advancer(flow, params, dt, block)
+    grad_v, grad_k = flow.block_force(_row_params(params, block))
     interval_steps = renorm_steps(dt, renorm_interval)
     n_intervals = n_steps // interval_steps
     if n_intervals < 1:
@@ -176,7 +138,7 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     for _ in range(n_intervals):
         # an escaping orbit overflows on its way out; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = advance_rows(rows, interval_steps)
+            rows = advance(rows.T.copy(), dt, interval_steps, grad_v, grad_k).T
         if not np.all(np.isfinite(rows)):
             raise DegenerateR("flow produced non-finite probe rows")
         jac = np.empty((s, d, d))
@@ -200,22 +162,6 @@ def lyapunov_spectra(flow, states0, params, dt, n_steps, renorm_interval=1.0):
     if not np.all(np.isfinite(spectra)):
         raise DegenerateR(f"an exponent is not finite over a span of {span!r} time units")
     return -np.sort(-spectra, axis=1)
-
-
-def lyapunov_spectrum(flow, state0, params, dt, n_steps, renorm_interval=1.0):
-    """Full spectrum for a single initial state."""
-    vec = state0.vec() if isinstance(state0, PhaseState) else np.asarray(state0)
-    spectra = lyapunov_spectra(flow, vec[None, :], params, dt, n_steps,
-                               renorm_interval)
-    return LyapunovResult(
-        exponents=spectra[0], dt=dt, n_steps=n_steps,
-        renorm_interval=renorm_interval,
-    )
-
-
-def maximal_lyapunov(flow, state0, params, dt, n_steps, renorm_interval=1.0):
-    return lyapunov_spectrum(flow, state0, params, dt, n_steps,
-                             renorm_interval).maximal
 
 
 @dataclass(frozen=True)

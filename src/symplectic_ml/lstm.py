@@ -17,7 +17,8 @@ and cell states start at zero for every window.
 
 One numpy cell, :func:`lstm_step`, serves training, validation and
 inference.  The training loss on a window batch is one node on the flat
-parameters; its backward runs backpropagation through time in closed form
+parameters, :func:`_encoder_loss_graph`, which training and the tests call
+directly; its backward runs backpropagation through time in closed form
 (Werbos 1990; Hochreiter & Schmidhuber 1997), bit-identical to the same
 cell built op by op on the reference tape of the tests.
 """
@@ -25,12 +26,12 @@ cell built op by op on the reference tape of the tests.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from . import nets
-from .autodiff import Tensor
 from .dynamics import PhaseState, PotentialParams
-from .errors import EmptyBatch, ShapeMismatch, TooShort, WindowLengthMismatch
+from .errors import ShapeMismatch, TooShort, WindowLengthMismatch
 from .models import rollout
 
 INPUT_SIZE = 2
@@ -176,23 +177,14 @@ def encode_window(model, window):
     return out[0], out[1], out[2:].copy()
 
 
-def encoder_loss(model, windows, targets):
-    """Mean over the batch of summed squared output errors.
+def _encoder_loss_graph(model, theta, windows, targets):
+    """Mean over the batch of summed squared output errors, as one node on
+    ``theta``; its backward pulls the head's costate back through
+    :func:`_bptt`.
 
     ``windows`` is (B, window_len, 2); ``targets`` is (B, 2 + param_outputs)
     holding (q_y, p_y, parameters) at each window's last step.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if windows.shape[0] == 0:
-        raise EmptyBatch("encoder loss over an empty batch")
-    theta = Tensor(model.params)
-    return _encoder_loss_graph(model, theta, windows, targets).item()
-
-
-def _encoder_loss_graph(model, theta, windows, targets):
-    """:func:`encoder_loss` as one node on ``theta``; its backward
-    pulls the head's costate back through :func:`_bptt`."""
     if targets.shape != (windows.shape[0], model.n_outputs):
         raise ShapeMismatch(
             f"targets must be ({windows.shape[0]}, {model.n_outputs}), got "
@@ -232,13 +224,13 @@ def infer_param_ensemble(model, observed, stride=1):
     t_total = observed.shape[0]
     if t_total < w:
         raise TooShort(f"need at least {w} observations, got {t_total}")
-    starts = np.arange(0, t_total - w + 1, stride)
-    windows = np.stack([observed[s : s + w] for s in starts])
+    # (windows, w, 2) views of the series, one per start
+    windows = sliding_window_view(observed, w, axis=0)[::stride].transpose(0, 2, 1)
     samples = _encode_graph(model, model.params, windows)[0][:, 2:]
     return ParamEstimate(
         mean=samples.mean(axis=0),
         std=samples.std(axis=0),
-        n_windows=len(starts),
+        n_windows=len(windows),
         samples=samples,
     )
 

@@ -25,11 +25,14 @@ V's input, so K stays parameter-blind — through the one helper
 
 Inference (derivatives, energies, rollouts) runs the numpy networks of
 ``nets``.  Each training loss is one closed-form node on the flat
-parameter vector (``autodiff.node``): its value and a backward that returns
-the flat gradient.  The rollout loss steps its windows as one (4, B) block,
-in place, through ``dynamics.advance``, keeping each network call's input
-(a copy of the block's rows), activations and chain, the chain only what
-took a matrix product.  Every learned-force call takes its arrays from
+parameter vector (``autodiff.node``), one per model kind —
+:func:`_hnn_loss_graph`, :func:`_baseline_loss_graph` and
+:func:`_srnn_loss_graph`, which training and the tests call directly: its
+value and a backward that returns the flat gradient.  The rollout loss
+steps its windows as one (4, B) block, in place, through
+``dynamics.advance``, keeping each network call's input (a copy of the
+block's rows), activations and chain, the chain only what took a matrix
+product.  Every learned-force call takes its arrays from
 :class:`Workspace` objects, which hand the same arrays out again pass after
 pass: the bound force's transient one, reset at each call, and in training
 the loss's kept one, reset at each rollout, for what the backward reads.
@@ -50,7 +53,7 @@ from . import autodiff as ad
 from . import nets
 from .autodiff import Tensor
 from .dynamics import Trajectory, _diverged, advance, integrate, outside, states_array
-from .errors import EmptyBatch, ShapeMismatch, WindowLengthMismatch
+from .errors import EmptyBatch, ShapeMismatch
 
 
 def _check_channels(adaptable, param_channels):
@@ -122,31 +125,15 @@ def _channels(model, pot_params):
     return pot_params.channels(model.param_channels) if model.param_channels else None
 
 
-def hnn_energy(model, states, pot_params):
-    """H values over an (N, 4) block of states."""
-    x = _with_channels(states, _channels(model, pot_params))
-    return nets.forward(model.spec, model.params, x)[:, 0]
-
-
-def hnn_loss(model, states, qdot, pdot, channels=None):
-    """Mean over the batch of the summed squared derivative mismatch.
+def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
+    """Mean over the batch of the summed squared derivative mismatch, as
+    one node on ``theta``; its backward is the second-order VJP of the
+    network's input gradient.
 
     ``states`` is (B, 4); ``qdot``/``pdot`` are the true derivatives (B, 2).
-    ``channels`` is the per-row parameter matrix (B, n_channels) for
-    adaptable models.
+    ``channels`` is the per-row parameter matrix (B, n_channels) that an
+    adaptable net (``param_channels`` > 0) reads.
     """
-    states = np.asarray(states, dtype=np.float64)
-    if states.shape[0] == 0:
-        raise EmptyBatch("hnn_loss over an empty batch")
-    theta = Tensor(model.params)
-    loss = _hnn_loss_graph(model.spec, theta, model.param_channels,
-                           states, qdot, pdot, channels)
-    return loss.item()
-
-
-def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
-    """The derivative-matching loss as one node on ``theta``; its
-    backward is the second-order VJP of the network's input gradient."""
     x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)
@@ -406,24 +393,6 @@ def _rollout_adjoint(model, layers, record, resid, scale, dt, scratch):
     return grad
 
 
-def srnn_loss(model, window, pot_params, dt):
-    """Squared rollout mismatch of one window of states.
-
-    ``window`` is (L, 4): the first row seeds the rollout, the remaining
-    L - 1 rows are targets.  The loss sums squared position and momentum
-    errors over all predicted steps.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != 4 or window.shape[0] < 2:
-        raise WindowLengthMismatch(f"window must be (L>=2, 4), got {window.shape}")
-    theta = Tensor(model.params)
-    chan = _channels(model, pot_params)
-    channels = None if chan is None else chan[None, :]
-    loss, n_diverged = _srnn_loss_graph(
-        model, theta, window[None, :, :], channels, dt)
-    return loss.item()
-
-
 DIVERGENCE_PENALTY = 1e6
 
 
@@ -501,18 +470,9 @@ class BaselineModel(_DenseModel):
         return nets.numpy_forward(self.spec, layers, x)
 
 
-def baseline_loss(model, states, derivs, channels=None):
-    """Mean squared error over batch rows and the four components."""
-    states = np.asarray(states, dtype=np.float64)
-    if states.shape[0] == 0:
-        raise EmptyBatch("baseline loss over an empty batch")
-    theta = Tensor(model.params)
-    return _baseline_loss_graph(model.spec, theta, model.param_channels,
-                                states, derivs, channels).item()
-
-
 def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
-    """Mean squared derivative error as one node on ``theta``."""
+    """Mean squared derivative error over batch rows and the four
+    components, as one node on ``theta``."""
     x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)

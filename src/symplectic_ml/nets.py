@@ -9,8 +9,8 @@ writes, the forward reads and the reverse sweeps add gradients.
 Every hidden layer is tanh, as in every network this package trains.  One
 forward pass serves inference and training: :func:`hidden_activations`
 keeps each hidden layer's output, :func:`numpy_forward` adds the output
-layer, and :func:`input_gradient` gives the gradient of one output in the
-inputs in closed form — the reverse sweep of the chain rule written as
+layer, and :func:`input_gradient` gives the gradient of the first output in
+the inputs in closed form — the reverse sweep of the chain rule written as
 successive matrix products with the tanh derivatives ``1 - h*h``.
 
 Each training loss is one closed-form node on the flat parameters, its
@@ -136,9 +136,10 @@ def numpy_forward(spec, layers, x, acts=None):
     return (acts[-1] if acts else x) @ w.T + b
 
 
-def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty, work=np.empty):
-    """Gradient of one output component in the inputs, (batch, n_inputs),
-    and the chain that :func:`input_gradient_vjp` reads.
+def input_gradient(spec, layers, x, acts, empty=np.empty, work=np.empty):
+    """Gradient of the first output component in the inputs, (batch,
+    n_inputs), and the chain that :func:`input_gradient_vjp` reads; every
+    net whose input gradient this package reads (H, K, V) is scalar.
 
     A one-hot row on the output is pulled back through each layer as
     ``g @ W`` times the activation derivative ``1 - h*h``.  The chain keeps
@@ -150,7 +151,7 @@ def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty, work=n
     """
     n = len(layers)
     one_hot = np.zeros((x.shape[0], spec.n_outputs))
-    one_hot[:, output_index] = 1.0
+    one_hot[:, 0] = 1.0
     products = [None] * (n - 1)
     g = one_hot
     for i in range(n - 2, -1, -1):
@@ -158,7 +159,7 @@ def input_gradient(spec, layers, x, acts, output_index=0, empty=np.empty, work=n
         if i < n - 2:
             g = np.matmul(g, w, out=empty(acts[i].shape))
         else:
-            g = w[output_index]  # the one-hot row times w, bit for bit
+            g = w[0]  # the one-hot row times w, bit for bit
         products[i] = g
         m = _tanh_derivative(acts[i], work(acts[i].shape))
         g = np.multiply(g, m, out=m)
@@ -171,10 +172,9 @@ def _tanh_derivative(h, out):
     return np.subtract(1.0, out, out=out)
 
 
-def numpy_input_gradient(spec, layers, x, output_index=0):
-    """Input gradient of one output component; (batch, n_inputs)."""
-    return input_gradient(spec, layers, x, hidden_activations(spec, layers, x),
-                          output_index)[0]
+def numpy_input_gradient(spec, layers, x):
+    """Input gradient of the first output component; (batch, n_inputs)."""
+    return input_gradient(spec, layers, x, hidden_activations(spec, layers, x))[0]
 
 
 def forward_vjp(layers, x, acts, g_out, grads, need_x=False):
@@ -255,10 +255,10 @@ def forward(spec, params, x):
     return out[0] if squeeze else out
 
 
-def grad_inputs(spec, params, x, output_index=0):
-    """Input gradient of one output component; row or batch input."""
+def grad_inputs(spec, params, x):
+    """Input gradient of the first output component; row or batch input."""
     xb, squeeze = _as_batch(x, spec.n_inputs)
-    g = numpy_input_gradient(spec, unflatten_params(spec, params), xb, output_index)
+    g = numpy_input_gradient(spec, unflatten_params(spec, params), xb)
     return g[0] if squeeze else g
 
 

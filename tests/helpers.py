@@ -395,8 +395,9 @@ def taped_layers(spec, theta):
     return layers
 
 
-def taped_value_and_input_gradient(spec, layers, x, output_index=0):
-    """The taped forward output and the taped closed-form input gradient."""
+def taped_value_and_input_gradient(spec, layers, x):
+    """The taped forward output and the taped closed-form input gradient of
+    its first component."""
     acts, h = [], _t(x)
     for w, b in layers[:-1]:
         z = linear(h, w, b)
@@ -404,7 +405,7 @@ def taped_value_and_input_gradient(spec, layers, x, output_index=0):
         acts.append(h)
     out = linear(h, *layers[-1])
     seed = np.zeros((x.shape[0], spec.n_outputs))
-    seed[:, output_index] = 1.0
+    seed[:, 0] = 1.0
     g = Tensor(seed)
     for (w, _), h in zip(reversed(layers[1:]), reversed(acts)):
         g = matmul(g, w)

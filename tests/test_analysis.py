@@ -13,7 +13,6 @@ from symplectic_ml import (
     PotentialParams,
     SeparableModel,
     ShapeMismatch,
-    SymplecticMlError,
     Trajectory,
     ZeroEnergy,
     boundedness_check,
@@ -21,8 +20,6 @@ from symplectic_ml import (
     init_params,
     integrate,
     lyapunov_spectra,
-    lyapunov_spectrum,
-    maximal_lyapunov,
     mean_energy_error,
     poincare_section,
     relative_energy_error,
@@ -30,7 +27,7 @@ from symplectic_ml import (
 )
 from symplectic_ml.dynamics import advance
 
-from symplectic_ml import nets
+from symplectic_ml import analysis, nets
 from symplectic_ml.autodiff import Tensor
 
 import helpers as H
@@ -233,28 +230,21 @@ def test_chaotic_spectrum_pairs_and_sums_to_zero():
     assert abs(np.sum(lam)) <= 0.02
 
 
-def test_spectrum_accepts_phase_state_and_reports_settings():
-    state = PhaseState(q=np.array([0.1, 0.05]), p=np.array([0.2, -0.1]))
-    res_a = lyapunov_spectrum(HH_FIELD, state, FREE, dt=0.02, n_steps=500)
-    res_b = lyapunov_spectrum(HH_FIELD, state.vec(), FREE, dt=0.02, n_steps=500)
-    assert np.array_equal(res_a.exponents, res_b.exponents)
-    assert res_a.dt == 0.02
-    assert res_a.n_steps == 500
-    assert res_a.renorm_interval == 1.0
-    assert res_a.maximal == res_a.exponents[0]
-    assert maximal_lyapunov(HH_FIELD, state, FREE, dt=0.02, n_steps=500) == res_a.maximal
+def _stepped(step, rows, n_steps):
+    for _ in range(n_steps):
+        rows = step(rows)
+    return rows
 
 
-def test_callable_flow_matches_analytic_fast_path():
+def test_analytic_flow_over_an_interval_matches_single_steps():
+    # the estimator advances each interval in one call, carrying the force
+    # from step to step; one step per call evaluates it afresh
     dt = 0.01
     force = HH_FIELD.block_force(COUPLED)
     step = lambda rows: advance(rows.T.copy(), dt, 1, *force).T  # noqa: E731
-    state = np.array([0.05, 0.1, 0.3, -0.2])
-    via_field = lyapunov_spectra(HH_FIELD, state, COUPLED, dt=dt, n_steps=400,
-                                 renorm_interval=0.1)
-    via_callable = lyapunov_spectra(step, state, COUPLED, dt=dt, n_steps=400,
-                                    renorm_interval=0.1)
-    assert np.array_equal(via_field, via_callable)
+    rows = analysis._seed_rows(np.array([[0.05, 0.1, 0.3, -0.2]]))
+    via_field = advance(rows.T.copy(), dt, 10, *force).T
+    assert np.array_equal(via_field, _stepped(step, rows, 10))
 
 
 def test_separable_model_flow_matches_explicit_stepper():
@@ -276,14 +266,13 @@ def test_separable_model_flow_matches_explicit_stepper():
         return np.concatenate([q2, p2], axis=1)
 
     state = np.array([0.1, -0.05, 0.2, 0.15])
-    via_model = lyapunov_spectra(model, state, FREE, dt=dt, n_steps=100,
-                                 renorm_interval=0.5)
-    via_callable = lyapunov_spectra(step, state, FREE, dt=dt, n_steps=100,
-                                    renorm_interval=0.5)
-    assert via_model.shape == (1, 4)
-    assert np.all(np.isfinite(via_model))
-    assert np.all(np.diff(via_model[0]) <= 0.0)
-    np.testing.assert_allclose(via_model, via_callable, rtol=1e-12, atol=1e-15)
+    rows = analysis._seed_rows(state[None, :])
+    via_model = advance(rows.T.copy(), dt, 100, *model.block_force(FREE)).T
+    np.testing.assert_allclose(via_model, _stepped(step, rows, 100), rtol=1e-12, atol=1e-15)
+    spectra = lyapunov_spectra(model, state, FREE, dt=dt, n_steps=100, renorm_interval=0.5)
+    assert spectra.shape == (1, 4)
+    assert np.all(np.isfinite(spectra))
+    assert np.all(np.diff(spectra[0]) <= 0.0)
 
 
 @pytest.mark.parametrize("channels", [0, 1])
@@ -312,9 +301,9 @@ def test_learned_flow_matches_taped_stepper_bit_for_bit(channels):
         return np.concatenate([q2, p1 - half * grad_v(q2)], axis=1)
 
     states = np.array([[0.1, -0.05, 0.2, 0.15], [0.0, 0.1, -0.2, 0.1]])
-    via_model = lyapunov_spectra(model, states, pot, dt=dt, n_steps=60, renorm_interval=0.5)
-    via_callable = lyapunov_spectra(step, states, pot, dt=dt, n_steps=60, renorm_interval=0.5)
-    assert np.array_equal(via_model, via_callable)
+    rows = analysis._seed_rows(states)
+    via_model = advance(rows.T.copy(), dt, 60, *model.block_force(pot)).T
+    assert np.array_equal(via_model, _stepped(step, rows, 60))
 
 
 def test_spectra_batch_matches_individual_seeds():
@@ -380,12 +369,6 @@ def test_per_seed_params_must_match_the_seed_count():
         lyapunov_spectra(HH_FIELD, SEED_STATES, SEED_PARAMS[:3], dt=0.02, n_steps=100)
 
 
-def test_callable_flow_rejects_per_seed_params():
-    step = lambda rows: rows  # noqa: E731
-    with pytest.raises(SymplecticMlError, match="per-seed"):
-        lyapunov_spectra(step, SEED_STATES, SEED_PARAMS, dt=0.02, n_steps=100)
-
-
 def test_renorm_interval_shorter_than_step_uses_single_step():
     state = np.array([0.3, -0.2, 0.1, 0.4])
     per_step = lyapunov_spectra(HH_FIELD, state, FREE, dt=0.01, n_steps=2000,
@@ -404,17 +387,31 @@ def test_spectra_rejects_horizon_shorter_than_interval():
                          renorm_interval=1.0)
 
 
+class _ConstantField:
+    """A force field whose force, and velocity unless it is None (grad K =
+    p), is one constant at every row."""
+
+    def __init__(self, force, velocity=None):
+        self.force, self.velocity = force, velocity
+
+    def block_force(self, params):
+        def binder(value):  # bind(block, out) -> a call that fills ``out``
+            return lambda _, out: lambda: out.fill(value)
+
+        return binder(self.force), None if self.velocity is None else binder(self.velocity)
+
+
 def test_degenerate_flow_raises():
-    collapse = lambda rows: np.zeros_like(rows)  # noqa: E731
-    with pytest.raises(DegenerateR):
-        lyapunov_spectra(collapse, np.array([0.1, 0.0, 0.0, 0.0]), FREE,
+    # a drift of 1e11 per step rounds the 1e-7 position probes away: the
+    # interval map loses rank
+    with pytest.raises(DegenerateR, match="zero or non-finite diagonal"):
+        lyapunov_spectra(_ConstantField(0.0, 1e12), np.array([0.1, 0.0, 0.0, 0.0]), FREE,
                          dt=0.1, n_steps=10)
 
 
 def test_nonfinite_flow_raises():
-    blowup = lambda rows: np.full_like(rows, np.nan)  # noqa: E731
-    with pytest.raises(DegenerateR):
-        lyapunov_spectra(blowup, np.array([0.1, 0.0, 0.0, 0.0]), FREE,
+    with pytest.raises(DegenerateR, match="non-finite probe rows"):
+        lyapunov_spectra(_ConstantField(np.nan), np.array([0.1, 0.0, 0.0, 0.0]), FREE,
                          dt=0.1, n_steps=10)
 
 

@@ -10,16 +10,10 @@ from symplectic_ml import autodiff as ad
 from symplectic_ml import lstm
 from symplectic_ml.autodiff import Tensor
 from symplectic_ml.dynamics import PotentialParams
-from symplectic_ml.errors import (
-    EmptyBatch,
-    ShapeMismatch,
-    TooShort,
-    WindowLengthMismatch,
-)
+from symplectic_ml.errors import ShapeMismatch, TooShort, WindowLengthMismatch
 from symplectic_ml.lstm import (
     EncoderModel,
     encode_window,
-    encoder_loss,
     encoder_param_count,
     infer_param_ensemble,
     init_encoder_params,
@@ -271,7 +265,8 @@ def test_encoder_loss_zero_net_oracle():
                          params=_flat_params(3, 1))
     windows = np.random.default_rng(1).normal(size=(2, 4, 2))
     targets = np.tile([0.0, 0.0, 0.5], (2, 1))
-    assert encoder_loss(model, windows, targets) == 0.25
+    loss = lstm._encoder_loss_graph(model, Tensor(model.params), windows, targets)
+    assert loss.item() == 0.25
 
 
 def test_encoder_loss_batch_permutation_invariance():
@@ -280,21 +275,17 @@ def test_encoder_loss_batch_permutation_invariance():
     windows = rng.normal(size=(6, 7, 2))
     targets = rng.normal(size=(6, 3))
     perm = rng.permutation(6)
-    a = encoder_loss(model, windows, targets)
-    b = encoder_loss(model, windows[perm], targets[perm])
+    theta = Tensor(model.params)
+    a = lstm._encoder_loss_graph(model, theta, windows, targets).item()
+    b = lstm._encoder_loss_graph(model, theta, windows[perm], targets[perm]).item()
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_encoder_loss_rejects_empty_batch():
-    model = _encoder(window=4)
-    with pytest.raises(EmptyBatch):
-        encoder_loss(model, np.empty((0, 4, 2)), np.empty((0, 3)))
 
 
 def test_encoder_loss_rejects_wrong_targets():
     model = _encoder(hidden=3, window=4)
     with pytest.raises(ShapeMismatch):
-        encoder_loss(model, np.zeros((2, 4, 2)), np.zeros((2, 4)))
+        lstm._encoder_loss_graph(model, Tensor(model.params), np.zeros((2, 4, 2)),
+                                 np.zeros((2, 4)))
 
 
 def test_unrolled_gradients_match_finite_differences():
@@ -421,7 +412,7 @@ def test_constant_encoder_has_zero_spread():
 
 @pytest.mark.parametrize(
     "t_total, stride, expected",
-    [(90, 30, 3), (65, 7, 6), (31, 1, 2), (30, 1, 1), (30, 999, 1)],
+    [(90, 30, 3), (65, 7, 6), (70, 7, 6), (31, 1, 2), (30, 1, 1), (30, 999, 1)],
 )
 def test_window_counts_follow_stride_formula(t_total, stride, expected):
     model = _encoder(hidden=2, window=30, seed=1)
@@ -429,6 +420,10 @@ def test_window_counts_follow_stride_formula(t_total, stride, expected):
     est = infer_param_ensemble(model, observed, stride=stride)
     assert est.n_windows == expected
     assert est.samples.shape == (expected, 1)
+    # each sample is its window's own encoding, windows copied out one by one
+    windows = np.stack([observed[s : s + 30] for s in range(0, t_total - 29, stride)])
+    ref = lstm._encode_graph(model, model.params, windows)[0][:, 2:]
+    assert est.samples.tobytes() == ref.tobytes()
 
 
 def test_ensemble_rejects_short_series():

@@ -17,23 +17,14 @@ from symplectic_ml.dynamics import (
     advance,
     integrate,
 )
-from symplectic_ml.errors import (
-    EmptyBatch,
-    IntegrationDiverged,
-    ShapeMismatch,
-    WindowLengthMismatch,
-)
+from symplectic_ml.errors import EmptyBatch, IntegrationDiverged, ShapeMismatch
 from symplectic_ml.models import (
     BaselineModel,
     DIVERGENCE_PENALTY,
     HnnModel,
     SeparableModel,
-    baseline_loss,
     conserved_quantity,
-    hnn_energy,
-    hnn_loss,
     rollout,
-    srnn_loss,
 )
 from symplectic_ml.nets import DenseNetSpec, flatten_params, init_params, param_count
 
@@ -152,21 +143,13 @@ def test_linear_energy_gives_constant_derivatives():
     assert np.array_equal(pdot, [-0.7, 0.3])
 
 
-def test_hnn_energy_matches_forward():
-    model = _hnn(seed=4)
-    states = np.random.default_rng(1).normal(size=(5, 4))
-    vals = hnn_energy(model, states, POT)
-    expected = nets.forward(model.spec, model.params, states)[:, 0]
-    assert np.array_equal(vals, expected)
-
-
 def test_hnn_loss_of_zero_net_is_target_power():
     spec = DenseNetSpec((4, 8, 1))
     model = HnnModel(spec=spec, params=np.zeros(param_count(spec)))
     states = np.array([[1.0, 0.0, 0.0, 0.0]])
-    loss = hnn_loss(model, states, qdot=np.array([[0.0, 0.0]]),
-                    pdot=np.array([[-1.0, 0.0]]))
-    assert loss == 1.0
+    loss = models._hnn_loss_graph(spec, Tensor(model.params), 0, states,
+                                  np.array([[0.0, 0.0]]), np.array([[-1.0, 0.0]]), None)
+    assert loss.item() == 1.0
 
 
 def test_hnn_loss_gradient_matches_finite_differences():
@@ -232,11 +215,6 @@ def test_hnn_rollout_is_rk4_on_the_symplectic_gradient(channels):
         cur = cur + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows.append(cur)
     assert np.array_equal(traj.data, np.array(rows))
-
-
-def test_hnn_loss_rejects_empty_batch():
-    with pytest.raises(EmptyBatch):
-        hnn_loss(_hnn(), np.empty((0, 4)), np.empty((0, 2)), np.empty((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +391,8 @@ def test_rollout_loss_on_own_trajectory_is_zero():
     model = _separable(seed=21, scale=0.4)
     window, pot = _true_window(6)
     own = rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]), pot, 0.1, 5)
-    assert srnn_loss(model, own.data, pot, 0.1) <= 1e-20
-
-
-def test_rollout_loss_rejects_short_window():
-    with pytest.raises(WindowLengthMismatch):
-        srnn_loss(_separable(), np.zeros((1, 4)), POT, 0.1)
-    with pytest.raises(WindowLengthMismatch):
-        srnn_loss(_separable(), np.zeros((4, 3)), POT, 0.1)
+    loss, _ = models._srnn_loss_graph(model, Tensor(model.params), own.data[None], None, 0.1)
+    assert loss.item() <= 1e-20
 
 
 def test_rollout_loss_gradient_matches_finite_differences():
@@ -460,10 +432,10 @@ def test_escaping_rollout_pays_constant_penalty():
     )
     window = np.zeros((5, 4))
     window[0] = [9.0, 9.0, 5.0, 5.0]
-    loss = srnn_loss(model, window, POT, 0.1)
+    loss, _ = models._srnn_loss_graph(model, Tensor(model.params), window[None], None, 0.1)
     # drift leaves the allowed region at step 3; the last inside state is
     # (10, 10, 5, 5) against a zero target row
-    assert loss == DIVERGENCE_PENALTY + 250.0
+    assert loss.item() == DIVERGENCE_PENALTY + 250.0
 
 
 def test_all_escaped_batch_has_zero_gradient():
@@ -802,7 +774,8 @@ def test_baseline_loss_of_zero_net_is_mean_square_target():
     model = BaselineModel(spec=spec, params=np.zeros(param_count(spec)))
     states = np.zeros((2, 4))
     derivs = np.full((2, 4), 0.5)
-    assert baseline_loss(model, states, derivs) == 0.25
+    loss = models._baseline_loss_graph(spec, Tensor(model.params), 0, states, derivs, None)
+    assert loss.item() == 0.25
 
 
 def test_baseline_linear_net_is_exact_on_linear_field():
@@ -819,7 +792,8 @@ def test_baseline_linear_net_is_exact_on_linear_field():
     derivs = np.concatenate([states[:, 2:], -states[:, :2]], axis=1)
     assert np.allclose(model.derivative_field(POT)(states), derivs,
                        rtol=1e-15, atol=1e-15)
-    assert baseline_loss(model, states, derivs) <= 1e-28
+    loss = models._baseline_loss_graph(spec, Tensor(model.params), 0, states, derivs, None)
+    assert loss.item() <= 1e-28
 
 
 def test_baseline_loss_gradient_matches_finite_differences():
@@ -871,8 +845,3 @@ def test_baseline_rollout_rejects_zero_steps():
     with pytest.raises(ValueError):
         rollout(_baseline(sizes=(4, 4, 4)), PhaseState(q=[0, 0], p=[0, 0]),
                 POT, 0.1, 0)
-
-
-def test_baseline_loss_rejects_empty_batch():
-    with pytest.raises(EmptyBatch):
-        baseline_loss(_baseline(sizes=(4, 4, 4)), np.empty((0, 4)), np.empty((0, 4)))
