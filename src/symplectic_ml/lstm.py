@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import autodiff as ad
 from . import nets
 from .dynamics import PhaseState, PotentialParams
-from .errors import ShapeMismatch, TooShort, WindowLengthMismatch
+from .errors import EmptyBatch, ShapeMismatch, TooShort, WindowLengthMismatch
 from .models import rollout
 
 INPUT_SIZE = 2
@@ -185,6 +185,8 @@ def _encoder_loss_graph(model, theta, windows, targets):
     ``windows`` is (B, window_len, 2); ``targets`` is (B, 2 + param_outputs)
     holding (q_y, p_y, parameters) at each window's last step.
     """
+    if windows.shape[0] == 0:
+        raise EmptyBatch("encoder loss over an empty batch")
     if targets.shape != (windows.shape[0], model.n_outputs):
         raise ShapeMismatch(
             f"targets must be ({windows.shape[0]}, {model.n_outputs}), got "

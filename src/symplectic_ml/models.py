@@ -53,7 +53,7 @@ from . import autodiff as ad
 from . import nets
 from .autodiff import Tensor
 from .dynamics import Trajectory, _diverged, advance, integrate, outside, states_array
-from .errors import EmptyBatch, ShapeMismatch
+from .errors import EmptyBatch, ShapeMismatch, WindowLengthMismatch
 
 
 def _check_channels(adaptable, param_channels):
@@ -134,6 +134,8 @@ def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
     ``channels`` is the per-row parameter matrix (B, n_channels) that an
     adaptable net (``param_channels`` > 0) reads.
     """
+    if len(states) == 0:
+        raise EmptyBatch("hnn loss over an empty batch")
     x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)
@@ -413,6 +415,8 @@ def _srnn_loss_graph(model, theta, windows, channels, dt, kept=None, scratch=Non
     pull's temporaries.  Passed from one step to the next, they are
     allocated once per run.  Returns (loss, n_diverged).
     """
+    if windows.ndim != 3 or windows.shape[1] < 2 or windows.shape[2] != 4:
+        raise WindowLengthMismatch(f"windows must be (B, L>=2, 4), got {windows.shape}")
     b, length, _ = windows.shape
     if b == 0:
         raise EmptyBatch("rollout loss over an empty batch")
@@ -473,6 +477,8 @@ class BaselineModel(_DenseModel):
 def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
     """Mean squared derivative error over batch rows and the four
     components, as one node on ``theta``."""
+    if len(states) == 0:
+        raise EmptyBatch("baseline loss over an empty batch")
     x = _with_channels(states, channels if param_channels else None)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)

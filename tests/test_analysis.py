@@ -376,6 +376,16 @@ def test_renorm_interval_shorter_than_step_uses_single_step():
     assert np.all(np.abs(per_step) <= 1e-3)
 
 
+def test_spectra_default_to_a_unit_interval_and_drop_a_partial_one():
+    state = np.array([0.1, 0.05, 0.2, -0.1])
+    default = lyapunov_spectra(HH_FIELD, state, FREE, dt=0.02, n_steps=500)
+    unit = lyapunov_spectra(HH_FIELD, state, FREE, dt=0.02, n_steps=500, renorm_interval=1.0)
+    # 549 steps hold ten 50-step intervals; the last 49 steps are not taken
+    partial = lyapunov_spectra(HH_FIELD, state, FREE, dt=0.02, n_steps=549)
+    assert np.array_equal(default, unit)
+    assert np.array_equal(default, partial)
+
+
 def test_spectra_rejects_bad_state_shape():
     with pytest.raises(ShapeMismatch):
         lyapunov_spectra(HH_FIELD, np.zeros((2, 3)), FREE, dt=0.01, n_steps=100)

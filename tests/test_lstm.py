@@ -10,7 +10,12 @@ from symplectic_ml import autodiff as ad
 from symplectic_ml import lstm
 from symplectic_ml.autodiff import Tensor
 from symplectic_ml.dynamics import PotentialParams
-from symplectic_ml.errors import ShapeMismatch, TooShort, WindowLengthMismatch
+from symplectic_ml.errors import (
+    EmptyBatch,
+    ShapeMismatch,
+    TooShort,
+    WindowLengthMismatch,
+)
 from symplectic_ml.lstm import (
     EncoderModel,
     encode_window,
@@ -279,6 +284,13 @@ def test_encoder_loss_batch_permutation_invariance():
     a = lstm._encoder_loss_graph(model, theta, windows, targets).item()
     b = lstm._encoder_loss_graph(model, theta, windows[perm], targets[perm]).item()
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_encoder_loss_rejects_empty_batch():
+    model = _encoder(window=4)
+    with pytest.raises(EmptyBatch):
+        lstm._encoder_loss_graph(model, Tensor(model.params), np.empty((0, 4, 2)),
+                                 np.empty((0, 3)))
 
 
 def test_encoder_loss_rejects_wrong_targets():

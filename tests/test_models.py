@@ -17,7 +17,12 @@ from symplectic_ml.dynamics import (
     advance,
     integrate,
 )
-from symplectic_ml.errors import EmptyBatch, IntegrationDiverged, ShapeMismatch
+from symplectic_ml.errors import (
+    EmptyBatch,
+    IntegrationDiverged,
+    ShapeMismatch,
+    WindowLengthMismatch,
+)
 from symplectic_ml.models import (
     BaselineModel,
     DIVERGENCE_PENALTY,
@@ -217,6 +222,13 @@ def test_hnn_rollout_is_rk4_on_the_symplectic_gradient(channels):
     assert np.array_equal(traj.data, np.array(rows))
 
 
+def test_hnn_loss_rejects_empty_batch():
+    model = _hnn()
+    with pytest.raises(EmptyBatch):
+        models._hnn_loss_graph(model.spec, Tensor(model.params), 0, np.empty((0, 4)),
+                               np.empty((0, 2)), np.empty((0, 2)), None)
+
+
 # ---------------------------------------------------------------------------
 # separable model gradients and rollouts
 
@@ -393,6 +405,16 @@ def test_rollout_loss_on_own_trajectory_is_zero():
     own = rollout(model, PhaseState(q=window[0, :2], p=window[0, 2:]), pot, 0.1, 5)
     loss, _ = models._srnn_loss_graph(model, Tensor(model.params), own.data[None], None, 0.1)
     assert loss.item() <= 1e-20
+
+
+
+def test_rollout_loss_rejects_short_window():
+    model = _separable()
+    theta = Tensor(model.params)
+    with pytest.raises(WindowLengthMismatch):
+        models._srnn_loss_graph(model, theta, np.zeros((1, 1, 4)), None, 0.1)
+    with pytest.raises(WindowLengthMismatch):
+        models._srnn_loss_graph(model, theta, np.zeros((1, 4, 3)), None, 0.1)
 
 
 def test_rollout_loss_gradient_matches_finite_differences():
@@ -845,3 +867,10 @@ def test_baseline_rollout_rejects_zero_steps():
     with pytest.raises(ValueError):
         rollout(_baseline(sizes=(4, 4, 4)), PhaseState(q=[0, 0], p=[0, 0]),
                 POT, 0.1, 0)
+
+
+def test_baseline_loss_rejects_empty_batch():
+    model = _baseline(sizes=(4, 4, 4))
+    with pytest.raises(EmptyBatch):
+        models._baseline_loss_graph(model.spec, Tensor(model.params), 0, np.empty((0, 4)),
+                                    np.empty((0, 4)), None)

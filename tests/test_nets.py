@@ -181,8 +181,9 @@ def test_forward_rejects_wrong_width():
 # input gradients
 
 
-@pytest.mark.parametrize("sizes", [(4, 16, 1), (3, 8, 8, 1)])
+@pytest.mark.parametrize("sizes", [(4, 16, 1), (3, 8, 8, 1), (3, 8, 8, 2)])
 def test_grad_inputs_matches_finite_differences(sizes):
+    # a two-output net's input gradient is its first output's
     spec = DenseNetSpec(sizes)
     params = init_params(spec, 7)
     x = np.random.default_rng(8).normal(size=spec.n_inputs)
@@ -302,11 +303,10 @@ def test_forward_vjp_matches_tape_bit_for_bit(hidden, batch):
     assert np.add(g_x, 0.0).tobytes() == ref_x.tobytes()
 
 
-@pytest.mark.parametrize("hidden", _VJP_SIZES, ids=_VJP_IDS)
-@pytest.mark.parametrize("batch", [1, 3, 100])
-def test_input_gradient_vjp_matches_tape_bit_for_bit(hidden, batch):
-    # the parameter gradient of u·∇ₓf and the Hessian-vector product H·u
-    spec = DenseNetSpec((*hidden, 1))
+def _check_input_gradient_vjp_against_tape(hidden, n_outputs, batch):
+    # the parameter gradient of u·∇ₓf and the Hessian-vector product H·u,
+    # f the net's first output
+    spec = DenseNetSpec((*hidden, n_outputs))
     rng = np.random.default_rng(batch + len(hidden))
     theta0 = 0.5 * rng.normal(size=param_count(spec))
     x, u = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
@@ -323,6 +323,20 @@ def test_input_gradient_vjp_matches_tape_bit_for_bit(hidden, batch):
         assert not np.any(ref_x)
     else:
         assert np.add(hu, 0.0).tobytes() == ref_x.tobytes()
+
+
+@pytest.mark.parametrize("hidden", _VJP_SIZES, ids=_VJP_IDS)
+@pytest.mark.parametrize("batch", [1, 3, 100])
+def test_input_gradient_vjp_matches_tape_bit_for_bit(hidden, batch):
+    _check_input_gradient_vjp_against_tape(hidden, 1, batch)
+
+
+@pytest.mark.parametrize("hidden", _VJP_SIZES, ids=_VJP_IDS)
+@pytest.mark.parametrize("batch", [1, 3, 100])
+def test_input_gradient_vjp_of_a_two_output_net_matches_tape_bit_for_bit(hidden, batch):
+    # the one-hot row and the top weight row the chain keeps pick the first
+    # output; the second must not leak into either pull
+    _check_input_gradient_vjp_against_tape(hidden, 2, batch)
 
 
 @pytest.mark.parametrize("hidden", _VJP_SIZES, ids=_VJP_IDS)
