@@ -329,15 +329,16 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
         step = length if stride is None else int(stride)
         windows, channels = [], []
         for traj in dataset.trajectories:
-            chan = traj.params.channels(k)
-            for s in range(0, len(traj) - length + 1, step):
-                windows.append(traj.data[s : s + length])
-                channels.append(chan)
+            if len(traj) < length:
+                continue
+            cut = sliding_window_view(traj.data, length, axis=0)[::step].transpose(0, 2, 1)
+            windows.append(cut)
+            channels.append(np.broadcast_to(traj.params.channels(k), (cut.shape[0], k)))
         if not windows:
             raise TooShort(f"no trajectory has {length} consecutive states")
-        return RolloutWindows(
-            windows=np.stack(windows), channels=np.array(channels), dt=dt
-        )
+        # C order, as the encoder's: concatenating broadcasts gives Fortran order
+        return RolloutWindows(windows=np.concatenate(windows),
+                              channels=np.ascontiguousarray(np.concatenate(channels)), dt=dt)
 
     if kind == "encoder":
         length = 30 if window_len is None else int(window_len)

@@ -28,8 +28,9 @@ Inference (derivatives, energies, rollouts) runs the numpy networks of
 parameter vector (``autodiff.node``), one per model kind —
 :func:`_hnn_loss_graph`, :func:`_baseline_loss_graph` and
 :func:`_srnn_loss_graph`, which training and the tests call directly: its
-value and a backward that returns the flat gradient.  The rollout loss
-steps its windows as one (4, B) block, in place, through
+value and a backward that returns the flat gradient.  The two
+derivative-pair nodes take ``(spec, theta, states, derivs, channels)``.
+The rollout loss steps its windows as one (4, B) block, in place, through
 ``dynamics.advance``, keeping each network call's input (a copy of the
 block's rows), activations and chain, the chain only what took a matrix
 product.  Every learned-force call takes its arrays from
@@ -125,22 +126,22 @@ def _channels(model, pot_params):
     return pot_params.channels(model.param_channels) if model.param_channels else None
 
 
-def _hnn_loss_graph(spec, theta, param_channels, states, qdot, pdot, channels):
+def _hnn_loss_graph(spec, theta, states, derivs, channels):
     """Mean over the batch of the summed squared derivative mismatch, as
     one node on ``theta``; its backward is the second-order VJP of the
     network's input gradient.
 
-    ``states`` is (B, 4); ``qdot``/``pdot`` are the true derivatives (B, 2).
+    ``states`` is (B, 4); ``derivs`` the true (dq/dt, dp/dt), (B, 4).
     ``channels`` is the per-row parameter matrix (B, n_channels) that an
-    adaptable net (``param_channels`` > 0) reads.
+    adaptable net reads, or None.
     """
     if len(states) == 0:
         raise EmptyBatch("hnn loss over an empty batch")
-    x = _with_channels(states, channels if param_channels else None)
+    x = _with_channels(states, channels)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)
     g, chain = nets.input_gradient(spec, layers, x, acts)
-    neg_pdot = -np.asarray(pdot)
+    qdot, neg_pdot = derivs[:, :2], -derivs[:, 2:]
     d_q = g[:, 2:4] - qdot
     d_p = g[:, 0:2] - neg_pdot
     c = 1.0 / states.shape[0]
@@ -474,12 +475,12 @@ class BaselineModel(_DenseModel):
         return nets.numpy_forward(self.spec, layers, x)
 
 
-def _baseline_loss_graph(spec, theta, param_channels, states, derivs, channels):
+def _baseline_loss_graph(spec, theta, states, derivs, channels):
     """Mean squared derivative error over batch rows and the four
     components, as one node on ``theta``."""
     if len(states) == 0:
         raise EmptyBatch("baseline loss over an empty batch")
-    x = _with_channels(states, channels if param_channels else None)
+    x = _with_channels(states, channels)
     layers = nets.unflatten_params(spec, theta.data)
     acts = nets.hidden_activations(spec, layers, x)
     out = nets.numpy_forward(spec, layers, x, acts)

@@ -2,10 +2,10 @@
 
 Every model kind trains a single flat parameter vector: each step builds a
 fresh loss graph over a shuffled minibatch, back-propagates, clips the
-gradient at a global norm, and applies Adam.  Validation loss is evaluated
-once per epoch on a held-out split.  All randomness (init, split, shuffling)
-derives from the config seed, so a rerun reproduces losses and parameters
-bit for bit.
+gradient at the global norm :data:`GRAD_CLIP_NORM`, and applies Adam.
+Validation loss is evaluated once per epoch on a held-out split.  All
+randomness (init, split, shuffling) derives from the config seed, so a rerun
+reproduces losses and parameters bit for bit.
 """
 
 import math
@@ -19,31 +19,28 @@ from . import checkpoint as ckpt
 from . import lstm, models, nets
 from .autodiff import Tensor
 from .datapipe import check_field, finite_positive, window_dataset
-from .errors import DivergedTraining, EmptyBatch, ShapeMismatch
+from .errors import DivergedTraining, EmptyBatch
 from .nets import DenseNetSpec
 
 GRAD_CLIP_NORM = 10.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MODEL_KINDS = ("baseline", "hnn", "asrnn", "encoder")
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators with bias-corrected updates."""
+    """Learning rate, step count and first/second moment accumulators; the
+    decay rates and ε are :data:`ADAM_BETA1`, :data:`ADAM_BETA2` and
+    :data:`ADAM_EPS` (Kingma & Ba, ICLR 2015)."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
 
 
-def init_adam(n_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-        m=np.zeros(n_params), v=np.zeros(n_params),
-    )
+def init_adam(n_params, lr=1e-3):
+    return AdamState(lr=lr, t=0, m=np.zeros(n_params), v=np.zeros(n_params))
 
 
 def adam_step(state, params, grad):
@@ -56,27 +53,27 @@ def adam_step(state, params, grad):
     if grad.shape != params.shape or grad.shape != state.m.shape:
         raise ValueError("gradient, parameters, and state sizes disagree")
     state.t += 1
-    term = np.multiply(1.0 - state.beta1, grad)
-    state.m *= state.beta1
+    term = np.multiply(1.0 - ADAM_BETA1, grad)
+    state.m *= ADAM_BETA1
     state.m += term
-    np.multiply(1.0 - state.beta2, grad, out=term)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=term)
     term *= grad
-    state.v *= state.beta2
+    state.v *= ADAM_BETA2
     state.v += term
-    np.divide(state.v, 1.0 - state.beta2 ** state.t, out=term)
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=term)
     np.sqrt(term, out=term)
-    term += state.eps
-    step = state.m / (1.0 - state.beta1 ** state.t)
+    term += ADAM_EPS
+    step = state.m / (1.0 - ADAM_BETA1 ** state.t)
     step *= state.lr
     step /= term
     return state, params - step
 
 
-def clip_gradient(grad, max_norm=GRAD_CLIP_NORM):
-    """Scale the gradient down to a global L2 norm of ``max_norm``."""
+def clip_gradient(grad):
+    """Scale the gradient down to a global L2 norm of :data:`GRAD_CLIP_NORM`."""
     norm = float(np.linalg.norm(grad))
-    if norm > max_norm and norm > 0:
-        return grad * (max_norm / norm)
+    if norm > GRAD_CLIP_NORM and norm > 0:
+        return grad * (GRAD_CLIP_NORM / norm)
     return grad
 
 
@@ -100,10 +97,10 @@ class TrainConfig:
 
     ``model_kind`` is one of :data:`MODEL_KINDS`.
     ``hidden`` sizes the dense nets; the encoder uses ``encoder_hidden``
-    LSTM units instead.  ``adaptable`` appends parameter channels to the
-    relevant network input (for the separable model, only the potential's).
-    Every field is checked for type and range on construction; a bad one
-    raises ValueError naming it.
+    LSTM units instead.  ``adaptable`` appends the dataset's parameter
+    channels to the relevant network input (for the separable model, only
+    the potential's).  Every field is checked for type and range on
+    construction; a bad one raises ValueError naming it.
     """
 
     model_kind: str
@@ -115,13 +112,11 @@ class TrainConfig:
     val_fraction: float = 0.2
     hidden: tuple = (256,)
     adaptable: bool = True
-    param_channels: int = 1
     window_len: int = 11
     fixed_kinetic: bool = False
     encoder_hidden: int = 9
     encoder_window: int = 30
     encoder_stride: int = 1
-    grad_clip: float = GRAD_CLIP_NORM
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
@@ -133,13 +128,10 @@ class TrainConfig:
         check_field("window_len", self.window_len, Integral, lambda n: n >= 2,
                     "an integer >= 2")
         check_field("seed", self.seed, Integral, lambda n: n >= 0, "an integer >= 0")
-        check_field("param_channels", self.param_channels, Integral, lambda n: n in (1, 2),
-                    "1 or 2")
         for name in ("adaptable", "fixed_kinetic"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("lr", "grad_clip"):
-            check_field(name, getattr(self, name), Real, finite_positive, "finite and > 0")
+        check_field("lr", self.lr, Real, finite_positive, "finite and > 0")
         check_field("lr_decay", self.lr_decay, Real, lambda x: 0 < x <= 1, "in (0, 1]")
         check_field("val_fraction", self.val_fraction, Real, lambda x: 0 <= x < 1,
                     "in [0, 1)")
@@ -173,16 +165,10 @@ def _build_problem(config, dataset):
     """``(n, theta0, loss_graph, build_model)``: the row count, the initial
     parameters, the loss-graph closure, and the model at given parameters.
 
-    Raises ShapeMismatch when a model that reads parameter channels (an
-    adaptable one, or the encoder) asks for another count than the dataset
-    holds.
+    An adaptable net reads, and the encoder infers, as many parameter
+    channels as the dataset holds (``dataset.param_channels``).
     """
-    k = config.param_channels if config.adaptable else 0
-    if config.adaptable or config.model_kind == "encoder":
-        if config.param_channels != dataset.param_channels:
-            raise ShapeMismatch(
-                f"param_channels is {config.param_channels}, but the dataset holds "
-                f"{dataset.param_channels} parameter channel(s)")
+    k = dataset.param_channels if config.adaptable else 0
     seq = np.random.SeedSequence([config.seed, 7])
     init_seed, init_seed2 = seq.spawn(2)
 
@@ -190,24 +176,18 @@ def _build_problem(config, dataset):
         pairs = window_dataset(dataset, "derivative-pairs")
         n = pairs.n
         chan = pairs.channels if config.adaptable else None
-        n_out = 4 if config.model_kind == "baseline" else 1
+        if config.model_kind == "baseline":
+            n_out, cls, node = 4, models.BaselineModel, models._baseline_loss_graph
+        else:
+            n_out, cls, node = 1, models.HnnModel, models._hnn_loss_graph
         spec = DenseNetSpec((4 + k, *config.hidden, n_out))
         theta0 = nets.init_params(spec, init_seed)
-        cls = models.BaselineModel if config.model_kind == "baseline" else models.HnnModel
         template = cls(spec=spec, params=theta0, adaptable=config.adaptable,
                        param_channels=k)
 
-        if config.model_kind == "baseline":
-            def loss_graph(theta, idx):
-                return models._baseline_loss_graph(
-                    spec, theta, k, pairs.states[idx], pairs.derivs[idx],
-                    None if chan is None else chan[idx])
-        else:
-            def loss_graph(theta, idx):
-                return models._hnn_loss_graph(
-                    spec, theta, k, pairs.states[idx],
-                    pairs.derivs[idx][:, :2], pairs.derivs[idx][:, 2:],
-                    None if chan is None else chan[idx])
+        def loss_graph(theta, idx):
+            return node(spec, theta, pairs.states[idx], pairs.derivs[idx],
+                        None if chan is None else chan[idx])
 
     elif config.model_kind == "asrnn":
         wins = window_dataset(dataset, "rollout", window_len=config.window_len)
@@ -234,11 +214,11 @@ def _build_problem(config, dataset):
         wins = window_dataset(dataset, "encoder", window_len=config.encoder_window,
                               stride=config.encoder_stride)
         n = wins.n
-        theta0 = lstm.init_encoder_params(config.encoder_hidden, config.param_channels,
+        theta0 = lstm.init_encoder_params(config.encoder_hidden, dataset.param_channels,
                                           init_seed)
         template = lstm.EncoderModel(
             hidden_size=config.encoder_hidden, window_len=config.encoder_window,
-            param_outputs=config.param_channels, params=theta0,
+            param_outputs=dataset.param_channels, params=theta0,
         )
 
         def loss_graph(theta, idx):
@@ -271,9 +251,10 @@ def train(config, dataset):
     """
     t_start = time.perf_counter()
     n, theta, loss_graph, build_model = _build_problem(config, dataset)
-    if n == 0:
-        raise EmptyBatch("no training rows")
     train_idx, val_idx = split_dataset(n, config.val_fraction, config.seed)
+    if train_idx.size == 0:
+        raise EmptyBatch(f"val_fraction {config.val_fraction} leaves no training row "
+                         f"of {n}")
     if val_idx.size == 0:
         val_idx = train_idx
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 17]))
@@ -290,7 +271,7 @@ def train(config, dataset):
                 theta_t = Tensor(theta, requires_grad=True)
                 loss = loss_graph(theta_t, batch)
                 grad = nets.grad_params_through(loss, theta_t)
-                grad = clip_gradient(grad, config.grad_clip)
+                grad = clip_gradient(grad)
                 adam, theta = adam_step(adam, theta, grad)
                 total += loss.item() * batch.size
             train_losses.append(total / train_idx.size)

@@ -413,16 +413,16 @@ def taped_value_and_input_gradient(spec, layers, x):
     return out, matmul(g, layers[0][0])
 
 
-def taped_hnn_loss(spec, theta, param_channels, states, qdot, pdot, channels):
-    x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
+def taped_hnn_loss(spec, theta, states, derivs, channels):
+    x = states if channels is None else np.concatenate([states, channels], axis=1)
     _, g = taped_value_and_input_gradient(spec, taped_layers(spec, theta), x)
-    loss = add(sum_sq_diff(slice_cols(g, 2, 4), qdot),
-               sum_sq_diff(slice_cols(g, 0, 2), -np.asarray(pdot)))
+    loss = add(sum_sq_diff(slice_cols(g, 2, 4), derivs[:, :2]),
+               sum_sq_diff(slice_cols(g, 0, 2), -derivs[:, 2:]))
     return scale(loss, 1.0 / states.shape[0])
 
 
-def taped_baseline_loss(spec, theta, param_channels, states, derivs, channels):
-    x = states if param_channels == 0 else np.concatenate([states, channels], axis=1)
+def taped_baseline_loss(spec, theta, states, derivs, channels):
+    x = states if channels is None else np.concatenate([states, channels], axis=1)
     out, _ = taped_value_and_input_gradient(spec, taped_layers(spec, theta), x)
     return scale(sum_sq_diff(out, derivs), 1.0 / (states.shape[0] * 4))
 

@@ -311,7 +311,7 @@ def test_criterion_01_gradient_engine():
 
                 def build(theta, spec=spec, states=states, derivs=derivs):
                     return models._baseline_loss_graph(
-                        spec, theta, 0, states, derivs, None
+                        spec, theta, states, derivs, None
                     )
 
             else:
@@ -322,7 +322,7 @@ def test_criterion_01_gradient_engine():
 
                 def build(theta, spec=spec, states=states, qdot=qdot, pdot=pdot):
                     return models._hnn_loss_graph(
-                        spec, theta, 0, states, qdot, pdot, None
+                        spec, theta, states, np.hstack([qdot, pdot]), None
                     )
 
             worst_param = max(worst_param, _param_grad_error(build, theta0))

@@ -337,22 +337,46 @@ def test_train_on_a_record_with_nonfinite_dt_is_a_runtime_error(ws, data_dir, ca
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("model", ["asrnn", "baseline", "hnn", "encoder"])
-def test_train_param_channels_must_match_the_dataset(ws, data_dir, monkeypatch, capsys,
-                                                     model):
-    def never(*args, **kwargs):
-        raise AssertionError("parameters initialised before the channel check")
-
-    monkeypatch.setattr(training.nets, "init_params", never)
-    monkeypatch.setattr(training.lstm, "init_encoder_params", never)
-    out = ws / f"channels-{model}.json"
-    rc = cli.main(["train", "--out", str(out), "--model", model, "--dataset",
-                   str(data_dir), "--set", "param_channels=2"])
-    assert rc == 2
+def test_every_kind_trains_on_a_two_channel_dataset(ws, observed_csv, capsys):
+    data = ws / "dataset-2ch"
+    assert cli.main(["generate", "--out", str(data), "--seed", "3", "--energies", "1/12",
+                     "--n-per-cell", "1", "--series-length", "45", "--transient", "5",
+                     "--set", "param_values=[[0.3,0.5],[0.7,0.2]]",
+                     "--set", "param_channels=2"]) == 0
+    settings = {"asrnn": ["hidden=[8]", "window_len=5"], "hnn": ["hidden=[8]"],
+                "baseline": ["hidden=[8]"],
+                "encoder": ["encoder_hidden=5", "encoder_window=20"]}
+    ckpts = {}
+    for model, overrides in settings.items():
+        ckpts[model] = _train(data, ws / f"2ch-{model}.json", model, ["epochs=1", *overrides])
+        spec = json.loads(ckpts[model].read_text())["spec"]
+        assert spec["param_outputs" if model == "encoder" else "param_channels"] == 2
+    for model in ("asrnn", "hnn", "baseline"):
+        assert cli.main(["predict", "--out", str(ws / f"2ch-{model}.csv"), "--checkpoint",
+                         str(ckpts[model]), "--alpha", "0.3", "--beta", "0.5",
+                         "--energy", "1/12", "--steps", "20"]) == 0
+    assert cli.main(["predict-partial", "--out", str(ws / "2ch-partial.csv"),
+                     "--encoder", str(ckpts["encoder"]), "--checkpoint", str(ckpts["asrnn"]),
+                     "--observed", str(observed_csv), "--horizon", "20"]) == 0
+    capsys.readouterr()
+    # the channel count is the dataset's, no longer a setting
+    rc = cli.main(["train", "--out", str(ws / "x.json"), "--model", "asrnn", "--dataset",
+                   str(data), "--set", "param_channels=2"])
+    assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ShapeMismatch: param_channels is 2, but the dataset "
-                          "holds 1 parameter channel(s)")
-    assert "Traceback" not in err
+    assert err.startswith("usage error: bad training config: ") and "param_channels" in err
+
+
+def test_train_with_no_training_row_exits_2(ws, capsys):
+    data = ws / "dataset-28"
+    assert cli.main(["generate", "--out", str(data), "--alphas", "0.5", "--energies", "1/12",
+                     "--n-per-cell", "1", "--series-length", "30", "--transient", "2"]) == 0
+    out = ws / "no-training-rows.json"
+    rc = cli.main(["train", "--out", str(out), "--model", "hnn", "--dataset", str(data),
+                   "--set", "epochs=1", "--set", "val_fraction=0.999", "--set", "hidden=[4]"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: EmptyBatch: val_fraction 0.999 leaves no training row of 28\n")
     assert not out.exists()
 
 
@@ -495,6 +519,31 @@ def test_predict_is_deterministic(ws):
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _predict_bytes(path, *seed_args):
+    assert cli.main(["predict", "--out", str(path), "--alpha", "1.0", "--energy", "1/12",
+                     "--dt", "0.1", "--steps", "20", *seed_args]) == 0
+    return path.read_bytes()
+
+
+def test_seed_environment_variable_seeds_a_run_unless_seed_is_given(ws, monkeypatch):
+    explicit = _predict_bytes(ws / "seed-flag-5.csv", "--seed", "5")
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+    assert _predict_bytes(ws / "seed-env-5.csv") == explicit
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "9")
+    assert _predict_bytes(ws / "seed-env-9.csv") != explicit
+    assert _predict_bytes(ws / "seed-env-9-flag-5.csv", "--seed", "5") == explicit
+
+
+def test_non_integer_seed_environment_variable_is_a_usage_error(ws, monkeypatch, capsys):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
+    out = ws / "seed-env-bad.csv"
+    rc = cli.main(["predict", "--out", str(out), "--alpha", "1.0", "--energy", "1/12"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "usage error: SYMPLECTIC_ML_SEED must be an integer, got 'seven'\n")
+    assert not out.exists()
 
 
 def test_predict_accepts_explicit_initial_condition(ws):

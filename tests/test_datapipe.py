@@ -293,6 +293,26 @@ def test_rollout_rejects_degenerate_length():
         window_dataset(fabricated_dataset([20]), "rollout", window_len=1)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("length, stride", [(11, None), (11, 3), (25, 7)])
+def test_rollout_windows_match_the_per_window_loop(k, length, stride):
+    config = _config(COUPLINGS, 2) if k == 2 else None
+    # 12 states is too short for a window: skipped
+    dataset = fabricated_dataset([61, 12, 45, 30], couplings=COUPLINGS, config=config)
+    wins = window_dataset(dataset, "rollout", window_len=length, stride=stride)
+    windows, channels = [], []
+    for traj, pair in zip(dataset.trajectories, COUPLINGS):
+        for s in range(0, len(traj) - length + 1, stride or length):
+            windows.append(traj.data[s : s + length])
+            channels.append(pair[:k])
+    windows, channels = np.stack(windows), np.array(channels)
+    assert np.array_equal(wins.windows, windows)
+    assert np.array_equal(wins.channels, channels)
+    # the same memory layout too, so that downstream arithmetic cannot differ
+    assert wins.windows.strides == windows.strides
+    assert wins.channels.strides == channels.strides
+
+
 def test_windows_never_mix_trajectories():
     ones = constant_trajectory([1.0, 1.0, 1.0, 1.0], 25)
     twos = constant_trajectory([2.0, 2.0, 2.0, 2.0], 25)

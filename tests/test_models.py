@@ -152,8 +152,8 @@ def test_hnn_loss_of_zero_net_is_target_power():
     spec = DenseNetSpec((4, 8, 1))
     model = HnnModel(spec=spec, params=np.zeros(param_count(spec)))
     states = np.array([[1.0, 0.0, 0.0, 0.0]])
-    loss = models._hnn_loss_graph(spec, Tensor(model.params), 0, states,
-                                  np.array([[0.0, 0.0]]), np.array([[-1.0, 0.0]]), None)
+    loss = models._hnn_loss_graph(spec, Tensor(model.params), states,
+                                  np.array([[0.0, 0.0, -1.0, 0.0]]), None)
     assert loss.item() == 1.0
 
 
@@ -166,7 +166,7 @@ def test_hnn_loss_gradient_matches_finite_differences():
     pdot = rng.normal(size=(3, 2))
 
     def build(theta):
-        return models._hnn_loss_graph(spec, theta, 0, states, qdot, pdot, None)
+        return models._hnn_loss_graph(spec, theta, states, np.hstack([qdot, pdot]), None)
 
     assert param_grad_check(build, theta0) <= 1e-4
 
@@ -179,9 +179,9 @@ def test_adaptable_hnn_loss_gradient_matches_finite_differences():
     channels = rng.uniform(0.2, 1.0, size=(4, 1))
 
     def build(theta):
-        return models._hnn_loss_graph(spec, theta, 1, states,
-                                      rng.standard_normal((4, 2)) * 0.0,
-                                      np.zeros((4, 2)), channels)
+        return models._hnn_loss_graph(spec, theta, states,
+                                      np.hstack([rng.standard_normal((4, 2)) * 0.0,
+                                                 np.zeros((4, 2))]), channels)
 
     assert param_grad_check(build, theta0) <= 1e-4
 
@@ -225,8 +225,8 @@ def test_hnn_rollout_is_rk4_on_the_symplectic_gradient(channels):
 def test_hnn_loss_rejects_empty_batch():
     model = _hnn()
     with pytest.raises(EmptyBatch):
-        models._hnn_loss_graph(model.spec, Tensor(model.params), 0, np.empty((0, 4)),
-                               np.empty((0, 2)), np.empty((0, 2)), None)
+        models._hnn_loss_graph(model.spec, Tensor(model.params), np.empty((0, 4)),
+                               np.empty((0, 4)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +763,10 @@ def test_derivative_losses_match_tape_bit_for_bit(kind, hidden):
             theta0 = 0.5 * rng.normal(size=param_count(spec))
             states, derivs = rng.normal(size=(batch, 4)), rng.normal(size=(batch, 4))
             chan = rng.uniform(0.2, 1.0, size=(batch, channels)) if channels else None
-            args = ((states, derivs[:, :2], derivs[:, 2:], chan) if kind == "hnn"
-                    else (states, derivs, chan))
             results = []
             for build in (node, taped):
                 theta = Tensor(theta0.copy(), requires_grad=True)
-                loss = build(spec, theta, channels, *args)
+                loss = build(spec, theta, states, derivs, chan)
                 grad = ad.grad_params_through(loss, theta)
                 results.append((np.float64(loss.item()).tobytes(), grad.tobytes()))
             assert results[0] == results[1], (channels, batch)
@@ -796,7 +794,7 @@ def test_baseline_loss_of_zero_net_is_mean_square_target():
     model = BaselineModel(spec=spec, params=np.zeros(param_count(spec)))
     states = np.zeros((2, 4))
     derivs = np.full((2, 4), 0.5)
-    loss = models._baseline_loss_graph(spec, Tensor(model.params), 0, states, derivs, None)
+    loss = models._baseline_loss_graph(spec, Tensor(model.params), states, derivs, None)
     assert loss.item() == 0.25
 
 
@@ -814,7 +812,7 @@ def test_baseline_linear_net_is_exact_on_linear_field():
     derivs = np.concatenate([states[:, 2:], -states[:, :2]], axis=1)
     assert np.allclose(model.derivative_field(POT)(states), derivs,
                        rtol=1e-15, atol=1e-15)
-    loss = models._baseline_loss_graph(spec, Tensor(model.params), 0, states, derivs, None)
+    loss = models._baseline_loss_graph(spec, Tensor(model.params), states, derivs, None)
     assert loss.item() <= 1e-28
 
 
@@ -826,7 +824,7 @@ def test_baseline_loss_gradient_matches_finite_differences():
     derivs = rng.normal(size=(3, 4))
 
     def build(theta):
-        return models._baseline_loss_graph(spec, theta, 0, states, derivs, None)
+        return models._baseline_loss_graph(spec, theta, states, derivs, None)
 
     assert param_grad_check(build, theta0) <= 1e-4
 
@@ -872,5 +870,5 @@ def test_baseline_rollout_rejects_zero_steps():
 def test_baseline_loss_rejects_empty_batch():
     model = _baseline(sizes=(4, 4, 4))
     with pytest.raises(EmptyBatch):
-        models._baseline_loss_graph(model.spec, Tensor(model.params), 0, np.empty((0, 4)),
+        models._baseline_loss_graph(model.spec, Tensor(model.params), np.empty((0, 4)),
                                     np.empty((0, 4)), None)

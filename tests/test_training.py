@@ -1,5 +1,7 @@
 """Optimizers, deterministic splits, and the minibatch training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,11 +122,6 @@ def test_clip_gradient_passes_small_gradients_through():
     g = np.array([0.3, -0.4])
     assert np.array_equal(clip_gradient(g), g)
     assert np.array_equal(clip_gradient(np.zeros(3)), np.zeros(3))
-
-
-def test_clip_gradient_honours_custom_norm():
-    g = np.array([6.0, 8.0])
-    assert np.linalg.norm(clip_gradient(g, max_norm=5.0)) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +273,40 @@ def test_train_empty_validation_falls_back_to_train_split(tiny_dataset):
     report = train(_hnn_config(val_fraction=0.0, epochs=1), tiny_dataset)
     assert report.n_val == report.n_train == 72
     assert np.isfinite(report.val_losses[0])
+
+
+# each setting but model_kind, a kind that reads it, and a value other than
+# the tiny run's
+_SETTING_EFFECTS = {
+    "epochs": ("hnn", 3),
+    "batch_size": ("hnn", 8),
+    "lr": ("hnn", 1e-2),
+    "lr_decay": ("hnn", 0.5),
+    "seed": ("hnn", 1),
+    "val_fraction": ("hnn", 0.4),
+    "hidden": ("hnn", (5,)),
+    "adaptable": ("hnn", False),
+    "window_len": ("asrnn", 5),
+    "fixed_kinetic": ("asrnn", True),
+    "encoder_hidden": ("encoder", 4),
+    "encoder_window": ("encoder", 10),
+    "encoder_stride": ("encoder", 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SETTING_EFFECTS))
+def test_every_setting_changes_the_run(tiny_dataset, name):
+    # a setting that nothing reads would leave history and parameters alone;
+    # a new field must join the table
+    assert set(_SETTING_EFFECTS) == {f.name for f in dataclasses.fields(TrainConfig)} - {
+        "model_kind"}
+    kind, value = _SETTING_EFFECTS[name]
+    base = TrainConfig(model_kind=kind, epochs=2, batch_size=16, hidden=(4,))
+    assert getattr(base, name) != value
+    a = train(base, tiny_dataset)
+    b = train(dataclasses.replace(base, **{name: value}), tiny_dataset)
+    same_history = (a.train_losses, a.val_losses) == (b.train_losses, b.val_losses)
+    assert not (same_history and a.checkpoint["params"] == b.checkpoint["params"])
 
 
 def test_train_rollout_model_smoke(tiny_dataset):
