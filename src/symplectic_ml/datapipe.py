@@ -7,14 +7,16 @@ are rejection-sampled on a constant energy surface, with the potential taken
 as that energy at rest; an energy whose squared speed would overflow is
 refused.  Every trajectory owns an independent RNG stream keyed by (dataset
 seed, trajectory index), so results are independent of batching or worker
-count.  Training rows and windows take their parameter channels from each
-trajectory's own couplings (``PotentialParams.channels``).
+count.  A dataset is one read-only (N, L, 4) block of N trajectories of L
+states at one step; training rows and windows take their parameter channels
+from each row's couplings (``PotentialParams.channels``).
 
 On disk a dataset is a directory: ``manifest.json`` (structured metadata:
 the config as ``dataclasses.asdict`` of its fields, one record per
-trajectory written from its own couplings, and a SHA-256 checksum) and
+trajectory with its couplings and cell energy, and a SHA-256 checksum) and
 ``states.bin`` (all state rows concatenated, little-endian float64, row
-order ``q_x, q_y, p_x, p_y``).
+order ``q_x, q_y, p_x, p_y``).  The records share one length and one step
+and follow the config's cell order.
 """
 
 import hashlib
@@ -30,7 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dynamics import (
     PhaseState,
     PotentialParams,
-    Trajectory,
     hh_energy_batch,
     hh_grad_v_columns,
     hh_potential,
@@ -147,19 +148,25 @@ class GenerationConfig:
         return cls(**d)
 
 
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Trajectories, which carry their own couplings, and the energy of each
-    one's generating cell, the one fact of its cell a trajectory lacks."""
+    """N trajectories of L states as one block: ``states``, a read-only
+    (N, L, 4) array sampled at the one step ``dt``; ``params``, their
+    couplings as a PotentialParams of (N,) arrays; ``cell_energies``, the
+    (N,) energies of their generating cells; and the config, if any."""
 
-    def __init__(self, trajectories, cell_energies, config=None):
-        if len(trajectories) != len(cell_energies):
-            raise CorruptRecord("trajectory and cell-energy counts disagree")
-        self.trajectories = list(trajectories)
-        self.cell_energies = list(cell_energies)
-        self.config = config
+    states: np.ndarray
+    params: PotentialParams
+    cell_energies: np.ndarray
+    dt: float
+    config: GenerationConfig = None
+
+    def __post_init__(self):
+        if not len(self.states) == len(self.params.alpha) == len(self.cell_energies):
+            raise CorruptRecord("state, coupling and cell-energy counts disagree")
 
     def __len__(self):
-        return len(self.trajectories)
+        return self.states.shape[0]
 
     @property
     def param_channels(self):
@@ -168,7 +175,7 @@ class Dataset:
 
     @property
     def n_states(self):
-        return sum(len(t) for t in self.trajectories)
+        return self.states.shape[0] * self.states.shape[1]
 
 
 def sample_initial_condition(energy, params, rng):
@@ -245,9 +252,9 @@ def generate_dataset(config):
             f"{MAX_DIVERGENCE_RETRIES} resamples"
         )
 
-    trajectories = [Trajectory(dt=config.coarse_dt, data=stored[i], params=pot)
-                    for i, (pot, _) in enumerate(entries)]
-    return Dataset(trajectories, [energy for _, energy in entries], config=config)
+    stored.flags.writeable = False
+    return Dataset(stored, PotentialParams(alpha, beta),
+                   np.array([energy for _, energy in entries]), float(config.coarse_dt), config)
 
 
 @dataclass
@@ -290,78 +297,53 @@ class EncoderWindows:
 
 
 def window_dataset(dataset, kind, window_len=None, stride=None):
-    """Cut training rows or windows out of a dataset.
+    """Cut training rows or windows out of a dataset's (N, L, 4) block.
 
     Kinds: ``derivative-pairs`` (every state with its analytic derivative),
-    ``rollout`` (non-overlapping windows of ``window_len`` states, default 11,
-    default stride = window_len), ``encoder`` (sliding windows of the observed
-    (q_x, p_x) columns, default length 30 and stride 1, targets at each
-    window's last step).  Trajectories too short for one window are skipped;
-    if none is long enough, TooShort is raised.
+    ``rollout`` (windows of ``window_len`` states, default 11, default stride
+    = window_len, so non-overlapping), ``encoder`` (windows of the observed
+    (q_x, p_x) columns, default length 30 and stride 1, targets the hidden
+    (q_y, p_y) at each window's last step and the couplings).  Rows and
+    windows come trajectory by trajectory, and no window crosses from one
+    trajectory into the next.  A window longer than the trajectories raises
+    TooShort.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot window an empty dataset")
-    k = dataset.param_channels
-    dts = {t.dt for t in dataset.trajectories}
-    if len(dts) != 1:
-        raise CorruptRecord("trajectories have mixed sampling steps")
-    dt = dts.pop()
+    states, pot, k = dataset.states, dataset.params, dataset.param_channels
+    chan = pot.channels(k)
 
     if kind == "derivative-pairs":
-        states, derivs, channels = [], [], []
-        for traj in dataset.trajectories:
-            d, pot = traj.data, traj.params
-            qx, qy, px, py = d[:, 0], d[:, 1], d[:, 2], d[:, 3]
-            gx, gy = hh_grad_v_columns(pot.alpha, pot.beta)(qx, qy)
-            states.append(d)
-            derivs.append(np.stack([px, py, -gx, -gy], axis=1))
-            channels.append(np.tile(pot.channels(k), (len(traj), 1)))
-        return DerivativePairs(
-            states=np.concatenate(states),
-            derivs=np.concatenate(derivs),
-            channels=np.concatenate(channels),
-        )
-
+        qx, qy, px, py = np.moveaxis(states, 2, 0)
+        gx, gy = hh_grad_v_columns(pot.alpha[:, None], pot.beta[:, None])(qx, qy)
+        return DerivativePairs(states=states.reshape(-1, 4),
+                               derivs=np.stack([px, py, -gx, -gy], axis=2).reshape(-1, 4),
+                               channels=np.repeat(chan, states.shape[1], axis=0))
     if kind == "rollout":
         length = 11 if window_len is None else int(window_len)
         if length < 2:
             raise ValueError("rollout windows need at least 2 states")
-        step = length if stride is None else int(stride)
-        windows, channels = [], []
-        for traj in dataset.trajectories:
-            if len(traj) < length:
-                continue
-            cut = sliding_window_view(traj.data, length, axis=0)[::step].transpose(0, 2, 1)
-            windows.append(cut)
-            channels.append(np.broadcast_to(traj.params.channels(k), (cut.shape[0], k)))
-        if not windows:
-            raise TooShort(f"no trajectory has {length} consecutive states")
-        # C order, as the encoder's: concatenating broadcasts gives Fortran order
-        return RolloutWindows(windows=np.concatenate(windows),
-                              channels=np.ascontiguousarray(np.concatenate(channels)), dt=dt)
-
+        cut = _sliding_windows(states, length, length if stride is None else int(stride))
+        windows = np.ascontiguousarray(cut.transpose(0, 1, 3, 2)).reshape(-1, length, 4)
+        return RolloutWindows(windows=windows, channels=np.repeat(chan, cut.shape[1], axis=0),
+                              dt=dataset.dt)
     if kind == "encoder":
         length = 30 if window_len is None else int(window_len)
-        step = 1 if stride is None else int(stride)
-        inputs, targets = [], []
-        for traj in dataset.trajectories:
-            d = traj.data
-            if len(traj) < length:
-                continue
-            # (windows, 2, length) views of the observed columns, one per start
-            inputs.append(sliding_window_view(d[:, 0::2], length, axis=0)[::step])
-            lasts = d[length - 1 :: step, 1::2]  # hidden coordinates at each end
-            chan = np.broadcast_to(traj.params.channels(k), (lasts.shape[0], k))
-            targets.append(np.concatenate([lasts, chan], axis=1))
-        if not inputs:
-            raise TooShort(f"no trajectory has {length} consecutive states")
+        cut = _sliding_windows(states, length, 1 if stride is None else int(stride))
+        chan = np.broadcast_to(chan[:, None], (*cut.shape[:2], k))
+        targets = np.concatenate([cut[:, :, 1::2, -1], chan], axis=2).reshape(-1, 2 + k)
         # (windows, length, 2), each window stored column by column
-        return EncoderWindows(
-            inputs=np.ascontiguousarray(np.concatenate(inputs)).transpose(0, 2, 1),
-            targets=np.ascontiguousarray(np.concatenate(targets)), dt=dt,
-        )
-
+        inputs = np.ascontiguousarray(cut[:, :, 0::2]).reshape(-1, 2, length).transpose(0, 2, 1)
+        return EncoderWindows(inputs=inputs, targets=targets, dt=dataset.dt)
     raise ValueError(f"unknown windowing kind {kind!r}")
+
+
+def _sliding_windows(states, length, step):
+    """(N, windows per trajectory, 4, length) view of the (N, L, 4) block:
+    windows of ``length`` states every ``step``, none crossing trajectories."""
+    if states.shape[1] < length:
+        raise TooShort(f"trajectories of {states.shape[1]} states hold no window of {length}")
+    return sliding_window_view(states, length, axis=1)[:, ::step]
 
 
 def f8_bytes(arrays):
@@ -374,27 +356,18 @@ def save_dataset(dataset, path):
     """Write manifest.json and states.bin into directory ``path``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    blob = f8_bytes(t.data for t in dataset.trajectories)
-    records = []
-    offset = 0
-    for traj, energy in zip(dataset.trajectories, dataset.cell_energies):
-        records.append(
-            {
-                "offset": offset,
-                "length": len(traj),
-                "alpha": traj.params.alpha,
-                "beta": traj.params.beta,
-                "energy": energy,
-                "dt": traj.dt,
-            }
-        )
-        offset += len(traj)
+    blob = f8_bytes([dataset.states])
+    n, length = dataset.states.shape[:2]
+    cells = zip(dataset.params.alpha.tolist(), dataset.params.beta.tolist(),
+                dataset.cell_energies.tolist())
+    records = [{"offset": k * length, "length": length, "alpha": a, "beta": b, "energy": e,
+                "dt": dataset.dt} for k, (a, b, e) in enumerate(cells)]
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "trajectory-dataset",
         "config": dataset.config.to_dict() if dataset.config else None,
         "records": records,
-        "totals": {"trajectories": len(dataset), "states": offset},
+        "totals": {"trajectories": n, "states": n * length},
         "checksum_sha256": hashlib.sha256(blob).hexdigest(),
     }
     (path / "states.bin").write_bytes(blob)
@@ -403,14 +376,15 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """Read a dataset directory back.  Verifies the version, the checksum,
-    that every stored state is finite, and that the records tile ``states.bin``
-    in order, one block each, with finite couplings, ``dt`` and cell energy
-    finite and > 0, ``alpha == beta`` in a one-channel dataset, and, when
-    there is a config, couplings from its ``param_values`` grid, an energy
-    from its ``energies`` and its coarse step as ``dt``.  The
-    trajectories' data are read-only views of one array of the stored
-    states."""
+    """Read a dataset directory back as one block.  Verifies the version,
+    the kind, the checksum, that every stored state is finite, and that the
+    records, as many as ``totals.trajectories``, tile ``states.bin`` in
+    order with record 0's length and ``dt``, finite couplings, a cell energy
+    finite and > 0, and ``alpha == beta`` in a one-channel dataset.  With a
+    config, the records must also hold its ``stored_length`` states at its
+    coarse step, and record k the couplings and energy of the config's cell
+    for k: its ``cells()`` in order, each ``n_per_cell`` times.  The states
+    are a read-only (N, L, 4) view of the stored bytes."""
     path = Path(path)
     try:
         with open(path / "manifest.json") as fh:
@@ -424,14 +398,17 @@ def load_dataset(path):
         raise FormatVersionMismatch(
             f"dataset format {version!r}, supported {FORMAT_VERSION}"
         )
+    if manifest.get("kind") != "trajectory-dataset":
+        raise CorruptRecord(f"manifest kind {manifest.get('kind')!r} is not "
+                            "'trajectory-dataset'")
     try:
         blob = (path / "states.bin").read_bytes()
     except OSError as err:
         raise CorruptRecord(f"cannot read states.bin: {err}")
     if hashlib.sha256(blob).hexdigest() != manifest.get("checksum_sha256"):
         raise CorruptRecord("states.bin does not match its checksum")
-    # one copy of the states: every trajectory is a read-only view of the
-    # bytes, which are already native float64 on a little-endian machine
+    # one copy of the states: the block is a read-only view of the bytes,
+    # which are already native float64 on a little-endian machine
     flat = np.frombuffer(blob, dtype="<f8")
     if flat.size % 4 != 0:
         raise CorruptRecord("states.bin length is not a multiple of the row size")
@@ -439,55 +416,63 @@ def load_dataset(path):
     if not np.all(np.isfinite(rows)):
         raise CorruptRecord("states.bin holds non-finite values")
     totals = manifest.get("totals")
-    total = totals.get("states") if isinstance(totals, dict) else None
+    totals = totals if isinstance(totals, dict) else {}
+    total = totals.get("states")
     if type(total) is not int or total != rows.shape[0]:
         raise CorruptRecord(
             f"manifest declares {total!r} states, file holds {rows.shape[0]}"
         )
-    records_in = manifest.get("records")
-    if not isinstance(records_in, list) or not all(isinstance(r, dict) for r in records_in):
-        raise CorruptRecord("manifest records are not a list of objects")
-    trajectories, cell_energies = [], []
-    end = 0
+    records = manifest.get("records")
+    if not (isinstance(records, list) and records
+            and all(isinstance(r, dict) for r in records)):
+        raise CorruptRecord("manifest records are not a non-empty list of objects")
+    n = len(records)
+    if type(totals.get("trajectories")) is not int or totals["trajectories"] != n:
+        raise CorruptRecord(f"manifest declares {totals.get('trajectories')!r} "
+                            f"trajectories, it holds {n} records")
     try:
-        for k, rec in enumerate(records_in):
-            offset, length = rec["offset"], rec["length"]
-            counts = type(offset) is int and type(length) is int
-            if not counts or offset != end or length < 1:
+        length = records[0]["length"]
+        if type(length) is not int or length < 1:
+            raise CorruptRecord(f"record 0 length {length!r} is not an integer >= 1")
+        dt = float(check_field("dt", records[0]["dt"], Real, finite_positive,
+                                "positive and finite"))
+        for k, rec in enumerate(records):
+            offset, size = rec["offset"], rec["length"]
+            if (type(offset) is not int or type(size) is not int
+                    or (offset, size, rec["dt"]) != (k * length, length, dt)):
                 raise CorruptRecord(
-                    f"record {k} (offset {offset!r}, length {length!r}) does not "
-                    f"start where the previous one ends ({end}) with length >= 1"
-                )
-            end += length
-            if end > total:
-                raise CorruptRecord("record extends past the end of states.bin")
-            pot = PotentialParams(*(check_field(n, rec[n], Real, math.isfinite, "finite")
-                                    for n in ("alpha", "beta")))
-            trajectories.append(Trajectory(dt=rec["dt"], data=rows[offset:end], params=pot))
-            cell_energies.append(check_field("energy", rec["energy"], Real, finite_positive,
-                                             "finite and > 0"))
-        if end != total:
-            raise CorruptRecord(f"records cover {end} of the {total} stored states")
+                    f"record {k} (offset {offset!r}, length {size!r}, dt {rec['dt']!r}) is "
+                    f"not block {k} of record 0's length {length} and dt {dt!r}")
+        if n * length != total:
+            raise CorruptRecord(f"records cover {n * length} of the {total} stored states")
+
+        def column(name, ok=math.isfinite, what="finite"):
+            return [float(check_field(name, rec[name], Real, ok, what)) for rec in records]
+
+        found = list(zip(column("alpha"), column("beta"),
+                         column("energy", finite_positive, "finite and > 0")))
         config = manifest.get("config")
         config = GenerationConfig.from_dict(config) if config else None
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CorruptRecord(f"manifest is structurally invalid: {err}")
-    dataset = Dataset(trajectories, cell_energies, config=config)
-    uneven = [k for k, t in enumerate(trajectories) if t.params.alpha != t.params.beta]
+    alpha, beta, energies = (np.array(c) for c in zip(*found))
+    dataset = Dataset(rows.reshape(n, length, 4), PotentialParams(alpha, beta), energies, dt,
+                      config)
+    uneven = [k for k, (a, b, _) in enumerate(found) if a != b]
     if uneven and dataset.param_channels == 1:
         raise CorruptRecord(f"record {uneven[0]} has alpha != beta in a dataset with "
                             "one parameter channel")
     if config:
-        grid = set(config.param_values)
-        for k, (t, energy) in enumerate(zip(trajectories, cell_energies)):
-            if (t.params.alpha, t.params.beta) not in grid:
-                raise CorruptRecord(
-                    f"record {k} couplings ({t.params.alpha!r}, {t.params.beta!r}) are "
-                    "not in the config's param_values")
-            if energy not in config.energies:
-                raise CorruptRecord(f"record {k} energy {energy!r} is not in the config's "
-                                    "energies")
-            if t.dt != config.coarse_dt:
-                raise CorruptRecord(f"record {k} dt {t.dt!r} is not the config's coarse "
-                                    f"step {config.coarse_dt!r}")
+        if (length, dt) != (config.stored_length, config.coarse_dt):
+            raise CorruptRecord(f"records hold {length} states at step {dt!r}, the config "
+                                f"{config.stored_length} at {config.coarse_dt!r}")
+        cells, repeat = config.cells(), config.n_per_cell
+        if len(cells) * repeat != n:
+            raise CorruptRecord(f"the config's grid holds {len(cells) * repeat} trajectories, "
+                                f"the manifest {n} records")
+        for k, rec in enumerate(found):
+            pot, e = cells[k // repeat]
+            if rec != (pot.alpha, pot.beta, e):
+                raise CorruptRecord(f"record {k} (alpha, beta, energy) {rec} is not its "
+                                    f"config cell {(pot.alpha, pot.beta, e)}")
     return dataset

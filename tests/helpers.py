@@ -1,7 +1,8 @@
-"""Shared fixtures-in-spirit: small builders, gradient-check utilities and
-the op-by-op reference tape."""
+"""Shared fixtures-in-spirit: small builders, gradient-check utilities, the
+per-trajectory windowing reference and the op-by-op reference tape."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
 from symplectic_ml import autodiff as ad
@@ -19,7 +20,8 @@ from symplectic_ml import (
     grad_params_through,
     integrate,
 )
-from symplectic_ml.dynamics import outside
+from symplectic_ml.datapipe import DerivativePairs, EncoderWindows, RolloutWindows
+from symplectic_ml.dynamics import hh_grad_v_columns, outside
 
 
 # any JSON document a hand-edited or corrupted store could hold
@@ -115,23 +117,65 @@ def small_dataset(alphas=(0.5,), energies=(1 / 12,), n_per_cell=2,
     return generate_dataset(config)
 
 
-def fabricated_dataset(n_states_list, dt=0.1, alpha=1.0, energy=1 / 12,
-                       seed=9, dts=None, couplings=None, config=None):
+def fabricated_dataset(n_trajectories, length, dt=0.1, alpha=1.0, energy=1 / 12,
+                       seed=9, couplings=None, config=None):
     """A dataset assembled from genuine integrator output, without running
-    the full generation pipeline.  ``n_states_list`` gives each trajectory's
-    stored length; ``couplings``, one (alpha, beta) pair per trajectory, the
-    couplings each is integrated under (default: ``alpha`` for both)."""
+    the full generation pipeline: ``n_trajectories`` trajectories of
+    ``length`` states; ``couplings``, one (alpha, beta) pair per trajectory,
+    the couplings each is integrated under (default: ``alpha`` for both)."""
     if couplings is None:
-        couplings = [(float(alpha), float(alpha))] * len(n_states_list)
+        couplings = [(float(alpha), float(alpha))] * n_trajectories
     rng = np.random.default_rng(seed)
-    trajectories = []
-    for j, n in enumerate(n_states_list):
-        pot = PotentialParams(*couplings[j])
+    states = np.empty((n_trajectories, length, 4))
+    for j, (a, b) in enumerate(couplings):
         q = rng.uniform(-0.1, 0.1, size=2)
         p = rng.uniform(-0.2, 0.2, size=2)
-        step = dt if dts is None else dts[j]
-        trajectories.append(integrate(PhaseState(q=q, p=p), step, n - 1, HH_FIELD, pot))
-    return Dataset(trajectories, [energy] * len(trajectories), config=config)
+        states[j] = integrate(PhaseState(q=q, p=p), dt, length - 1, HH_FIELD,
+                              PotentialParams(a, b)).data
+    states.flags.writeable = False
+    alpha, beta = (np.array(c, dtype=np.float64) for c in zip(*couplings))
+    return Dataset(states, PotentialParams(alpha, beta), np.full(n_trajectories, energy), dt,
+                   config)
+
+
+def windows_by_trajectory(dataset, kind, window_len=None, stride=None):
+    """The windows of :func:`datapipe.window_dataset` cut trajectory by
+    trajectory and concatenated, as a list of trajectories was windowed: the
+    reference its one-block cuts are held to, bytes and layout alike."""
+    k = dataset.param_channels
+    rows = [(d, PotentialParams(a, b)) for d, a, b in zip(
+        dataset.states, dataset.params.alpha.tolist(), dataset.params.beta.tolist())]
+    if kind == "derivative-pairs":
+        states, derivs, channels = [], [], []
+        for d, pot in rows:
+            qx, qy, px, py = d[:, 0], d[:, 1], d[:, 2], d[:, 3]
+            gx, gy = hh_grad_v_columns(pot.alpha, pot.beta)(qx, qy)
+            states.append(d)
+            derivs.append(np.stack([px, py, -gx, -gy], axis=1))
+            channels.append(np.tile(pot.channels(k), (len(d), 1)))
+        return DerivativePairs(states=np.concatenate(states), derivs=np.concatenate(derivs),
+                               channels=np.concatenate(channels))
+    if kind == "rollout":
+        length = 11 if window_len is None else window_len
+        step = length if stride is None else stride
+        windows, channels = [], []
+        for d, pot in rows:
+            cut = sliding_window_view(d, length, axis=0)[::step].transpose(0, 2, 1)
+            windows.append(cut)
+            channels.append(np.broadcast_to(pot.channels(k), (cut.shape[0], k)))
+        return RolloutWindows(windows=np.concatenate(windows),
+                              channels=np.ascontiguousarray(np.concatenate(channels)),
+                              dt=dataset.dt)
+    length = 30 if window_len is None else window_len
+    step = 1 if stride is None else stride
+    inputs, targets = [], []
+    for d, pot in rows:
+        inputs.append(sliding_window_view(d[:, 0::2], length, axis=0)[::step])
+        lasts = d[length - 1 :: step, 1::2]
+        chan = np.broadcast_to(pot.channels(k), (lasts.shape[0], k))
+        targets.append(np.concatenate([lasts, chan], axis=1))
+    return EncoderWindows(inputs=np.ascontiguousarray(np.concatenate(inputs)).transpose(0, 2, 1),
+                          targets=np.ascontiguousarray(np.concatenate(targets)), dt=dataset.dt)
 
 
 def separable_gradients(model, pot):

@@ -17,6 +17,7 @@ from symplectic_ml import (
     PotentialParams,
     SeparableModel,
     TrainConfig,
+    Trajectory,
     generate_dataset,
     init_params,
     integrate,
@@ -186,11 +187,12 @@ def _conservation_rows():
     )
     dataset = generate_dataset(config)
     rows = []
-    for k, traj in enumerate(dataset.trajectories):
+    for k, (states, alpha) in enumerate(zip(dataset.states, dataset.params.alpha.tolist())):
+        traj = Trajectory(dataset.dt, states, PotentialParams.single(alpha))
         rows.append(
             (
                 k,
-                float(traj.params.alpha),
+                alpha,
                 float(traj.energies()[0]),
                 float(analysis.energy_drift(traj)),
             )

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -145,10 +146,9 @@ def observed_csv(ws):
 def test_generate_writes_loadable_dataset(data_dir, capsys):
     dataset = load_dataset(data_dir)
     assert len(dataset) == 4
-    assert dataset.trajectories[0].dt == pytest.approx(0.1)
-    assert all(len(t) == 40 for t in dataset.trajectories)
-    alphas = sorted({t.params.alpha for t in dataset.trajectories})
-    assert alphas == [0.4, 0.8]
+    assert dataset.dt == pytest.approx(0.1)
+    assert dataset.states.shape == (4, 40, 4)
+    assert dataset.params.alpha.tolist() == [0.4, 0.4, 0.8, 0.8]
 
 
 def test_generate_is_reproducible(ws, data_dir):
@@ -190,7 +190,7 @@ def test_generate_honours_set_overrides(ws):
         ]
     )
     assert rc == 0
-    assert load_dataset(out).trajectories[0].dt == pytest.approx(0.05)
+    assert load_dataset(out).dt == pytest.approx(0.05)
 
 
 def test_generate_from_config_file(ws, tmp_path):
@@ -318,7 +318,8 @@ def _train_with_record_dt(ws, data_dir, dt):
     bad = ws / f"dataset-dt-{dt}"
     shutil.copytree(data_dir, bad)
     manifest = json.loads((bad / "manifest.json").read_text())
-    manifest["records"][1]["dt"] = dt
+    for record in manifest["records"]:
+        record["dt"] = dt
     (bad / "manifest.json").write_text(json.dumps(manifest))
     return cli.main(["train", "--out", str(ws / "x.json"), "--model", "hnn",
                      "--dataset", str(bad)])
@@ -335,6 +336,28 @@ def test_train_on_a_record_with_nonfinite_dt_is_a_runtime_error(ws, data_dir, ca
     assert _train_with_record_dt(ws, data_dir, dt) == 2
     assert "error: CorruptRecord: manifest is structurally invalid: dt must be positive" in (
         capsys.readouterr().err)
+
+
+def test_train_on_a_store_short_of_its_config_grid_is_a_runtime_error(ws, data_dir, capsys):
+    # the last record and its states dropped, with the totals and the
+    # checksum made to agree: three trajectories of a config's four
+    bad = ws / "dataset-short"
+    shutil.copytree(data_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    length = manifest["records"].pop()["length"]
+    blob = (bad / "states.bin").read_bytes()[: -32 * length]
+    manifest["totals"] = {"trajectories": 3, "states": 3 * length}
+    manifest["checksum_sha256"] = hashlib.sha256(blob).hexdigest()
+    (bad / "states.bin").write_bytes(blob)
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = ws / "short.json"
+    assert cli.main(["train", "--out", str(out), "--model", "hnn",
+                     "--dataset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: CorruptRecord: the config's grid holds 4 trajectories, the "
+                   "manifest 3 records\n")
+    assert not out.exists()
 
 
 def test_every_kind_trains_on_a_two_channel_dataset(ws, observed_csv, capsys):
@@ -1217,11 +1240,12 @@ def test_any_number_text_gives_a_run_or_a_usage_error(ws, grid, energy, ic):
 
 
 # ---------------------------------------------------------------------------
-# names the benchmark's traced run wraps on the simulate path
+# names the benchmark's traced run wraps on the simulate and train paths
 
 
-def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
-    # bench/spans.py wraps exactly these names; a rename zeroes its metrics
+def _spy(monkeypatch, names):
+    """Record every call of each ``(module, name)`` in ``names`` made through
+    the module attribute: ``{"module.name": [(args, result), ...]}``."""
     calls = {}
 
     def spy(owner, name):
@@ -1234,10 +1258,16 @@ def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in [(models, "integrate"), (cli, "integrate"),
-                        (datapipe, "integrate_batch"), (analysis, "lyapunov_spectra"),
-                        (analysis, "_seed_rows")]:
+    for owner, name in names:
         spy(owner, name)
+    return calls
+
+
+def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
+    # bench/spans.py wraps exactly these names; a rename zeroes its metrics
+    calls = _spy(monkeypatch, [(models, "integrate"), (cli, "integrate"),
+                               (datapipe, "integrate_batch"), (analysis, "lyapunov_spectra"),
+                               (analysis, "_seed_rows")])
     rollout = ["--alpha", "0.4", "--energy", "1/12", "--dt", "0.05", "--steps", "30",
                "--out", str(ws / "contract.csv")]
     lyap = ["lyapunov", "--alphas", "0.4,0.6", "--energy", "1/12", "--dt", "0.05",
@@ -1270,6 +1300,42 @@ def test_simulate_path_contract(ws, asrnn_ckpt, monkeypatch):
         assert [(p.alpha, p.beta) for p in args[2]] == [(0.4, 0.4), (0.6, 0.6)]
     for args, out in calls["symplectic_ml.analysis._seed_rows"]:
         assert out.shape[0] == 9 * args[0].shape[0]
+
+
+def test_train_path_contract(ws, monkeypatch):
+    # bench/spans.py wraps exactly these names, and its tracer skips a name
+    # that is missing: a rename would zero a traced metric without a failure.
+    # Training windows through its own import of the one windowing function;
+    # the benchmark wraps that name and datapipe's, so reaching both would
+    # count each call twice.
+    assert training.window_dataset is datapipe.window_dataset
+    calls = _spy(monkeypatch, [(datapipe, name) for name in (
+        "generate_dataset", "sample_initial_condition", "integrate_batch", "save_dataset",
+        "load_dataset", "window_dataset")] + [(training, "window_dataset")])
+    data = str(ws / "contract-train-data")
+    assert cli.main(["generate", "--out", data, "--alphas", "0.5", "--energies", "1/12",
+                     "--n-per-cell", "2", "--series-length", "20", "--transient", "2"]) == 0
+    settings = {"asrnn": ["hidden=[4]", "window_len=5"], "hnn": ["hidden=[4]"],
+                "encoder": ["encoder_hidden=3", "encoder_window=6"]}
+    for model, sets in settings.items():
+        argv = ["train", "--out", str(ws / f"contract-{model}.json"), "--model", model,
+                "--dataset", data, "--set", "epochs=1"]
+        assert cli.main(argv + [x for s in sets for x in ("--set", s)]) == 0
+
+    (args, dataset), = calls["symplectic_ml.datapipe.generate_dataset"]
+    assert dataset.states.shape == (2, 18, 4)
+    assert len(calls["symplectic_ml.datapipe.sample_initial_condition"]) >= 2
+    args, _ = calls["symplectic_ml.datapipe.integrate_batch"][0]
+    assert args[0].shape == (2, 4) and isinstance(args[4], int)
+    (args, _), = calls["symplectic_ml.datapipe.save_dataset"]
+    assert args == (dataset, data)
+    loads = calls["symplectic_ml.datapipe.load_dataset"]
+    assert [args for args, _ in loads] == [(data,)] * 3
+    windowed = calls["symplectic_ml.training.window_dataset"]
+    assert [(args[0], args[1]) for args, _ in windowed] == [
+        (loaded, kind) for (_, loaded), kind in zip(
+            loads, ("rollout", "derivative-pairs", "encoder"))]
+    assert "symplectic_ml.datapipe.window_dataset" not in calls
 
 
 def test_version_flag_prints_version(capsys):

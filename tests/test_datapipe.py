@@ -1,9 +1,11 @@
 """Dataset generation, windowing, and the on-disk format."""
 
+import hashlib
 import json
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from symplectic_ml.datapipe import (
 from symplectic_ml.dynamics import (
     PotentialParams,
     hh_energy,
+    hh_energy_batch,
     hh_grad_v,
     hh_potential,
 )
@@ -35,7 +38,7 @@ from symplectic_ml.errors import (
     TooShort,
 )
 
-from helpers import JSON_VALUES, constant_trajectory, fabricated_dataset, small_dataset
+from helpers import JSON_VALUES, fabricated_dataset, small_dataset, windows_by_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +172,33 @@ def test_tiny_generation_shapes_and_spacing():
     )
     dataset = generate_dataset(config)
     assert len(dataset) == 1
-    traj = dataset.trajectories[0]
-    assert traj.data.shape == (8, 4)  # series 10 minus transient 2
-    assert traj.dt == pytest.approx(0.1, rel=1e-12)
-    assert traj.params == PotentialParams(alpha=1.0, beta=1.0)
-    assert dataset.cell_energies == [1 / 12]
+    assert dataset.states.shape == (1, 8, 4)  # series 10 minus transient 2
+    assert dataset.dt == pytest.approx(0.1, rel=1e-12)
+    assert dataset.params.alpha.tolist() == dataset.params.beta.tolist() == [1.0]
+    assert dataset.cell_energies.tolist() == [1 / 12]
     assert dataset.n_states == 8
+
+
+def test_generated_states_are_read_only():
+    states = small_dataset(n_per_cell=1, series_length=9, transient=2).states
+    with pytest.raises(ValueError, match="read-only"):
+        states[0, 0, 0] = 1.0
 
 
 def test_generation_covers_the_whole_grid():
     dataset = small_dataset(alphas=(0.2, 0.8), energies=(1 / 24, 1 / 12),
                             n_per_cell=2)
     assert len(dataset) == 8
-    seen = [(t.params.alpha, e) for t, e in zip(dataset.trajectories, dataset.cell_energies)]
+    seen = list(zip(dataset.params.alpha.tolist(), dataset.cell_energies.tolist()))
     assert seen.count((0.2, 1 / 24)) == 2
     assert seen.count((0.8, 1 / 12)) == 2
 
 
 def test_generated_trajectories_conserve_energy():
     dataset = small_dataset(series_length=60, transient=6)
-    for traj, cell_energy in zip(dataset.trajectories, dataset.cell_energies):
-        energies = traj.energies()
+    for states, alpha, cell_energy in zip(dataset.states, dataset.params.alpha,
+                                          dataset.cell_energies):
+        energies = hh_energy_batch(states, PotentialParams.single(alpha))
         drift = np.max(np.abs(energies - energies[0]) / abs(energies[0]))
         assert drift <= CONSERVATION_TOL
         # the transient is dropped, so the first stored sample may sit
@@ -203,9 +212,8 @@ def test_generation_is_deterministic_per_seed():
     a = small_dataset(seed=5, **kw)
     b = small_dataset(seed=5, **kw)
     c = small_dataset(seed=6, **kw)
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.data, tb.data)
-    assert not np.array_equal(a.trajectories[0].data, c.trajectories[0].data)
+    assert np.array_equal(a.states, b.states)
+    assert not np.array_equal(a.states[0], c.states[0])
 
 
 def test_trajectory_streams_are_independent_of_cell_count():
@@ -219,9 +227,9 @@ def test_trajectory_streams_are_independent_of_cell_count():
         alphas=(0.5,), energies=(1 / 12, 1 / 8), n_per_cell=1,
         series_length=30, transient=3, seed=11,
     )
-    a = generate_dataset(one).trajectories[0]
-    b = generate_dataset(two).trajectories[0]
-    assert np.array_equal(a.data, b.data)
+    a = generate_dataset(one).states[0]
+    b = generate_dataset(two).states[0]
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +239,7 @@ def test_trajectory_streams_are_independent_of_cell_count():
 def test_derivative_pairs_are_states_with_analytic_derivatives():
     dataset = small_dataset(alphas=(0.5,), series_length=30, transient=3)
     pairs = window_dataset(dataset, "derivative-pairs")
-    states = np.concatenate([t.data for t in dataset.trajectories])
+    states = dataset.states.reshape(-1, 4)
     assert np.array_equal(pairs.states, states)
     assert np.array_equal(pairs.derivs[:, :2], states[:, 2:])
     pot = PotentialParams.single(0.5)
@@ -257,10 +265,10 @@ def test_derivative_pairs_two_channel_dataset():
 
 
 def test_rollout_windows_are_non_overlapping_slices():
-    dataset = fabricated_dataset([61])
+    dataset = fabricated_dataset(1, 61)
     wins = window_dataset(dataset, "rollout", window_len=11)
     assert wins.windows.shape == (5, 11, 4)
-    data = dataset.trajectories[0].data
+    data = dataset.states[0]
     for j, s in enumerate(range(0, 51, 11)):
         assert np.array_equal(wins.windows[j], data[s : s + 11])
     assert wins.dt == 0.1
@@ -268,42 +276,36 @@ def test_rollout_windows_are_non_overlapping_slices():
 
 
 def test_rollout_window_count_at_scale():
-    wins = window_dataset(fabricated_dataset([2500]), "rollout")
+    wins = window_dataset(fabricated_dataset(1, 2500), "rollout")
     assert wins.windows.shape == (227, 11, 4)
 
 
 def test_rollout_custom_stride():
-    wins = window_dataset(fabricated_dataset([61]), "rollout",
+    wins = window_dataset(fabricated_dataset(1, 61), "rollout",
                           window_len=11, stride=5)
     assert wins.n == 11  # starts 0, 5, ..., 50
 
 
-def test_rollout_skips_short_trajectories():
-    wins = window_dataset(fabricated_dataset([40, 8]), "rollout", window_len=10)
-    assert wins.n == 4
-
-
 def test_rollout_all_short_raises():
-    with pytest.raises(TooShort):
-        window_dataset(fabricated_dataset([8, 9]), "rollout", window_len=10)
+    with pytest.raises(TooShort, match="trajectories of 9 states hold no window of 10"):
+        window_dataset(fabricated_dataset(2, 9), "rollout", window_len=10)
 
 
 def test_rollout_rejects_degenerate_length():
     with pytest.raises(ValueError):
-        window_dataset(fabricated_dataset([20]), "rollout", window_len=1)
+        window_dataset(fabricated_dataset(1, 20), "rollout", window_len=1)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("length, stride", [(11, None), (11, 3), (25, 7)])
 def test_rollout_windows_match_the_per_window_loop(k, length, stride):
-    config = _config(COUPLINGS, 2) if k == 2 else None
-    # 12 states is too short for a window: skipped
-    dataset = fabricated_dataset([61, 12, 45, 30], couplings=COUPLINGS, config=config)
+    config = _config(COUPLINGS, 2, 45) if k == 2 else None
+    dataset = fabricated_dataset(4, 45, couplings=COUPLINGS, config=config)
     wins = window_dataset(dataset, "rollout", window_len=length, stride=stride)
     windows, channels = [], []
-    for traj, pair in zip(dataset.trajectories, COUPLINGS):
-        for s in range(0, len(traj) - length + 1, stride or length):
-            windows.append(traj.data[s : s + length])
+    for data, pair in zip(dataset.states, COUPLINGS):
+        for s in range(0, len(data) - length + 1, stride or length):
+            windows.append(data[s : s + length])
             channels.append(pair[:k])
     windows, channels = np.stack(windows), np.array(channels)
     assert np.array_equal(wins.windows, windows)
@@ -314,9 +316,8 @@ def test_rollout_windows_match_the_per_window_loop(k, length, stride):
 
 
 def test_windows_never_mix_trajectories():
-    ones = constant_trajectory([1.0, 1.0, 1.0, 1.0], 25)
-    twos = constant_trajectory([2.0, 2.0, 2.0, 2.0], 25)
-    dataset = Dataset([ones, twos], [1.0, 1.0])
+    states = np.stack([np.full((25, 4), 1.0), np.full((25, 4), 2.0)])
+    dataset = Dataset(states, PotentialParams(np.zeros(2), np.zeros(2)), np.ones(2), 0.1)
     wins = window_dataset(dataset, "rollout", window_len=10)
     assert wins.n == 4
     for w in wins.windows:
@@ -328,9 +329,9 @@ def test_windows_never_mix_trajectories():
 
 
 def test_encoder_windows_observe_only_visible_columns():
-    dataset = fabricated_dataset([61])
+    dataset = fabricated_dataset(1, 61)
     wins = window_dataset(dataset, "encoder", window_len=30)
-    data = dataset.trajectories[0].data
+    data = dataset.states[0]
     assert wins.inputs.shape == (32, 30, 2)
     assert wins.targets.shape == (32, 3)
     assert np.array_equal(wins.inputs[0], data[:30][:, [0, 2]])
@@ -341,22 +342,21 @@ def test_encoder_windows_observe_only_visible_columns():
 
 
 def test_encoder_windows_with_stride():
-    wins = window_dataset(fabricated_dataset([61]), "encoder",
+    wins = window_dataset(fabricated_dataset(1, 61), "encoder",
                           window_len=30, stride=30)
     assert wins.n == 2
 
 
 def test_encoder_window_count_one_past_window():
-    wins = window_dataset(fabricated_dataset([31]), "encoder", window_len=30)
+    wins = window_dataset(fabricated_dataset(1, 31), "encoder", window_len=30)
     assert wins.n == 2
 
 
 def _encoder_windows_by_loop(dataset, couplings, length, step, k):
     """Encoder windows cut one start at a time, the reference layout."""
     inputs, targets = [], []
-    for traj, pair in zip(dataset.trajectories, couplings):
-        d = traj.data
-        for s in range(0, len(traj) - length + 1, step):
+    for d, pair in zip(dataset.states, couplings):
+        for s in range(0, len(d) - length + 1, step):
             inputs.append(d[s : s + length][:, [0, 2]])
             last = d[s + length - 1]
             targets.append([last[1], last[3], *pair[:k]])
@@ -367,17 +367,18 @@ def _encoder_windows_by_loop(dataset, couplings, length, step, k):
 COUPLINGS = [(0.3 + 0.1 * j, 0.9 - 0.2 * j) for j in range(4)]
 
 
-def _config(couplings, k):
+def _config(couplings, k, length):
+    """A config whose grid is ``couplings`` in order at one energy, and
+    whose trajectories hold ``length`` states at step 0.1."""
     return GenerationConfig(param_values=couplings, energies=(1 / 12,), n_per_cell=1,
-                            param_channels=k)
+                            series_length=length, transient=0, param_channels=k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("stride", [1, 3])
 def test_encoder_windows_match_the_per_window_loop(k, stride):
-    config = _config(COUPLINGS, 2) if k == 2 else None
-    # 12 states is too short for a window: skipped
-    dataset = fabricated_dataset([61, 12, 45, 30], couplings=COUPLINGS, config=config)
+    config = _config(COUPLINGS, 2, 45) if k == 2 else None
+    dataset = fabricated_dataset(4, 45, couplings=COUPLINGS, config=config)
     wins = window_dataset(dataset, "encoder", window_len=30, stride=stride)
     inputs, targets = _encoder_windows_by_loop(dataset, COUPLINGS, 30, stride, k)
     assert np.array_equal(wins.inputs, inputs)
@@ -389,7 +390,45 @@ def test_encoder_windows_match_the_per_window_loop(k, stride):
 
 def test_encoder_too_short_raises():
     with pytest.raises(TooShort):
-        window_dataset(fabricated_dataset([29]), "encoder", window_len=30)
+        window_dataset(fabricated_dataset(1, 29), "encoder", window_len=30)
+
+
+# ---------------------------------------------------------------------------
+# windowing: the one block against the per-trajectory loops
+
+
+def _generated(k):
+    if k == 1:
+        return small_dataset(alphas=(0.4, 0.8), energies=(1 / 12, 1 / 8), n_per_cell=2,
+                             series_length=70, transient=5, seed=21)
+    return generate_dataset(GenerationConfig(
+        param_values=((0.5, 1.5), (0.7, 0.3)), energies=(1 / 12,), n_per_cell=3,
+        series_length=66, transient=4, seed=22, param_channels=2))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("loaded", [False, True], ids=["generated", "loaded"])
+def test_block_windows_are_the_per_trajectory_windows(tmp_path, k, loaded):
+    dataset = _generated(k)
+    if loaded:
+        save_dataset(dataset, tmp_path / "d")
+        dataset = load_dataset(tmp_path / "d")
+    for kind, kw in [("derivative-pairs", {}), ("rollout", {}),
+                     ("rollout", dict(window_len=25, stride=7)),
+                     ("encoder", dict(window_len=30, stride=1)),
+                     ("encoder", dict(window_len=30, stride=3))]:
+        block = vars(window_dataset(dataset, kind, **kw))
+        reference = vars(windows_by_trajectory(dataset, kind, **kw))
+        assert block.keys() == reference.keys()
+        for name, want in reference.items():
+            got = block[name]
+            if isinstance(want, float):
+                assert got == want, (kind, kw, name)
+                continue
+            assert got.tobytes() == want.tobytes(), (kind, kw, name)
+            assert (got.shape, got.strides, got.dtype) == (want.shape, want.strides,
+                                                            want.dtype), (kind, kw, name)
+            assert got.flags.c_contiguous == want.flags.c_contiguous, (kind, kw, name)
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +437,20 @@ def test_encoder_too_short_raises():
 
 def test_unknown_window_kind():
     with pytest.raises(ValueError):
-        window_dataset(fabricated_dataset([20]), "fourier")
+        window_dataset(fabricated_dataset(1, 20), "fourier")
 
 
 def test_empty_dataset_cannot_be_windowed():
+    none = np.empty(0)
     with pytest.raises(EmptyDataset):
-        window_dataset(Dataset([], [], None), "rollout")
-
-
-def test_mixed_sampling_steps_are_rejected():
-    dataset = fabricated_dataset([20, 20], dts=[0.1, 0.2])
-    with pytest.raises(CorruptRecord):
-        window_dataset(dataset, "derivative-pairs")
+        window_dataset(Dataset(np.empty((0, 20, 4)), PotentialParams(none, none), none, 0.1),
+                       "rollout")
 
 
 def test_dataset_requires_matching_record_count():
-    traj = constant_trajectory([0.0, 0.0, 0.0, 0.0], 5)
+    dataset = fabricated_dataset(1, 5)
     with pytest.raises(CorruptRecord):
-        Dataset([traj], [])
+        Dataset(dataset.states, dataset.params, np.empty(0), dataset.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +463,11 @@ def test_save_load_round_trip(tmp_path):
     save_dataset(dataset, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
     assert len(loaded) == len(dataset)
-    for a, b in zip(dataset.trajectories, loaded.trajectories):
-        assert np.array_equal(a.data, b.data)
-        assert a.dt == b.dt
-        assert a.params == b.params
-    assert loaded.cell_energies == dataset.cell_energies
+    assert np.array_equal(loaded.states, dataset.states)
+    assert loaded.dt == dataset.dt
+    assert np.array_equal(loaded.params.alpha, dataset.params.alpha)
+    assert np.array_equal(loaded.params.beta, dataset.params.beta)
+    assert np.array_equal(loaded.cell_energies, dataset.cell_energies)
     assert loaded.config == dataset.config
 
 
@@ -440,11 +475,10 @@ def test_save_load_round_trip(tmp_path):
 def test_hand_built_round_trip_keeps_every_training_row(tmp_path, k):
     # each trajectory has couplings of its own; alpha != beta needs two channels
     couplings = COUPLINGS if k == 2 else [(a, a) for a, _ in COUPLINGS]
-    dataset = fabricated_dataset([40, 25, 33, 30], couplings=couplings,
-                                 config=_config(couplings, k))
+    dataset = fabricated_dataset(4, 33, couplings=couplings, config=_config(couplings, k, 33))
     save_dataset(dataset, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
-    assert [t.params for t in loaded.trajectories] == [PotentialParams(*c) for c in couplings]
+    assert list(zip(loaded.params.alpha.tolist(), loaded.params.beta.tolist())) == couplings
     rollout = window_dataset(loaded, "rollout", window_len=25)
     assert np.array_equal(rollout.channels, [c[:k] for c in couplings])
     for kind in ("rollout", "derivative-pairs", "encoder"):
@@ -454,18 +488,32 @@ def test_hand_built_round_trip_keeps_every_training_row(tmp_path, k):
             assert np.array_equal(before[name], after[name]), (kind, name)
 
 
-@pytest.mark.parametrize("edits, message", [
-    ({"energy": 0.09}, "record 1 energy 0.09 is not in the config's energies"),
-    ({"dt": 0.2}, r"record 1 dt 0.2 is not the config's coarse step 0.1"),
-    ({"energy": 0.09, "dt": 0.2}, "record 1 energy 0.09"),
-])
-def test_record_off_its_config_is_corrupt(tmp_path, edits, message):
-    # both edits loaded before the energy and the step were checked
-    couplings = [(0.5, 0.5), (0.7, 0.7)]
-    save_dataset(fabricated_dataset([10, 8], couplings=couplings,
-                                    config=_config(couplings, 1)), tmp_path / "d")
-    assert load_dataset(tmp_path / "d").trajectories[1].dt == 0.1
-    _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update(edits))
+def _two_alpha_store(path):
+    """A saved dataset of two couplings, one energy and two trajectories per
+    cell: records 0-1 at alpha 0.5, records 2-3 at alpha 0.7."""
+    save_dataset(small_dataset(alphas=(0.5, 0.7), n_per_cell=2, series_length=10,
+                               transient=2), path)
+
+
+def _swap_cells(m):
+    for key in ("alpha", "beta"):
+        m["records"][0][key], m["records"][2][key] = m["records"][2][key], m["records"][0][key]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["records"][1].update(energy=0.09),
+     r"record 1 \(alpha, beta, energy\) \(0.5, 0.5, 0.09\) is not its config cell "
+     r"\(0.5, 0.5, 0.08"),
+    (_swap_cells, r"record 0 \(alpha, beta, energy\) \(0.7, 0.7"),
+    (lambda m: [r.update(dt=0.2) for r in m["records"]],
+     "records hold 8 states at step 0.2, the config 8 at 0.1"),
+    (lambda m: m["config"].update(transient=3), "records hold 8 states at step 0.1, the config 7"),
+], ids=["energy", "cell-order", "dt", "stored-length"])
+def test_record_off_its_config_is_corrupt(tmp_path, edit, message):
+    # a record's couplings and energy are its config cell's, in the config's order
+    _two_alpha_store(tmp_path / "d")
+    assert len(load_dataset(tmp_path / "d")) == 4
+    _edit_manifest(tmp_path / "d", edit)
     with pytest.raises(CorruptRecord, match=message):
         load_dataset(tmp_path / "d")
 
@@ -473,23 +521,96 @@ def test_record_off_its_config_is_corrupt(tmp_path, edits, message):
 @pytest.mark.parametrize("channels", [None, 1, 2])
 def test_beta_apart_from_alpha_is_corrupt_only_with_one_channel(tmp_path, channels):
     couplings = [(0.5, 0.5), (0.7, 0.7)]
-    config = None if channels is None else _config(couplings, channels)
-    save_dataset(fabricated_dataset([10, 8], couplings=couplings, config=config),
+    config = None if channels is None else _config(couplings, channels, 10)
+    save_dataset(fabricated_dataset(2, 10, couplings=couplings, config=config),
                  tmp_path / "d")
     _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update(beta=0.9))
     if channels == 2:  # alpha != beta is allowed, but (0.7, 0.9) is off the grid
-        with pytest.raises(CorruptRecord, match=r"record 1 couplings \(0.7, 0.9\) are not"):
+        with pytest.raises(CorruptRecord, match=r"record 1 \(alpha, beta, energy\) \(0.7, 0.9,"):
             load_dataset(tmp_path / "d")
     else:  # a config-free dataset has one channel too
         with pytest.raises(CorruptRecord, match="record 1 has alpha != beta"):
             load_dataset(tmp_path / "d")
 
 
+def test_manifest_of_another_kind_is_corrupt(tmp_path):
+    _two_alpha_store(tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m.update(kind="checkpoint"))
+    with pytest.raises(CorruptRecord, match="manifest kind 'checkpoint' is not"):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("declared", [7, 3, "4", None])
+def test_trajectory_total_off_the_record_count_is_corrupt(tmp_path, declared):
+    _two_alpha_store(tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m["totals"].update(trajectories=declared))
+    with pytest.raises(CorruptRecord, match=f"declares {declared!r} trajectories, it holds 4"):
+        load_dataset(tmp_path / "d")
+
+
+def _drop_last_record(path, declared):
+    """The store at ``path`` less its last record and that record's states,
+    with the state total and the checksum made to agree and the trajectory
+    total set to ``declared``."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    length = manifest["records"].pop()["length"]
+    blob = (path / "states.bin").read_bytes()[: -8 * 4 * length]
+    manifest["totals"].update(states=len(blob) // 32, trajectories=declared)
+    manifest["checksum_sha256"] = hashlib.sha256(blob).hexdigest()
+    (path / "states.bin").write_bytes(blob)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("declared, message", [
+    (4, "declares 4 trajectories, it holds 3 records"),
+    (3, "the config's grid holds 4 trajectories, the manifest 3 records"),
+], ids=["total-4", "total-3"])
+def test_store_short_of_its_config_grid_is_corrupt(tmp_path, declared, message):
+    _two_alpha_store(tmp_path / "d")
+    _drop_last_record(tmp_path / "d", declared)
+    with pytest.raises(CorruptRecord, match=message):
+        load_dataset(tmp_path / "d")
+
+
+def test_config_grid_far_beyond_the_records_is_corrupt(tmp_path):
+    # the grid's size is compared before any record is, so a huge n_per_cell
+    # builds nothing
+    _two_alpha_store(tmp_path / "d")
+    _edit_manifest(tmp_path / "d", lambda m: m["config"].update(n_per_cell=10**12))
+    with pytest.raises(CorruptRecord,
+                       match="the config's grid holds 2000000000000 trajectories, the manifest 4"):
+        load_dataset(tmp_path / "d")
+
+
+def _set_records(key, values):
+    def edit(m):
+        for rec, value in zip(m["records"], values):
+            rec[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, first", [
+    (_set_records("dt", [0.1, 0.1, 0.2, 0.3]), 2),
+    (_set_records("dt", [0.2, 0.1, 0.1, 0.1]), 1),
+    (_set_records("length", [5, 5, 5, 5]), 1),
+    (_set_records("length", [10, 6, 8, 8]), 1),
+    (_set_records("offset", [0, 8, 16, 23]), 3),
+], ids=["dt-2", "dt-0", "length-all", "length-1", "offset-3"])
+def test_records_off_record_zeros_block_are_corrupt(tmp_path, edit, first):
+    # a dataset is one (N, L, 4) block: every record has record 0's length
+    # and step, and starts where the one before it ends
+    save_dataset(fabricated_dataset(4, 8), tmp_path / "d")
+    _edit_manifest(tmp_path / "d", edit)
+    with pytest.raises(CorruptRecord, match=rf"^record {first} \(offset"):
+        load_dataset(tmp_path / "d")
+
+
 @pytest.mark.parametrize("row", [0, 5])
 def test_non_finite_stored_state_is_corrupt(tmp_path, row):
-    dataset = fabricated_dataset([10])
-    dataset.trajectories[0].data[row, 2] = np.nan
-    save_dataset(dataset, tmp_path / "d")
+    dataset = fabricated_dataset(1, 10)
+    states = dataset.states.copy()
+    states[0, row, 2] = np.nan
+    save_dataset(replace(dataset, states=states), tmp_path / "d")
     with pytest.raises(CorruptRecord, match="non-finite"):
         load_dataset(tmp_path / "d")
 
@@ -504,16 +625,16 @@ def test_saved_bytes_are_deterministic(tmp_path):
 
 
 def test_configless_dataset_round_trips(tmp_path):
-    dataset = fabricated_dataset([12, 7])
+    dataset = fabricated_dataset(2, 12)
     save_dataset(dataset, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
     assert loaded.config is None
     assert len(loaded) == 2
-    assert np.array_equal(loaded.trajectories[1].data, dataset.trajectories[1].data)
+    assert np.array_equal(loaded.states, dataset.states)
 
 
 def test_loading_holds_the_stored_states_once(tmp_path):
-    save_dataset(fabricated_dataset([8000, 4000]), tmp_path / "d")
+    save_dataset(fabricated_dataset(2, 6000), tmp_path / "d")
     stored = (tmp_path / "d/states.bin").stat().st_size
     manifest = (tmp_path / "d/manifest.json").stat().st_size
     tracemalloc.start()
@@ -522,13 +643,13 @@ def test_loading_holds_the_stored_states_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # three copies (the bytes, a float copy, a copy per trajectory) read 3.0
+    # two copies (the bytes and a float copy of them) read 2.0
     assert peak < 1.5 * (stored + manifest)
-    assert not any(t.data.flags.writeable for t in dataset.trajectories)
+    assert not dataset.states.flags.writeable
 
 
 def test_truncated_states_file_is_detected(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     blob = (tmp_path / "d/states.bin").read_bytes()
     (tmp_path / "d/states.bin").write_bytes(blob[:-8])
     with pytest.raises(CorruptRecord):
@@ -536,7 +657,7 @@ def test_truncated_states_file_is_detected(tmp_path):
 
 
 def test_bit_flip_is_detected(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     blob = bytearray((tmp_path / "d/states.bin").read_bytes())
     blob[13] ^= 0x40
     (tmp_path / "d/states.bin").write_bytes(bytes(blob))
@@ -545,7 +666,7 @@ def test_bit_flip_is_detected(tmp_path):
 
 
 def test_unsupported_format_version(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     manifest = json.loads((tmp_path / "d/manifest.json").read_text())
     manifest["format_version"] = 99
     (tmp_path / "d/manifest.json").write_text(json.dumps(manifest))
@@ -554,7 +675,7 @@ def test_unsupported_format_version(tmp_path):
 
 
 def test_wrong_total_count_is_detected(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     manifest = json.loads((tmp_path / "d/manifest.json").read_text())
     manifest["totals"]["states"] = 11
     (tmp_path / "d/manifest.json").write_text(json.dumps(manifest))
@@ -563,7 +684,7 @@ def test_wrong_total_count_is_detected(tmp_path):
 
 
 def test_record_past_end_is_detected(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     manifest = json.loads((tmp_path / "d/manifest.json").read_text())
     manifest["records"][0]["length"] = 12
     (tmp_path / "d/manifest.json").write_text(json.dumps(manifest))
@@ -577,21 +698,21 @@ def test_missing_manifest(tmp_path):
 
 
 def test_missing_states_file(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     (tmp_path / "d/states.bin").unlink()
     with pytest.raises(CorruptRecord):
         load_dataset(tmp_path / "d")
 
 
 def test_invalid_manifest_json(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     (tmp_path / "d/manifest.json").write_text("{not json")
     with pytest.raises(CorruptRecord):
         load_dataset(tmp_path / "d")
 
 
 def test_structurally_invalid_manifest(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     manifest = json.loads((tmp_path / "d/manifest.json").read_text())
     del manifest["records"]
     (tmp_path / "d/manifest.json").write_text(json.dumps(manifest))
@@ -610,8 +731,15 @@ def _edit_manifest(path, edit):
     ("alpha", [1.0]), ("beta", True), ("energy", "x"), ("energy", 0), ("energy", None),
 ])
 def test_record_rejected_by_its_trajectory_is_corrupt(tmp_path, field, value):
-    save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
-    _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update({field: value}))
+    # the bad value sits on record 1, so every record is checked; a dt goes
+    # on record 0 as well, since record 1 may not differ from record 0's
+    save_dataset(fabricated_dataset(2, 10), tmp_path / "d")
+
+    def edit(m):
+        for k in ((0, 1) if field == "dt" else (1,)):
+            m["records"][k][field] = value
+
+    _edit_manifest(tmp_path / "d", edit)
     with pytest.raises(CorruptRecord, match="structurally invalid"):
         load_dataset(tmp_path / "d")
 
@@ -619,18 +747,18 @@ def test_record_rejected_by_its_trajectory_is_corrupt(tmp_path, field, value):
 def test_negative_record_offset_is_corrupt(tmp_path):
     # record 1 of a 2 x 38-row store moved to offset -40 used to load rows
     # 36..73 without complaint
-    save_dataset(fabricated_dataset([38, 38]), tmp_path / "d")
+    save_dataset(fabricated_dataset(2, 38), tmp_path / "d")
     _edit_manifest(tmp_path / "d", lambda m: m["records"][1].update(offset=-40))
     with pytest.raises(CorruptRecord, match="record 1"):
         load_dataset(tmp_path / "d")
 
 
 def test_overlapping_records_are_corrupt(tmp_path):
-    save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
+    save_dataset(fabricated_dataset(2, 10), tmp_path / "d")
 
     def overlap(m):
         m["records"][1]["offset"] = 5
-        m["records"][1]["length"] = 13
+        m["records"][1]["length"] = 15
 
     _edit_manifest(tmp_path / "d", overlap)
     with pytest.raises(CorruptRecord, match="record 1"):
@@ -638,9 +766,14 @@ def test_overlapping_records_are_corrupt(tmp_path):
 
 
 def test_records_must_cover_every_stored_state(tmp_path):
-    save_dataset(fabricated_dataset([10, 8]), tmp_path / "d")
-    _edit_manifest(tmp_path / "d", lambda m: m["records"].pop())
-    with pytest.raises(CorruptRecord, match="cover 10 of the 18"):
+    save_dataset(fabricated_dataset(2, 10), tmp_path / "d")
+
+    def drop(m):
+        m["records"].pop()
+        m["totals"]["trajectories"] = 1
+
+    _edit_manifest(tmp_path / "d", drop)
+    with pytest.raises(CorruptRecord, match="cover 10 of the 20"):
         load_dataset(tmp_path / "d")
 
 
@@ -652,7 +785,7 @@ def test_config_energies_that_are_not_a_list_are_corrupt(tmp_path):
 
 
 def test_manifest_that_is_not_an_object_is_corrupt(tmp_path):
-    save_dataset(fabricated_dataset([10]), tmp_path / "d")
+    save_dataset(fabricated_dataset(1, 10), tmp_path / "d")
     (tmp_path / "d/manifest.json").write_text("[]")
     with pytest.raises(CorruptRecord, match="not a JSON object"):
         load_dataset(tmp_path / "d")

@@ -263,10 +263,9 @@ def test_train_seed_changes_the_run(tiny_dataset):
 
 
 def test_train_does_not_mutate_the_dataset(tiny_dataset):
-    before = [traj.data.copy() for traj in tiny_dataset.trajectories]
+    before = tiny_dataset.states.copy()
     train(_hnn_config(), tiny_dataset)
-    for snap, traj in zip(before, tiny_dataset.trajectories):
-        assert np.array_equal(snap, traj.data)
+    assert np.array_equal(before, tiny_dataset.states)
 
 
 def test_train_empty_validation_falls_back_to_train_split(tiny_dataset):
@@ -363,7 +362,7 @@ def test_trained_model_approximates_potential_gradient():
     report = train(config, dataset)
     pot = PotentialParams.single(0.5)
     rng = np.random.default_rng(13)
-    states = np.concatenate([traj.data for traj in dataset.trajectories])
+    states = dataset.states.reshape(-1, 4)
     sample = states[rng.choice(len(states), size=64, replace=False)]
     field = report.model.derivative_field(pot)
     err = 0.0
