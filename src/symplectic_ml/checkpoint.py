@@ -176,8 +176,6 @@ def model_from_checkpoint(doc):
             )
         raise CorruptRecord(f"unknown model kind {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError, ShapeMismatch) as err:
-        if isinstance(err, (FormatVersionMismatch, CorruptRecord)):
-            raise
         raise CorruptRecord(f"checkpoint is structurally invalid: {err}")
 
 

@@ -7,15 +7,16 @@ errors, 2 on runtime failures, a request too large to allocate among them
 ``models.rollout`` steps, not an encoder; ``lyapunov`` needs an asrnn's
 force field.
 
-Every CSV output begins with ``# key=value`` metadata lines recording the
-tool version, the seed, and a hash of the effective configuration.  The
-seed comes from ``--seed`` when given, else the ``SYMPLECTIC_ML_SEED``
-environment variable, else 0.  ``--jobs`` bounds worker processes where
-supported; results are independent of the worker count.  ``lyapunov``
-samples each grid point's initial condition from its own stream, then
-estimates the grid in fixed chunks of ``LYAPUNOV_CHUNK`` points: one
-batched ``analysis.lyapunov_spectra`` pass per chunk, each point with its
-own couplings, and one worker task per chunk.
+``main`` resolves the seed once for every command: ``--seed`` when given,
+else the ``SYMPLECTIC_ML_SEED`` environment variable, else 0.  The one CSV
+writer begins every output with ``# key=value`` metadata lines recording
+the tool version, the seed, and a hash of the effective configuration.
+``--jobs`` bounds worker processes where supported; results are
+independent of the worker count.  ``lyapunov`` samples each grid point's
+initial condition from its own stream, then estimates the grid in fixed
+chunks of ``LYAPUNOV_CHUNK`` points: one batched
+``analysis.lyapunov_spectra`` pass per chunk, each point with its own
+couplings, and one worker task per chunk.
 """
 
 import argparse
@@ -121,21 +122,17 @@ def _config_hash(obj):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _write_csv(path, names, rows, meta):
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(names))
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
+def _write_csv(path, names, rows, seed, config):
+    """The metadata lines, the ``names`` header, then one line per row."""
+    lines = ["# tool=symplectic-ml", f"# version={__version__}", f"# seed={seed}",
+             f"# config_hash={_config_hash(config)}", ",".join(names)]
+    lines += (",".join(repr(float(x)) for x in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _meta(seed, config_obj):
-    return {
-        "tool": "symplectic-ml",
-        "version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(config_obj),
-    }
+def _write_trajectory(path, traj, seed, config):
+    rows = [(i * traj.dt, *traj.data[i]) for i in range(len(traj))]
+    _write_csv(path, ("t", "q_x", "q_y", "p_x", "p_y"), rows, seed, config)
 
 
 def _read_observed(path):
@@ -182,15 +179,16 @@ def _load_config(path):
     return doc
 
 
-def _sample_state(energy, pot, seed):
-    rng = np.random.default_rng([seed, 0])
-    return datapipe.sample_initial_condition(energy, pot, rng)
-
-
-def _pot_from_args(args):
-    alpha = args.alpha
-    beta = args.beta if args.beta is not None else alpha
-    return PotentialParams(alpha=alpha, beta=beta)
+def _config(args, kind, what, defaults, **fixed):
+    """A ``kind`` built from the ``--config`` file's fields, else from
+    ``defaults()``, under the ``--set`` overrides, then ``fixed`` and the seed."""
+    fields = _load_config(args.config) if args.config else defaults()
+    fields.update(_parse_overrides(args.set))
+    fields.update(fixed, seed=args.seed)
+    try:
+        return kind(**fields)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise _UsageError(f"bad {what} config: {err}")
 
 
 def _truth_trajectory(state0, pot, dt, n_steps, fine_factor=100):
@@ -201,23 +199,13 @@ def _truth_trajectory(state0, pot, dt, n_steps, fine_factor=100):
 
 
 def _cmd_generate(args):
-    seed = _resolve_seed(args)
-    if args.config:
-        cfg_dict = _load_config(args.config)
-    else:
-        cfg_dict = {
-            "param_values": [[a, a] for a in _parse_list(args.alphas)],
-            "energies": _parse_list(args.energies),
-            "n_per_cell": args.n_per_cell,
-            "series_length": args.series_length,
-            "transient": args.transient,
-        }
-    cfg_dict.update(_parse_overrides(args.set))
-    cfg_dict["seed"] = seed
-    try:
-        config = datapipe.GenerationConfig.from_dict(cfg_dict)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise _UsageError(f"bad generation config: {err}")
+    config = _config(args, datapipe.GenerationConfig, "generation", lambda: {
+        "param_values": [[a, a] for a in _parse_list(args.alphas)],
+        "energies": _parse_list(args.energies),
+        "n_per_cell": args.n_per_cell,
+        "series_length": args.series_length,
+        "transient": args.transient,
+    })
     dataset = datapipe.generate_dataset(config)
     datapipe.save_dataset(dataset, args.out)
     print(
@@ -229,15 +217,7 @@ def _cmd_generate(args):
 
 
 def _cmd_train(args):
-    seed = _resolve_seed(args)
-    cfg_dict = _load_config(args.config) if args.config else {}
-    cfg_dict.update(_parse_overrides(args.set))
-    cfg_dict["model_kind"] = args.model
-    cfg_dict["seed"] = seed
-    try:
-        config = training.TrainConfig(**cfg_dict)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise _UsageError(f"bad training config: {err}")
+    config = _config(args, training.TrainConfig, "training", dict, model_kind=args.model)
     dataset = datapipe.load_dataset(args.dataset)
     report = training.train(config, dataset)
     checkpoint.write_checkpoint(report.checkpoint, args.out)
@@ -251,7 +231,7 @@ def _cmd_train(args):
     return 0
 
 
-def _state_from_args(args, pot, seed):
+def _state_from_args(args, pot):
     if args.ic:
         vals = _parse_list(args.ic)
         if len(vals) != 4:
@@ -259,12 +239,13 @@ def _state_from_args(args, pot, seed):
         return PhaseState(q=np.array(vals[:2]), p=np.array(vals[2:]))
     if args.energy is None:
         raise _UsageError("need --energy or --ic")
-    return _sample_state(_parse_energy(args.energy), pot, seed)
+    rng = np.random.default_rng([args.seed, 0])
+    return datapipe.sample_initial_condition(_parse_energy(args.energy), pot, rng)
 
 
 def _checkpoint_model(path, fits, need):
-    """The ``--checkpoint`` model, which ``fits(model)`` must accept; ``need``
-    says what the command needs when it does not."""
+    """The model of the checkpoint at ``path``, which ``fits(model)`` must
+    accept; ``need`` says what the command needs when it does not."""
     model, _ = checkpoint.load_checkpoint(path)
     if not fits(model):
         raise SymplecticMlError(f"checkpoint holds a {checkpoint.model_kind(model)}; {need}")
@@ -280,34 +261,33 @@ def _rollout_model(path):
 
 def _rollout(args):
     """The shared start of ``predict``, ``poincare`` and ``eval-energy``:
-    ``(state0, pot, traj, meta)``, the initial state and couplings, their
-    rollout (under ``--checkpoint``, else analytic) and the CSV metadata."""
-    seed = _resolve_seed(args)
-    pot = _pot_from_args(args)
-    state0 = _state_from_args(args, pot, seed)
+    ``(state0, pot, traj, config)``, the initial state and couplings, their
+    rollout (under ``--checkpoint``, else analytic) and the hashed config."""
+    pot = PotentialParams(alpha=args.alpha,
+                          beta=args.alpha if args.beta is None else args.beta)
+    state0 = _state_from_args(args, pot)
     model = _rollout_model(args.checkpoint) if args.checkpoint else HH_FIELD
     traj = models.rollout(model, state0, pot, args.dt, args.steps)
     cfg = {
         "checkpoint": args.checkpoint, "alpha": pot.alpha, "beta": pot.beta,
         "dt": args.dt, "steps": args.steps,
     }
-    return state0, pot, traj, _meta(seed, cfg)
+    return state0, pot, traj, cfg
 
 
 def _cmd_predict(args):
-    _, _, traj, meta = _rollout(args)
-    rows = [(i * traj.dt, *traj.data[i]) for i in range(len(traj))]
-    _write_csv(args.out, ("t", "q_x", "q_y", "p_x", "p_y"), rows, meta)
+    _, _, traj, cfg = _rollout(args)
+    _write_trajectory(args.out, traj, args.seed, cfg)
     print(f"wrote {len(traj)} states -> {args.out}")
     return 0
 
 
 def _cmd_eval_energy(args):
-    state0, pot, traj, meta = _rollout(args)
+    state0, pot, traj, cfg = _rollout(args)
     truth = _truth_trajectory(state0, pot, args.dt, args.steps)
     err = analysis.relative_energy_error(traj, truth)
     rows = [(i * traj.dt, err[i]) for i in range(err.size)]
-    _write_csv(args.out, ("t", "energy_error_pct"), rows, meta)
+    _write_csv(args.out, ("t", "energy_error_pct"), rows, args.seed, cfg)
     print(
         f"mean energy error {float(np.mean(err)):.4f}% over {args.steps} steps "
         f"-> {args.out}"
@@ -330,7 +310,6 @@ def _lyapunov_task(task):
 
 
 def _cmd_lyapunov(args):
-    seed = _resolve_seed(args)
     if args.grid:
         bounds = [_parse_number(x) for x in args.grid.split(":")]
         if len(bounds) != 3 or not (bounds[2] > 0 and bounds[1] >= bounds[0]):
@@ -357,7 +336,7 @@ def _cmd_lyapunov(args):
         flow = _checkpoint_model(args.checkpoint, lambda m: hasattr(m, "block_force"),
                                  "lyapunov needs a separable rollout model")
     tasks = [
-        (alphas[i : i + LYAPUNOV_CHUNK], i, energy, seed, args.dt, args.steps,
+        (alphas[i : i + LYAPUNOV_CHUNK], i, energy, args.seed, args.dt, args.steps,
          args.renorm, flow)
         for i in range(0, len(alphas), LYAPUNOV_CHUNK)
     ]
@@ -371,30 +350,27 @@ def _cmd_lyapunov(args):
         "alphas": alphas, "energy": energy, "dt": args.dt, "steps": args.steps,
         "renorm": args.renorm, "checkpoint": args.checkpoint,
     }
-    _write_csv(args.out, ("alpha", "beta", "lambda_max"), results, _meta(seed, cfg))
+    _write_csv(args.out, ("alpha", "beta", "lambda_max"), results, args.seed, cfg)
     print(f"wrote {len(results)} exponents -> {args.out}")
     return 0
 
 
 def _cmd_poincare(args):
-    _, _, traj, meta = _rollout(args)
+    _, _, traj, cfg = _rollout(args)
     section = analysis.poincare_section(traj)
     rows = list(zip(section.times, section.q_y, section.p_y, section.p_x))
-    _write_csv(args.out, ("t", "q_y", "p_y", "p_x"), rows, meta)
+    _write_csv(args.out, ("t", "q_y", "p_y", "p_x"), rows, args.seed, cfg)
     print(f"wrote {section.n} section points -> {args.out}")
     return 0
 
 
 def _load_encoder(path):
     """The ``--encoder`` checkpoint's model, which must be an LSTM encoder."""
-    model, _ = checkpoint.load_checkpoint(path)
-    if not isinstance(model, lstm.EncoderModel):
-        raise SymplecticMlError("--encoder must point at an lstm-encoder checkpoint")
-    return model
+    return _checkpoint_model(path, lambda m: isinstance(m, lstm.EncoderModel),
+                             "--encoder needs an lstm-encoder checkpoint")
 
 
 def _cmd_infer_params(args):
-    seed = _resolve_seed(args)
     model = _load_encoder(args.encoder)
     observed = _read_observed(args.observed)
     est = lstm.infer_param_ensemble(model, observed, stride=args.stride)
@@ -402,8 +378,7 @@ def _cmd_infer_params(args):
     rows = [
         (i, est.mean[i], est.std[i], est.n_windows) for i in range(est.mean.size)
     ]
-    _write_csv(args.out, ("channel", "mean", "std", "n_windows"), rows,
-               _meta(seed, cfg))
+    _write_csv(args.out, ("channel", "mean", "std", "n_windows"), rows, args.seed, cfg)
     pretty = ", ".join(
         f"channel {i}: {est.mean[i]:.4f} +/- {est.std[i]:.4f}"
         for i in range(est.mean.size)
@@ -413,20 +388,17 @@ def _cmd_infer_params(args):
 
 
 def _cmd_predict_partial(args):
-    seed = _resolve_seed(args)
     encoder = _load_encoder(args.encoder)
     model = _rollout_model(args.checkpoint)
     observed = _read_observed(args.observed)
     pred = lstm.predict_from_partial(
         encoder, model, observed, args.dt, args.horizon, stride=args.stride)
-    traj = pred.trajectory
     cfg = {
         "encoder": args.encoder, "checkpoint": args.checkpoint,
         "observed": args.observed, "dt": args.dt, "horizon": args.horizon,
         "stride": args.stride,
     }
-    rows = [(i * traj.dt, *traj.data[i]) for i in range(len(traj))]
-    _write_csv(args.out, ("t", "q_x", "q_y", "p_x", "p_y"), rows, _meta(seed, cfg))
+    _write_trajectory(args.out, pred.trajectory, args.seed, cfg)
     mean = ", ".join(f"{m:.4f}" for m in pred.estimate.mean)
     print(
         f"reconstructed state {np.round(pred.state0.vec(), 6).tolist()} "
@@ -470,8 +442,7 @@ def build_parser():
 
     def rollout_args(p, need_checkpoint):
         common(p)
-        p.add_argument("--checkpoint",
-                       **({"required": True} if need_checkpoint else {}))
+        p.add_argument("--checkpoint", required=need_checkpoint)
         p.add_argument("--alpha", type=_finite, required=True)
         p.add_argument("--beta", type=_finite, default=None)
         start = p.add_mutually_exclusive_group()
@@ -530,6 +501,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.seed = _resolve_seed(args)
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

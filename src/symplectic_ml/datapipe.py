@@ -153,7 +153,8 @@ class Dataset:
     """N trajectories of L states as one block: ``states``, a read-only
     (N, L, 4) array sampled at the one step ``dt``; ``params``, their
     couplings as a PotentialParams of (N,) arrays; ``cell_energies``, the
-    (N,) energies of their generating cells; and the config, if any."""
+    (N,) energies of their generating cells; and the config, if any.  A
+    dataset holds at least one trajectory."""
 
     states: np.ndarray
     params: PotentialParams
@@ -164,6 +165,8 @@ class Dataset:
     def __post_init__(self):
         if not len(self.states) == len(self.params.alpha) == len(self.cell_energies):
             raise CorruptRecord("state, coupling and cell-energy counts disagree")
+        if not len(self.states):
+            raise EmptyDataset("a dataset needs at least one trajectory")
 
     def __len__(self):
         return self.states.shape[0]
@@ -308,8 +311,6 @@ def window_dataset(dataset, kind, window_len=None, stride=None):
     trajectory into the next.  A window longer than the trajectories raises
     TooShort.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot window an empty dataset")
     states, pot, k = dataset.states, dataset.params, dataset.param_channels
     chan = pot.channels(k)
 

@@ -72,7 +72,7 @@ def adam_step(state, params, grad):
 def clip_gradient(grad):
     """Scale the gradient down to a global L2 norm of :data:`GRAD_CLIP_NORM`."""
     norm = float(np.linalg.norm(grad))
-    if norm > GRAD_CLIP_NORM and norm > 0:
+    if norm > GRAD_CLIP_NORM:
         return grad * (GRAD_CLIP_NORM / norm)
     return grad
 
@@ -232,9 +232,8 @@ def _build_problem(config, dataset):
 
 
 def _eval_loss(loss_graph, theta, idx, chunk=4096):
-    """Loss over a fixed index set, in deterministic fixed-size chunks."""
-    if idx.size == 0:
-        return float("nan")
+    """Loss over a fixed, non-empty index set, in deterministic fixed-size
+    chunks."""
     total = 0.0
     for s in range(0, idx.size, chunk):
         part = idx[s : s + chunk]

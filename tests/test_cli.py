@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -253,14 +254,6 @@ def test_invalid_json_config_is_a_usage_error(ws, data_dir, tmp_path, capsys, co
         assert rc == 1, text
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and reason in err, text
-
-
-def test_bad_environment_seed_is_a_usage_error(ws, monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
-    rc = cli.main(["generate", "--out", str(ws / "nope3"),
-                   "--alphas", "0.5", "--energies", "0.1"])
-    assert rc == 1
-    assert cli.SEED_ENV_VAR in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -542,31 +535,6 @@ def test_predict_is_deterministic(ws):
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def _predict_bytes(path, *seed_args):
-    assert cli.main(["predict", "--out", str(path), "--alpha", "1.0", "--energy", "1/12",
-                     "--dt", "0.1", "--steps", "20", *seed_args]) == 0
-    return path.read_bytes()
-
-
-def test_seed_environment_variable_seeds_a_run_unless_seed_is_given(ws, monkeypatch):
-    explicit = _predict_bytes(ws / "seed-flag-5.csv", "--seed", "5")
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
-    assert _predict_bytes(ws / "seed-env-5.csv") == explicit
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "9")
-    assert _predict_bytes(ws / "seed-env-9.csv") != explicit
-    assert _predict_bytes(ws / "seed-env-9-flag-5.csv", "--seed", "5") == explicit
-
-
-def test_non_integer_seed_environment_variable_is_a_usage_error(ws, monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
-    out = ws / "seed-env-bad.csv"
-    rc = cli.main(["predict", "--out", str(out), "--alpha", "1.0", "--energy", "1/12"])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        "usage error: SYMPLECTIC_ML_SEED must be an integer, got 'seven'\n")
-    assert not out.exists()
 
 
 def test_predict_accepts_explicit_initial_condition(ws):
@@ -1004,6 +972,10 @@ def test_infer_params_rejects_short_series(ws, encoder_ckpt, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_WRONG_ENCODER = ("error: SymplecticMlError: checkpoint holds a asrnn; "
+                  "--encoder needs an lstm-encoder checkpoint\n")
+
+
 def test_infer_params_rejects_rollout_checkpoint(ws, asrnn_ckpt, observed_csv,
                                                  capsys):
     rc = cli.main(
@@ -1011,7 +983,7 @@ def test_infer_params_rejects_rollout_checkpoint(ws, asrnn_ckpt, observed_csv,
          "--encoder", str(asrnn_ckpt), "--observed", str(observed_csv)]
     )
     assert rc == 2
-    assert "lstm-encoder" in capsys.readouterr().err
+    assert capsys.readouterr().err == _WRONG_ENCODER
 
 
 def test_infer_params_rejects_a_float_hidden_size(ws, encoder_ckpt, observed_csv, tmp_path,
@@ -1086,7 +1058,60 @@ def test_predict_partial_requires_encoder_checkpoint(
          "--observed", str(observed_csv)]
     )
     assert rc == 2
-    assert "lstm-encoder" in capsys.readouterr().err
+    assert capsys.readouterr().err == _WRONG_ENCODER
+
+
+# ---------------------------------------------------------------------------
+# the seed, resolved once for every command
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "predict", "predict-partial",
+                                     "eval-energy", "lyapunov", "poincare", "infer-params"])
+def test_every_command_takes_its_seed_from_the_flag_else_the_environment(
+        tmp_path, monkeypatch, capsys, data_dir, asrnn_ckpt, encoder_ckpt, observed_csv,
+        command):
+    rollout = ["--checkpoint", str(asrnn_ckpt), "--alpha", "0.4", "--energy", "1/12",
+               "--dt", "0.05", "--steps", "30"]
+    observed = ["--encoder", str(encoder_ckpt), "--observed", str(observed_csv)]
+    work = tmp_path / "run"
+    argv = [command, "--out", str(work / "out"), *{
+        "generate": ["--alphas", "0.5", "--energies", "1/12", "--n-per-cell", "2",
+                     "--series-length", "20", "--transient", "2"],
+        "train": ["--model", "asrnn", "--dataset", str(data_dir), "--set", "epochs=1",
+                  "--set", "hidden=[4]", "--set", "window_len=5",
+                  "--history", str(work / "history.csv")],
+        "predict": rollout,
+        "predict-partial": [*observed, "--checkpoint", str(asrnn_ckpt), "--horizon", "20"],
+        "eval-energy": rollout,
+        "lyapunov": ["--alphas", "0.4,0.6", "--energy", "1/12", "--dt", "0.05",
+                     "--steps", "20", "--renorm", "0.5"],
+        "poincare": rollout,
+        "infer-params": observed,
+    }[command]]
+
+    def run(env_seed, *seed_args):
+        """Exit code, stdout, stderr and every file written, each run at the
+        same paths, so that path strings in the hashed configs agree."""
+        work.mkdir()
+        if env_seed is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+        rc = cli.main([*argv, *seed_args])
+        out, err = capsys.readouterr()
+        files = {p.relative_to(work): p.read_bytes()
+                 for p in sorted(work.rglob("*")) if p.is_file()}
+        shutil.rmtree(work)
+        # train's wall time is the one output no seed fixes
+        return rc, re.sub(r" in \d+\.\ds:", " in _s:", out), err, files
+
+    flag = run(None, "--seed", "5")
+    assert flag[0] == 0 and flag[3], flag[2]
+    assert run("5") == flag
+    assert run("9", "--seed", "5") == flag
+    assert run(None) != flag
+    assert run("seven") == (
+        1, "", "usage error: SYMPLECTIC_ML_SEED must be an integer, got 'seven'\n", {})
 
 
 # ---------------------------------------------------------------------------

@@ -440,11 +440,10 @@ def test_unknown_window_kind():
         window_dataset(fabricated_dataset(1, 20), "fourier")
 
 
-def test_empty_dataset_cannot_be_windowed():
+def test_empty_dataset_cannot_be_built():
     none = np.empty(0)
     with pytest.raises(EmptyDataset):
-        window_dataset(Dataset(np.empty((0, 20, 4)), PotentialParams(none, none), none, 0.1),
-                       "rollout")
+        Dataset(np.empty((0, 20, 4)), PotentialParams(none, none), none, 0.1)
 
 
 def test_dataset_requires_matching_record_count():
