@@ -181,9 +181,14 @@ def _load_config(path):
 
 def _config(args, kind, what, defaults, **fixed):
     """A ``kind`` built from the ``--config`` file's fields, else from
-    ``defaults()``, under the ``--set`` overrides, then ``fixed`` and the seed."""
+    ``defaults()``, under the ``--set`` overrides, then ``fixed`` and the seed.
+    A ``seed`` field other than the run's seed is a usage error: the seed
+    comes from ``--seed`` alone."""
     fields = _load_config(args.config) if args.config else defaults()
     fields.update(_parse_overrides(args.set))
+    if fields.get("seed", args.seed) != args.seed:
+        raise _UsageError(f"bad {what} config: seed={fields['seed']!r} is not the run's "
+                          f"seed {args.seed}; set the seed with --seed")
     fields.update(fixed, seed=args.seed)
     try:
         return kind(**fields)

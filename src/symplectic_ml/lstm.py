@@ -16,11 +16,21 @@ gradient is added into the same views of one zeroed flat vector.  Hidden
 and cell states start at zero for every window.
 
 One numpy cell, :func:`lstm_step`, serves training, validation and
-inference.  The training loss on a window batch is one node on the flat
-parameters, :func:`_encoder_loss_graph`, which training and the tests call
-directly; its backward runs backpropagation through time in closed form
-(Werbos 1990; Hochreiter & Schmidhuber 1997), bit-identical to the same
-cell built op by op on the reference tape of the tests.
+inference; it works in place on a (6, B, h) block whose rows are f, i, o,
+g, c and tanh(c'), and its sigmoid runs in place too.  The training loss on
+a window batch is one node on the flat parameters,
+:func:`_encoder_loss_graph`, which training and the tests call directly;
+its backward runs backpropagation through time in closed form (Werbos 1990;
+Hochreiter & Schmidhuber 1997), bit-identical to the same cell built op by
+op on the reference tape of the tests.  Following Appleyard et al., a
+training pass projects the inputs of all steps with one product, keeps
+every step's block in one (window_len + 1, 6, B, h) activation buffer and
+its hidden states in one (window_len + 1, B, h) buffer, and forms the
+weight gradients of all steps after the backward sweep, one batched
+product per weight stack.  Both buffers come from a
+:class:`~symplectic_ml.models.Workspace` that training keeps from batch to
+batch.  Inference keeps one block for all steps, so its memory does not
+grow with the window.
 """
 
 from dataclasses import dataclass
@@ -32,7 +42,7 @@ from . import autodiff as ad
 from . import nets
 from .dynamics import PhaseState, PotentialParams
 from .errors import EmptyBatch, ShapeMismatch, TooShort, WindowLengthMismatch
-from .models import rollout
+from .models import Workspace, rollout
 
 INPUT_SIZE = 2
 
@@ -96,74 +106,148 @@ def encoder_parts(flat, hidden_size, param_outputs):
             head[n_out * h :])
 
 
-def lstm_step(parts, x, h, c):
-    """One LSTM cell update on (batch, input) arrays, all four gates from
-    one stacked pre-activation.  Returns ``(h', c', gates)``, where ``gates
-    = (f, i, o, g, tanh(c'))`` are the activations backpropagation through
-    time reuses."""
+def lstm_step(parts, x, h, c, rows=None, h_out=None, c_out=None):
+    """One LSTM cell update on (batch, ·) arrays, all four gates from one
+    stacked pre-activation, in place on ``rows``, a (6, B, h) block: rows
+    0–3 end as the gates f, i, o, g and row 5 as tanh(c'); row 4 is the
+    caller's (training keeps c there).  With ``x`` None, rows 0–3 must
+    already hold ``x @ Uᵀ + b``.  ``h'`` and ``c'`` are written to ``h_out``
+    and ``c_out``, which may be ``h`` and ``c`` (new arrays when None).
+    Returns ``(h', c', rows)``."""
     u, v, b = parts[:3]
-    a = (x @ u.transpose(0, 2, 1) + b) + h @ v.transpose(0, 2, 1)
-    a[:3] = 1.0 / (1.0 + np.exp(-a[:3]))
-    np.tanh(a[3], out=a[3])
-    f, i, o, g = a
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    return o * tc, c_new, (f, i, o, g, tc)
+    if rows is None:
+        rows = np.empty((6, *h.shape))
+    z, s = rows[:4], rows[:3]
+    if x is not None:
+        np.matmul(x, u.transpose(0, 2, 1), out=z)
+        z += b
+    z += h @ v.transpose(0, 2, 1)
+    # 1 / (1 + exp(-a)), op by op in place
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    np.tanh(rows[3], out=rows[3])
+    c_new = np.multiply(rows[0], c, out=c_out)
+    c_new += rows[1] * rows[3]
+    np.tanh(c_new, out=rows[5])
+    return np.multiply(rows[2], rows[5], out=h_out), c_new, rows
 
 
-def _encode_graph(model, params, windows, need_grad=False):
+def _encode_graph(model, params, windows, need_grad=False, work=None):
     """Head outputs for a (B, window_len, 2) batch of observation windows
     under the flat ``params``, and the pullback that maps the outputs'
-    gradient to the flat parameter gradient; with ``need_grad`` false no
-    step's gates are kept and the pullback is None."""
-    b, length, width = windows.shape
+    gradient to the flat parameter gradient.
+
+    With ``need_grad``, one product projects the inputs of all steps into a
+    (window_len + 1, 6, B, h) activation buffer, whose block t ends as step
+    t's rows f, i, o, g, c, tanh(c') (the last block holds the final c'),
+    and the hidden states go to a (window_len + 1, B, h) buffer.  Both come
+    from ``work`` (a new :class:`~symplectic_ml.models.Workspace` if None),
+    reset here, so the pullback must run before its next reset.  Without
+    it, the pullback is None and every step reuses one (6, B, h) block, so
+    memory does not grow with the window length.
+    """
+    n, length, width = windows.shape
     if length != model.window_len or width != INPUT_SIZE:
         raise WindowLengthMismatch(
             f"windows must be (B, {model.window_len}, {INPUT_SIZE}), got "
             f"{windows.shape}"
         )
-    parts = encoder_parts(params, model.hidden_size, model.param_outputs)
-    h = c = np.zeros((b, model.hidden_size))
-    steps = []
-    for t in range(length):
-        x = windows[:, t, :]
-        h_new, c_new, gates = lstm_step(parts, x, h, c)
-        if need_grad:
-            steps.append((x, h, c, gates))
-        h, c = h_new, c_new
-    _, _, _, wh, bh = parts
+    hid = model.hidden_size
+    parts = u, _, b, wh, bh = encoder_parts(params, hid, model.param_outputs)
+    if need_grad:
+        work = Workspace() if work is None else work
+        work.reset()
+        acts = work.empty((length + 1, 6, n, hid))
+        hs = work.empty((length + 1, n, hid))
+        z = acts[:length, :4]
+        np.matmul(windows.transpose(1, 0, 2)[:, None], u.transpose(0, 2, 1), out=z)
+        z += b
+        hs[0] = acts[0, 4] = 0.0
+        for t in range(length):
+            lstm_step(parts, None, hs[t], acts[t, 4], acts[t], hs[t + 1], acts[t + 1, 4])
+        h = hs[length]
+    else:
+        rows = np.empty((6, n, hid))
+        h, c = np.zeros((n, hid)), rows[4]
+        c[...] = 0.0
+        for t in range(length):
+            lstm_step(parts, windows[:, t], h, c, rows, h, c)
     out = h @ wh.T + bh
-    return out, (lambda g: _bptt(model, parts, steps, h, g)) if need_grad else None
+    if not need_grad:
+        return out, None
+    return out, lambda g: _bptt(model, parts, windows, acts, hs, work, g)
 
 
-def _bptt(model, parts, steps, h_last, g_out):
+def _bptt(model, parts, windows, acts, hs, work, g_out):
     """Backpropagation through time: the flat parameter gradient, given the
     gradient ``g_out`` of the head outputs, added into the
     :func:`encoder_parts` views of one zeroed flat array.
 
-    The expressions and their summation order are the taped cell's, so the
-    result is bit-identical to it: each parameter's gradient accumulates
-    from the last step back to the first, and the gates add to the hidden
-    state's gradient in the order o, f, i, c.
+    ``acts`` and ``hs`` are the forward's buffers.  The sweep runs from the
+    last step to the first, each elementwise op on a stack of gates
+    (``1 - [f, i, o]``, ``[g, tanh(c')]²``, ``dc·[c, g]``), and writes step
+    t's gate gradients ``dz`` (rows f, i, o, c) over step t + 1's gates in
+    ``acts``, which the sweep has used; the hidden state's gradient is one
+    batched ``dz @ V``.  After the sweep, one batched product each forms the
+    U and V terms of every step, and one reduction over the batch axis the
+    bias terms; the terms are then added into the gradient from the last
+    step back to the first.  That order, and every expression, is the taped
+    cell's, so the result is bit-identical to it; the hidden state's
+    gradient adds the gates in the taped order o, f, i, c.  The sweep's
+    temporaries come from ``work`` too.
     """
-    grad = np.zeros(encoder_param_count(model.hidden_size, model.param_outputs))
-    du, dv, db, dwh, dbh = encoder_parts(grad, model.hidden_size, model.param_outputs)
+    hid = model.hidden_size
+    n, length = windows.shape[:2]
+    grad = np.zeros(encoder_param_count(hid, model.param_outputs))
+    _, _, _, dwh, dbh = encoder_parts(grad, hid, model.param_outputs)
     _, v, _, wh, _ = parts
-    dwh += g_out.T @ h_last
+    dwh += g_out.T @ hs[length]
     dbh += g_out.sum(axis=0)
-    dh, dc_next = g_out @ wh, 0.0
-    for x, h, c, (f, i, o, g, tc) in reversed(steps):
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        dz = np.stack([dc * c * f * (1.0 - f), dc * g * i * (1.0 - i),
-                       dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)])
-        dz_t = dz.transpose(0, 2, 1)
-        du += dz_t @ x
-        db += dz.sum(axis=1, keepdims=True)
-        dv += dz_t @ h
-        dh = 0.0
-        for k in (2, 0, 1, 3):  # o, f, i, c
-            dh = dh + dz[k] @ v[k]
-        dc_next = dc * f
+    dh = g_out @ wh
+    dzs = acts[1:, :4]  # step t's gradients go over step t + 1's gates
+    om = work.empty((3, n, hid))   # 1 - [f, i, o]
+    sq = work.empty((2, n, hid))   # 1 - [g², tanh(c')²]
+    dc = work.empty((n, hid))      # the cell state's gradient
+    tmp = work.empty((n, hid))
+    dhv = work.empty((4, n, hid))
+    dc[...] = 0.0
+    for t in range(length - 1, -1, -1):
+        a, dz = acts[t], dzs[t]
+        f, i, o, _, _, tc = a
+        np.subtract(1.0, a[:3], out=om)
+        np.multiply(a[3::2], a[3::2], out=sq)
+        np.subtract(1.0, sq, out=sq)
+        np.multiply(dh, o, out=tmp)
+        tmp *= sq[1]
+        dc += tmp
+        np.multiply(dc, a[4:2:-1], out=dz[:2])  # dc·[c, g]
+        dz[:2] *= a[:2]
+        dz[:2] *= om[:2]
+        np.multiply(dh, tc, out=dz[2])
+        dz[2] *= o
+        dz[2] *= om[2]
+        np.multiply(dc, i, out=dz[3])
+        dz[3] *= sq[0]
+        np.matmul(dz, v, out=dhv)
+        np.add(dhv[2], 0.0, out=dh)  # 0.0 + o + f + i + c, as on the tape
+        dh += dhv[0]
+        dh += dhv[1]
+        dh += dhv[3]
+        dc *= f
+    nu, nv = hid * INPUT_SIZE, hid * hid
+    terms = work.empty((length, 4, nu + nv + hid))
+    dz_t = dzs.transpose(0, 1, 3, 2)
+    np.matmul(dz_t, windows.transpose(1, 0, 2)[:, None],
+              out=terms[:, :, :nu].reshape(length, 4, hid, INPUT_SIZE))
+    np.matmul(dz_t, hs[:length, None], out=terms[:, :, nu : nu + nv].reshape(length, 4, hid, hid))
+    # summed in place over the batch axis, as the tape sums each step: numpy
+    # sums a lone unit's column pairwise, so a B-major copy would not keep hidden 1's bits
+    dzs.sum(axis=2, out=terms[:, :, nu + nv :])
+    gates = grad[: 4 * (nu + nv + hid)].reshape(4, nu + nv + hid)
+    for t in range(length - 1, -1, -1):
+        gates += terms[t]
     return grad
 
 
@@ -177,13 +261,14 @@ def encode_window(model, window):
     return out[0], out[1], out[2:].copy()
 
 
-def _encoder_loss_graph(model, theta, windows, targets):
+def _encoder_loss_graph(model, theta, windows, targets, work=None):
     """Mean over the batch of summed squared output errors, as one node on
     ``theta``; its backward pulls the head's costate back through
     :func:`_bptt`.
 
     ``windows`` is (B, window_len, 2); ``targets`` is (B, 2 + param_outputs)
-    holding (q_y, p_y, parameters) at each window's last step.
+    holding (q_y, p_y, parameters) at each window's last step; ``work``
+    holds the buffers of a pass that records gradients (:func:`_encode_graph`).
     """
     if windows.shape[0] == 0:
         raise EmptyBatch("encoder loss over an empty batch")
@@ -192,7 +277,7 @@ def _encoder_loss_graph(model, theta, windows, targets):
             f"targets must be ({windows.shape[0]}, {model.n_outputs}), got "
             f"{targets.shape}"
         )
-    out, pullback = _encode_graph(model, theta.data, windows, theta.requires_grad)
+    out, pullback = _encode_graph(model, theta.data, windows, theta.requires_grad, work)
     diff = out - targets
     c = 1.0 / windows.shape[0]
     # adding 0.0 turns a negative zero of the costate positive, as on the tape

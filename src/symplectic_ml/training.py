@@ -220,10 +220,11 @@ def _build_problem(config, dataset):
             hidden_size=config.encoder_hidden, window_len=config.encoder_window,
             param_outputs=dataset.param_channels, params=theta0,
         )
+        work = models.Workspace()
 
         def loss_graph(theta, idx):
             return lstm._encoder_loss_graph(template, theta, wins.inputs[idx],
-                                            wins.targets[idx])
+                                            wins.targets[idx], work)
 
     def build_model(theta):
         return replace(template, params=theta)

@@ -256,6 +256,36 @@ def test_invalid_json_config_is_a_usage_error(ws, data_dir, tmp_path, capsys, co
         assert err.startswith("usage error:") and reason in err, text
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_a_config_seed_other_than_the_runs_is_a_usage_error(data_dir, tmp_path, capsys,
+                                                             command):
+    # the seed comes from --seed (else SYMPLECTIC_ML_SEED, else 0): a seed set
+    # through --set or a --config file that disagrees with it stops the run
+    extra = ["--model", "encoder", "--dataset", str(data_dir)] if command == "train" else []
+    what = {"generate": "generation", "train": "training"}[command]
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 5}')
+    out = tmp_path / "out"
+    for args, given, seed in ((["--set", "seed=2"], 2, 0),
+                              (["--set", "seed=2", "--seed", "3"], 2, 3),
+                              (["--config", str(config), "--seed", "3"], 5, 3)):
+        rc = cli.main([command, "--out", str(out), *extra, *args])
+        assert rc == 1, args
+        assert capsys.readouterr().err == (
+            f"usage error: bad {what} config: seed={given} is not the run's seed {seed}; "
+            "set the seed with --seed\n"), args
+        assert not out.exists(), args
+
+
+def test_a_config_seed_equal_to_the_runs_changes_nothing(tmp_path):
+    argv = ["generate", "--alphas", "0.5", "--energies", "0.1", "--n-per-cell", "1",
+            "--series-length", "12", "--transient", "2", "--seed", "3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / "b"), "--set", "seed=3"]) == 0
+    for name in ("manifest.json", "states.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -1,6 +1,8 @@
 """Recurrent encoder: cell arithmetic, window encoding, ensemble parameter
 estimates, and full-state reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,10 +355,10 @@ def _loss_and_grad(build, flat):
     return loss.item(), ad.grad_params_through(loss, theta)
 
 
-@pytest.mark.parametrize("batch", [1, 3, 128])
+@pytest.mark.parametrize("batch", [1, 3, 128, 130])
 @pytest.mark.parametrize("hidden", [3, 9])
 @pytest.mark.parametrize("param_outputs", [1, 2])
-@pytest.mark.parametrize("window", [1, 30])
+@pytest.mark.parametrize("window", [1, 2, 30])
 def test_encoder_node_matches_taped_cell_bit_for_bit(batch, hidden, param_outputs, window):
     model = EncoderModel(hidden_size=hidden, window_len=window, param_outputs=param_outputs,
                          params=init_encoder_params(hidden, param_outputs, 31))
@@ -394,6 +396,37 @@ def test_encoder_batch_loss_is_one_tape_node():
     assert type(loss) is ad.Tensor and loss._backward is not None
     loss.backward()
     assert loss._backward is None and theta.grad.shape == theta.shape
+
+
+@pytest.mark.parametrize("need_grad", [False, True])
+def test_an_encode_runs_one_cell_step_per_window_step(monkeypatch, need_grad):
+    # training and inference alike call lstm_step once per step of the
+    # window; the benchmark's lstm.cell_calls_per_step counts these calls
+    model = _encoder(hidden=3, window=7)
+    windows = np.random.default_rng(2).normal(size=(4, 7, 2))
+    expected = lstm._encode_graph(model, model.params, windows, need_grad)[0]
+    calls, step = [], lstm.lstm_step
+    monkeypatch.setattr(lstm, "lstm_step", lambda *a, **k: calls.append(1) or step(*a, **k))
+    out, pullback = lstm._encode_graph(model, model.params, windows, need_grad)
+    assert len(calls) == 7
+    assert (pullback is not None) == need_grad
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_inference_memory_does_not_grow_with_the_window():
+    # without gradients the steps share one (6, B, h) block: the traced peak
+    # of encoding 4096 windows is the same at 30 and at 120 steps
+    peaks = []
+    for window in (30, 120):
+        model = _encoder(hidden=9, window=window)
+        windows = np.random.default_rng(3).normal(size=(4096, window, 2))
+        tracemalloc.start()
+        try:
+            lstm._encode_graph(model, model.params, windows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 def test_inference_keeps_no_node():

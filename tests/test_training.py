@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symplectic_ml import nets, training
+from symplectic_ml import lstm, nets, training
 from symplectic_ml.autodiff import Tensor
+from symplectic_ml.datapipe import window_dataset
 from symplectic_ml.errors import DivergedTraining
 from symplectic_ml.lstm import EncoderModel
 from symplectic_ml.models import HnnModel, SeparableModel
@@ -23,7 +24,7 @@ from symplectic_ml.training import (
     train,
 )
 
-from helpers import small_dataset
+from helpers import fabricated_dataset, small_dataset
 
 from symplectic_ml.dynamics import PotentialParams, hh_grad_v
 
@@ -317,6 +318,24 @@ def test_train_rollout_model_smoke(tiny_dataset):
     assert report.checkpoint["model_kind"] == "asrnn"
     assert report.checkpoint["spec"]["kinetic_layers"] is None
     assert all(np.isfinite(report.val_losses))
+
+
+def test_encoder_validation_loss_is_the_row_weighted_sum_of_its_chunks():
+    # _eval_loss encodes 4096 windows at a time; over 4220 windows its loss
+    # is the two chunks' encoder losses, each weighted by its rows
+    dataset = fabricated_dataset(20, 220)
+    config = TrainConfig(model_kind="encoder", encoder_hidden=3, encoder_window=10,
+                         encoder_stride=1)
+    n, theta, loss_graph, build_model = training._build_problem(config, dataset)
+    assert n == 20 * 211
+    wins = window_dataset(dataset, "encoder", window_len=10, stride=1)
+    idx = np.arange(n)
+    total = 0.0
+    for part in (idx[:4096], idx[4096:]):
+        loss = lstm._encoder_loss_graph(build_model(theta), Tensor(theta),
+                                        wins.inputs[part], wins.targets[part])
+        total += loss.item() * part.size
+    assert training._eval_loss(loss_graph, theta, idx) == total / n
 
 
 def test_train_encoder_smoke(tiny_dataset):
